@@ -243,7 +243,7 @@ def _cmd_sweep(args) -> int:
     try:
         report = sweeps.conjecture_sweep(args.conjecture, sweeps.SweepLimits(args.max_n),
                                          options)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: the budget ran out
         raise CliError(str(exc))
     if args.report:
         _write_text(args.report, json.dumps(report, indent=2) + "\n")

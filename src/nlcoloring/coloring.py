@@ -80,25 +80,18 @@ def is_nl_coloring(g: Graph, c: Coloring) -> NLVerdict:
     for u, v in g.sorted_edges():
         if c.colors[u] == c.colors[v]:
             return NLVerdict(False, NOT_PROPER, (u, v))
-    signatures = [frozenset(c.colors[u] for u in g.adj[v]) for v in range(g.n)]
-    seen: dict[tuple[int, frozenset], int] = {}
-    clash = None
+    first: dict[tuple[int, frozenset], int] = {}
+    clashes = []
     for v in range(g.n):
-        key = (c.colors[v], signatures[v])
-        if key in seen:
-            clash = (seen[key], v)
-            break
-        seen[key] = v
-    if clash is None:
+        key = (c.colors[v], frozenset(c.colors[u] for u in g.adj[v]))
+        u = first.setdefault(key, v)
+        if u != v:
+            clashes.append((u, v))
+    if not clashes:
         return NLVerdict(True)
-    # report the lexicographically first violating pair
-    witness = min(
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if c.colors[u] == c.colors[v] and signatures[u] == signatures[v]
-    )
-    return NLVerdict(False, DUPLICATE_SIGNATURE, witness)
+    # a group's first clash pairs its two smallest members, so the least
+    # clash is the lexicographically first violating pair
+    return NLVerdict(False, DUPLICATE_SIGNATURE, min(clashes))
 
 
 def _require_nl(g: Graph, c: Coloring, caller: str) -> None:

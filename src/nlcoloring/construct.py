@@ -7,13 +7,16 @@ the 1-paired cycle pipeline built from them, path colorings by edge deletion,
 the universal-vertex lift, the comb coloring, the extremal unicyclic graph
 and caterpillar, and the generic coloring of trees of order at least 5.
 
-Every constructor re-verifies its output before returning; a failure raises
+The pipeline runs its chain of insertions in one loop over a plain color
+list, without recursion or caching, and verifies nothing on the way.  Every
+constructor verifies its own output once before returning; a failure raises
 ConstructionError instead of shipping a bad coloring.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -133,7 +136,7 @@ def _edge_position(g: Graph, edge: tuple[int, int]) -> int:
     raise ValueError(f"({edge[0]},{edge[1]}) is not an edge of the cycle")
 
 
-def _seq_color_degree(seq: tuple[int, ...], p: int) -> int:
+def _seq_color_degree(seq: Sequence[int], p: int) -> int:
     m = len(seq)
     return 1 if seq[p - 1] == seq[(p + 1) % m] else 2
 
@@ -211,28 +214,20 @@ def op2_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
 # ---------------------------------------------------------------------------
 # the 1-paired cycle pipeline
 
-def _site_at(cg: ColoredGraph, p: int, kind: str, h: int | None = None) -> InsertionSite:
-    seq = cg.coloring.colors
-    m = len(seq)
-    q = (p + 1) % m
-    edge = (p, q) if q == p + 1 else (0, m - 1)
-    return InsertionSite(edge=edge, kind=kind, colors=(seq[p], seq[q]), h=h)
-
-
-def _find_cd_pair_edge(seq: tuple[int, ...], pair: tuple[int, int], cd: int) -> int:
+def _find_cd_pair_edge(seq: Sequence[int], pair: tuple[int, int], cd: int) -> int:
     """Lowest edge position whose endpoints have the given colors and color-degree."""
     m = len(seq)
-    want = set(pair)
+    i, j = pair
     for p in range(m):
         q = (p + 1) % m
-        if ({seq[p], seq[q]} == want
+        if (((seq[p] == i and seq[q] == j) or (seq[p] == j and seq[q] == i))
                 and _seq_color_degree(seq, p) == cd
                 and _seq_color_degree(seq, q) == cd):
             return p
     raise ConstructionError(f"no eligible edge for color pair {pair} at color-degree {cd}")
 
 
-def _designated_vertex(seq: tuple[int, ...]) -> int:
+def _designated_vertex(seq: Sequence[int]) -> int:
     """The unique vertex colored 2 whose two neighbors are colored 1 and 3."""
     m = len(seq)
     for p in range(m):
@@ -245,61 +240,52 @@ def _lex_pairs(top: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, top + 1), 2))
 
 
-_STATE_CACHE: dict[tuple[int, int], ColoredGraph] = {}
+def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Colors and trace of the deterministic 1-paired k-coloring of the order-n cycle.
 
+    Chain structure: starting from the order-9 base, each level k' = 4..k
+    grows the order-ell(k'-1) coloring by single insertions (new color k')
+    at the adjacent color-degree-1 pairs, one per color pair of 1..k'-1 in
+    lexicographic order, up to order a2(k'); from there pair insertions (one
+    per color pair of 1..k') extend even offsets up to ell(k'), and from
+    order a2(k')-1 odd offsets up to ell(k')-3, skipping the color pair left
+    unconsumed by the first phase.  The first two pair insertions happen on
+    the edges at the vertex colored 2 with neighbors colored 1 and 3, which
+    lays down the run 1,2,1,2,3,2,3 needed at full order.  Every level below
+    k runs to its full order ell(k'); level k stops at n.
 
-def _cycle_state(k: int, n: int) -> ColoredGraph:
-    """Deterministic 1-paired k-coloring of the order-n cycle.
-
-    Chain structure: the order-ell(k-1) coloring of level k-1 grows by
-    single insertions (new color k) at the adjacent color-degree-1 pairs,
-    one per color pair of 1..k-1 in lexicographic order, up to order a2(k);
-    from there pair insertions (one per color pair of 1..k) extend even
-    offsets up to ell(k), and from order a2(k)-1 odd offsets up to ell(k)-3,
-    skipping the color pair left unconsumed by the first phase.  The first
-    two pair insertions happen on the edges at the vertex colored 2 with
-    neighbors colored 1 and 3, which lays down the run 1,2,1,2,3,2,3 needed
-    at full order.
+    The insertions edit one color list in place and nothing is verified
+    here: callers check that (k, n) is reachable and certify what they
+    build from the sequence.
     """
-    cached = _STATE_CACHE.get((k, n))
-    if cached is not None:
-        return cached
-    if k == 3:
-        if n != 9:
-            raise ValueError("the 3-color pipeline base is the cycle of order 9")
-        state = base_small_coloring(FamilySpec.cycle(9))
-    else:
-        lo, a2k, hi = ell(k - 1), a2(k), ell(k)
-        if not (lo < n <= hi) or n == hi - 1:
-            raise ValueError(f"order {n} not reachable with {k} colors")
-        if n <= a2k:
-            prev = _cycle_state(k - 1, lo) if n == lo + 1 else _cycle_state(k, n - 1)
-            pair = _lex_pairs(k - 1)[n - lo - 1]
-            p = _find_cd_pair_edge(prev.coloring.colors, pair, cd=1)
-            state = op1_insert(prev, _site_at(prev, p, OP1, h=k))
-        elif (n - a2k) % 2 == 0:
-            prev = _cycle_state(k, n - 2)
-            step = (n - a2k) // 2
-            seq = prev.coloring.colors
-            if step <= 2:
-                u = _designated_vertex(seq)
-                m = len(seq)
-                target = 1 if step == 1 else 3
-                p = (u - 1) % m if seq[(u - 1) % m] == target else u
-            else:
-                rest = [pr for pr in _lex_pairs(k) if set(pr) not in ({1, 2}, {2, 3})]
-                pair = rest[step - 3]
-                p = _find_cd_pair_edge(seq, pair, cd=2)
-            state = op2_insert(prev, _site_at(prev, p, OP2))
+    seq = list(_CYCLE_BASES[9])
+    trace = [f"base({FamilySpec.cycle(9).label()})"]
+    for level in range(4, k + 1):
+        target = n if level == k else ell(level)
+        a2k = a2(level)
+        odd = target > a2k and (target - a2k) % 2 == 1
+        phase1_end = a2k - 1 if odd else min(target, a2k)
+        for pair in _lex_pairs(level - 1)[: phase1_end - len(seq)]:
+            p = _find_cd_pair_edge(seq, pair, cd=1)
+            seq.insert(p + 1, level)
+            trace.append(f"op1(h={level},edge={p})")
+        if odd:
+            skipped = {level - 2, level - 1}  # pair whose color-degree-1 vertices survive
+            pairs = [pr for pr in _lex_pairs(level) if set(pr) != skipped]
         else:
-            prev = _cycle_state(k, n - 2)
-            step = (n - (a2k - 1)) // 2
-            skipped = {k - 2, k - 1}  # pair whose color-degree-1 vertices survive
-            pairs = [pr for pr in _lex_pairs(k) if set(pr) != skipped]
-            p = _find_cd_pair_edge(prev.coloring.colors, pairs[step - 1], cd=2)
-            state = op2_insert(prev, _site_at(prev, p, OP2))
-    _STATE_CACHE[(k, n)] = state
-    return state
+            pairs = [(1, 2), (2, 3)] + [pr for pr in _lex_pairs(level)
+                                        if set(pr) not in ({1, 2}, {2, 3})]
+        for step, pair in enumerate(pairs[: (target - len(seq)) // 2]):
+            m = len(seq)
+            if odd or step >= 2:
+                p = _find_cd_pair_edge(seq, pair, cd=2)
+            else:  # {1,2}, then {2,3}, on the edges at the designated vertex
+                u = _designated_vertex(seq)
+                p = (u - 1) % m if seq[u - 1] == (1 if step == 0 else 3) else u
+            i, j = seq[p], seq[(p + 1) % m]
+            seq[p + 1 : p + 1] = [j, i]
+            trace.append(f"op2({min(i, j)},{max(i, j)},edge={p})")
+    return tuple(seq), tuple(trace)
 
 
 def one_paired_cycle_coloring(k: int, n: int) -> ColoredGraph:
@@ -315,7 +301,7 @@ def one_paired_cycle_coloring(k: int, n: int) -> ColoredGraph:
     if n == ell(k) - 1:
         raise ValueError(f"order {n} = ell({k})-1 has no {k}-coloring; "
                          f"use cycle_coloring for the k+1 construction")
-    return _cycle_state(k, n)
+    return _cycle_colored(*_pipeline_sequence(k, n))
 
 
 def cycle_coloring(n: int) -> ColoredGraph:
@@ -327,11 +313,10 @@ def cycle_coloring(n: int) -> ColoredGraph:
     k = bracket(n)
     if n == ell(k) - 1:
         # subdivide one edge of the order n-1 cycle with a fresh color
-        prev = _cycle_state(k, n - 1)
-        seq = prev.coloring.colors
+        seq, trace = _pipeline_sequence(k, n - 1)
         new_seq = (seq[0], k + 1) + seq[1:]
-        return _cycle_colored(new_seq, prev.provenance + (f"subdivide(h={k + 1})",))
-    return _cycle_state(k, n)
+        return _cycle_colored(new_seq, trace + (f"subdivide(h={k + 1})",))
+    return one_paired_cycle_coloring(k, n)
 
 
 def _path_colored(seq: tuple[int, ...], provenance: tuple[str, ...]) -> ColoredGraph:
@@ -353,13 +338,11 @@ def path_coloring(n: int) -> ColoredGraph:
         return base_small_coloring(FamilySpec.path(n))
     k = bracket(n)
     if n == ell(k) - 1:
-        full = _cycle_state(k, ell(k))
-        seq = full.coloring.colors
+        seq, trace = _pipeline_sequence(k, ell(k))
         u = _designated_vertex(seq)
         path_seq = seq[u + 1 :] + seq[:u]
-        return _path_colored(path_seq, full.provenance + ("drop-located-vertex",))
-    cg = _cycle_state(k, n)
-    seq = cg.coloring.colors
+        return _path_colored(path_seq, trace + ("drop-located-vertex",))
+    seq, trace = _pipeline_sequence(k, n)
     if n == a2(k):
         cut = 0  # no color-degree-1 pair exists; any edge works, take the first
     else:
@@ -368,7 +351,7 @@ def path_coloring(n: int) -> ColoredGraph:
                    if _seq_color_degree(seq, p) == 1
                    and _seq_color_degree(seq, (p + 1) % m) == 1)
     path_seq = seq[cut + 1 :] + seq[: cut + 1]
-    return _path_colored(path_seq, cg.provenance + (f"cut(edge={cut})",))
+    return _path_colored(path_seq, trace + (f"cut(edge={cut})",))
 
 
 def cone_coloring(cg: ColoredGraph) -> ColoredGraph:
@@ -554,9 +537,8 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     """
     if k < 5:
         raise ValueError("the extremal unicyclic construction needs at least 5 colors")
-    ring = _cycle_state(k, a2(k))
+    seq, ring_trace = _pipeline_sequence(k, a2(k))
     comb = comb_coloring(k)
-    seq = ring.coloring.colors
     ring_n = len(seq)
     m = k * (k - 1)
     p = next(t for t in range(ring_n)
@@ -565,13 +547,14 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     x, y = (p, q) if seq[p] == 2 else (q, p)  # x colored 2, y colored k-1
     spine_head = ring_n                       # comb spine vertex 0, colored k-1
     spine_tail = ring_n + m - 1               # last spine vertex, colored 2
-    edges = [e for e in ring.graph.sorted_edges() if e != (min(p, q), max(p, q))]
+    ring = family_graph(FamilySpec.cycle(ring_n))
+    edges = [e for e in ring.sorted_edges() if e != (min(p, q), max(p, q))]
     edges += [(u + ring_n, v + ring_n) for u, v in comb.graph.sorted_edges()]
     edges += [(x, spine_head), (y, spine_tail)]
     graph = Graph(ring_n + 2 * m, edges)
     colors = seq + comb.coloring.colors
     cg = _certified(graph, Coloring(k, colors),
-                    ring.provenance + comb.provenance + ("ring-comb splice",))
+                    ring_trace + comb.provenance + ("ring-comb splice",))
     if classify(graph).kind != "Unicyclic":
         raise ConstructionError("splice did not produce a unicyclic graph")
     return cg

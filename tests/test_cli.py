@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlcoloring
 from nlcoloring.cli import main
 
 
@@ -168,6 +173,13 @@ def test_sweep_writes_report(tmp_path, capsys):
     assert {"canonical", "n", "chi", "delta", "verdict"} <= set(report["instances"][0])
 
 
+def test_sweep_out_of_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--conjecture", "delta", "--max-n", "9",
+                         "--budget", "1e-6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_path2_certificate_payload(capsys):
     code, payload, _ = run_json(capsys, "color", "--family", "path", "--n", "2")
     assert code == 0
@@ -198,6 +210,27 @@ def test_color_then_verify_all_families(family_args, tmp_path, capsys):
     code, verdict, _ = run_json(capsys, "verify", "--graph", str(graph_file),
                                 "--certificate", str(cert_file))
     assert code == 0 and verdict == {"ok": True}
+
+
+@pytest.mark.parametrize("family", ["cycle", "path", "fan", "wheel"])
+def test_cold_large_color_then_verify(family, tmp_path):
+    # a fresh interpreter has built nothing before; order 2000 lies past the
+    # depth at which a recursive construction would exhaust the stack
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcoloring.__file__).resolve().parents[1]))
+    nlc = [sys.executable, "-m", "nlcoloring.cli"]
+    built = subprocess.run(nlc + ["color", "--family", family, "--n", "2000"],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert built.returncode == 0, built.stderr
+    payload = json.loads(built.stdout)
+    graph_file = tmp_path / "g.json"
+    cert_file = tmp_path / "c.json"
+    graph_file.write_text(json.dumps(payload["graph"]))
+    cert_file.write_text(json.dumps(payload["certificate"]))
+    checked = subprocess.run(nlc + ["verify", "--graph", str(graph_file),
+                                    "--certificate", str(cert_file)],
+                             capture_output=True, text=True, env=env, timeout=300)
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"ok": True}
 
 
 def test_pretty_output_is_line_based(capsys):

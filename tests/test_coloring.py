@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nlcoloring import (
     Coloring,
     FamilySpec,
+    Graph,
     base_small_coloring,
     color_degree,
     comb_coloring,
@@ -95,6 +96,16 @@ def test_duplicate_signature_witness_is_lex_first():
     assert not verdict.ok
     assert verdict.reason == "DuplicateSignature"
     assert verdict.witness == (0, 2)
+
+
+def test_duplicate_signature_witness_is_least_pair_not_first_found():
+    # leaves 0..10 on center 11: classes {0, 10} and {3, 4} clash, and a scan
+    # in vertex order closes (3, 4) before (0, 10)
+    g = Graph(12, [(v, 11) for v in range(11)])
+    colors = (1, 3, 4, 2, 2, 5, 6, 7, 8, 9, 1, 10)
+    verdict = is_nl_coloring(g, Coloring(10, colors))
+    assert verdict.reason == "DuplicateSignature"
+    assert verdict.witness == (0, 10)
 
 
 def test_is_1_paired():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +220,21 @@ def test_construction_matches_closed_form(n):
     assert path_coloring(n).k == chi_closed_form(FamilySpec.path(n))
     if n >= 3:
         assert cycle_coloring(n).k == chi_closed_form(FamilySpec.cycle(n))
+
+
+# sha256 over one "<family> <n> <colors>" line per build, cycle then path,
+# for orders 10..400 and every 17th order from 401 to 1536; recorded from the
+# recursive pipeline that preceded the iterative one
+PIPELINE_DIGEST = "258a49474debb2451c352e46dc63d893997bb4b9b482aa5755cd6073fb026778"
+
+
+def test_pipeline_sequences_match_pinned_digest():
+    digest = hashlib.sha256()
+    for n in [*range(10, 401), *range(401, 1537, 17)]:
+        for family, build in (("cycle", cycle_coloring), ("path", path_coloring)):
+            colors = build(n).coloring.colors
+            digest.update(f"{family} {n} {' '.join(map(str, colors))}\n".encode())
+    assert digest.hexdigest() == PIPELINE_DIGEST
 
 
 # -- cones ---------------------------------------------------------------------

@@ -243,7 +243,7 @@ def _cmd_sweep(args) -> int:
     try:
         report = sweeps.conjecture_sweep(args.conjecture, sweeps.SweepLimits(args.max_n),
                                          options)
-    except (ValueError, RuntimeError) as exc:  # RuntimeError: the budget ran out
+    except (ValueError, sweeps.SweepBudgetExhausted) as exc:
         raise CliError(str(exc))
     if args.report:
         _write_text(args.report, json.dumps(report, indent=2) + "\n")
@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="run the exact solver")
     p.add_argument("--max-k", type=int, dest="max_k", help="cap on the color count")
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--parallel", action="store_true", help="split the search top level")
+    p.add_argument("--parallel", action="store_true",
+                   help="no effect: a single search always runs sequentially")
 
     p = sub.add_parser("bounds", help="print the bounds report for a color count")
     p.add_argument("--k", type=int, required=True)
@@ -325,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n", required=True)
     p.add_argument("--report", help="write the full per-instance report here")
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true",
+                   help="solve the instances in worker processes (same report)")
 
     p = sub.add_parser("export", help="convert graph formats")
     p.add_argument("--input", required=True, help="graph file, '-' for stdin")

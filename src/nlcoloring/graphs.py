@@ -21,7 +21,8 @@ class Graph:
 
     Vertices are 0..n-1.  Edges are stored as a frozenset of (u, v) pairs
     with u < v; an adjacency table (tuple of sorted neighbor tuples) is
-    precomputed.  Instances are safe to share between threads.
+    precomputed.  Instances pickle, so they can be sent to worker
+    processes; unpickling rebuilds and re-validates the graph.
     """
 
     __slots__ = ("n", "edges", "adj")
@@ -50,6 +51,9 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph objects are immutable")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.sorted_edges())
 
     def _connected(self) -> bool:
         reached = [False] * self.n

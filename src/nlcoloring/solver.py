@@ -6,13 +6,12 @@ capacity derived from the color-degree ceilings, signature clashes among
 vertices whose whole neighborhood is colored, and optional color-symmetry
 breaking.  The search is deliberately simple and fully exhaustive: it is
 the independent check the constructions are measured against, so
-completeness beats speed.
+completeness beats speed.  It is also sequential and deterministic: the
+same graph and options always give the same witness and node count.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from dataclasses import dataclass
 from math import comb
@@ -27,7 +26,7 @@ class SolveOptions:
     max_k: int | None = None
     time_budget: float | None = None  # seconds of wall clock
     symmetry_breaking: bool = True
-    parallel: bool = False
+    parallel: bool = False  # sweeps solve instances in worker processes
 
 
 EXACT = "Exact"
@@ -54,18 +53,13 @@ class SolveResult:
 
 
 class _Budget:
-    """Shared wall-clock budget, checked every few thousand nodes."""
+    """Wall-clock budget and node count shared by the k attempts of one solve."""
 
-    __slots__ = ("deadline", "nodes", "lock")
+    __slots__ = ("deadline", "nodes")
 
     def __init__(self, seconds: float | None):
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.nodes = 0
-        self.lock = threading.Lock()
-
-    def spend(self, nodes: int) -> None:
-        with self.lock:
-            self.nodes += nodes
 
     def check(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -181,9 +175,7 @@ class _Search:
             return range(1, min(self.k, self.max_used + 1) + 1)
         return range(1, self.k + 1)
 
-    def run(self, depth: int, stop: threading.Event | None = None) -> tuple[int, ...] | None:
-        if stop is not None and stop.is_set():
-            return None
+    def run(self, depth: int) -> tuple[int, ...] | None:
         if depth == self.g.n:
             return tuple(self.colors)
         v = self.order[depth]
@@ -192,57 +184,13 @@ class _Search:
             if ok:
                 prev_max = self.max_used
                 self.max_used = max(self.max_used, color)
-                found = self.run(depth + 1, stop)
+                found = self.run(depth + 1)
                 self.max_used = prev_max
                 if found is not None:
                     self.unassign(v, finalized)
                     return found
                 self.unassign(v, finalized)
         return None
-
-    def replay(self, prefix: tuple[int, ...]) -> list[tuple[int, list[int]]] | None:
-        """Re-apply a branch prefix (colors for order[0..len-1]); None if infeasible."""
-        trail = []
-        for depth, color in enumerate(prefix):
-            v = self.order[depth]
-            ok, finalized = self.assign(v, color)
-            if not ok:
-                for w, fin in reversed(trail):
-                    self.unassign(w, fin)
-                return None
-            trail.append((v, finalized))
-            self.max_used = max(self.max_used, color)
-        return trail
-
-
-def _branch_prefixes(g: Graph, k: int, symmetry: bool, budget: _Budget,
-                     want: int) -> list[tuple[int, ...]]:
-    """Feasible assignments of the first few vertices, for parallel splitting."""
-    search = _Search(g, k, symmetry, budget)
-    depth = 1
-    prefixes: list[tuple[int, ...]] = [()]
-    while depth <= min(3, g.n) and len(prefixes) < want:
-        nxt: list[tuple[int, ...]] = []
-        for prefix in prefixes:
-            trail = search.replay(prefix)
-            if trail is None:
-                continue
-            for color in search.color_options():
-                v = search.order[len(prefix)]
-                ok, finalized = search.assign(v, color)
-                if ok:
-                    search.unassign(v, finalized)
-                    nxt.append(prefix + (color,))
-            for wv, fin in reversed(trail):
-                search.unassign(wv, fin)
-            search.max_used = 0
-        budget.spend(search.nodes)
-        search.nodes = 0
-        if not nxt:
-            return []
-        prefixes = nxt
-        depth += 1
-    return prefixes
 
 
 def exists_nl_coloring(g: Graph, k: int,
@@ -251,14 +199,19 @@ def exists_nl_coloring(g: Graph, k: int,
     """Decide whether some NL-coloring with at most k colors exists.
 
     Complete search; the witness (when one exists) uses at most k colors and
-    is deterministic in sequential mode.  Raises nothing on negative
-    instances -- the False answer is the exhausted-search certificate.
+    is deterministic.  Raises nothing on negative instances -- the False
+    answer is the exhausted-search certificate.
     """
     if k < 1:
         raise ValueError("k must be positive")
     opts = options or SolveOptions()
-    own_budget = budget or _Budget(opts.time_budget)
-    found = _solve_instance(g, k, opts, own_budget)
+    budget = budget or _Budget(opts.time_budget)
+    budget.check()
+    search = _Search(g, k, opts.symmetry_breaking, budget)
+    try:
+        found = search.run(0)
+    finally:
+        budget.nodes += search.nodes
     if found is None:
         return False, None
     compacted = _compact_colors(found)
@@ -270,64 +223,6 @@ def _compact_colors(colors: tuple[int, ...]) -> tuple[int, ...]:
     color indices only when symmetry breaking is off)."""
     remap = {c: i + 1 for i, c in enumerate(sorted(set(colors)))}
     return tuple(remap[c] for c in colors)
-
-
-def _solve_instance(g: Graph, k: int, opts: SolveOptions,
-                    budget: _Budget) -> tuple[int, ...] | None:
-    budget.check()
-    if not opts.parallel or g.n < 4:
-        search = _Search(g, k, opts.symmetry_breaking, budget)
-        try:
-            return search.run(0)
-        finally:
-            budget.spend(search.nodes)
-    workers = min(8, os.cpu_count() or 2)
-    prefixes = _branch_prefixes(g, k, opts.symmetry_breaking, budget, 2 * workers)
-    if not prefixes:
-        return None
-    stop = threading.Event()
-    results: list[tuple[int, ...]] = []
-    lock = threading.Lock()
-
-    def worker(chunk: list[tuple[int, ...]]) -> None:
-        search = _Search(g, k, opts.symmetry_breaking, budget)
-        try:
-            for prefix in chunk:
-                if stop.is_set():
-                    break
-                trail = search.replay(prefix)
-                if trail is None:
-                    continue
-                found = search.run(len(prefix), stop)
-                for wv, fin in reversed(trail):
-                    search.unassign(wv, fin)
-                search.max_used = 0
-                if found is not None:
-                    with lock:
-                        results.append(found)
-                    stop.set()
-                    break
-        except _OutOfTime:
-            stop.set()
-            with lock:
-                results.append(())  # sentinel: ran out of time
-        finally:
-            budget.spend(search.nodes)
-
-    chunks: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
-    for i, prefix in enumerate(prefixes):
-        chunks[i % workers].append(prefix)
-    threads = [threading.Thread(target=worker, args=(chunk,)) for chunk in chunks if chunk]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    real = [r for r in results if r]
-    if real:
-        return real[0]
-    if any(r == () for r in results):
-        raise _OutOfTime
-    return None
 
 
 def chi_nl_exact(g: Graph, options: SolveOptions | None = None) -> SolveResult:

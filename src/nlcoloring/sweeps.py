@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bounds import chi_closed_form
 from .graphs import FamilySpec, Graph, degree_stats, diameter
@@ -172,6 +172,35 @@ class SweepLimits:
     max_n: int
 
 
+class SweepBudgetExhausted(RuntimeError):
+    """The solver gave up on a sweep instance, so the sweep has no verdict."""
+
+
+def _exact_values(graphs: Iterable[Graph],
+                  options: SolveOptions | None) -> Iterator[tuple[Graph, int]]:
+    """Each graph with its exact value, in input order.
+
+    With ``options.parallel`` the independent instances are solved in
+    spawned worker processes; ``map`` keeps input order, so the report is the
+    same.  The pool is imported here because a module-level import slows
+    every ``nlc`` start-up.
+    """
+    if options is None or not options.parallel:
+        solved = ((g, chi_nl_exact(g, options)) for g in graphs)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        graphs = list(graphs)
+        with ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(chi_nl_exact, graphs, [options] * len(graphs)))
+        solved = zip(graphs, results)
+    for g, result in solved:
+        if result.chi is None:
+            raise SweepBudgetExhausted("solver gave up inside the sweep; raise the budget")
+        yield g, result.chi
+
+
 def _edge_string(g: Graph) -> str:
     return ";".join(f"{u}-{v}" for u, v in g.sorted_edges())
 
@@ -197,25 +226,21 @@ def _delta_sweep(limits: SweepLimits, options: SolveOptions | None) -> dict:
     instances = []
     max_delta_by_chi: dict[int, int] = {}
     counterexamples = []
-    for n in range(1, limits.max_n + 1):
-        for tree in enumerate_trees(n):
-            result = chi_nl_exact(tree, options)
-            if result.chi is None:
-                raise RuntimeError("solver gave up inside the sweep; raise the budget")
-            delta = degree_stats(tree).max_degree
-            holds = delta <= (result.chi - 1) ** 2
-            record = {
-                "canonical": _edge_string(tree),
-                "n": n,
-                "chi": result.chi,
-                "delta": delta,
-                "verdict": holds,
-            }
-            instances.append(record)
-            if not holds:
-                counterexamples.append(record)
-            prev = max_delta_by_chi.get(result.chi, 0)
-            max_delta_by_chi[result.chi] = max(prev, delta)
+    trees = (t for n in range(1, limits.max_n + 1) for t in enumerate_trees(n))
+    for tree, chi in _exact_values(trees, options):
+        delta = degree_stats(tree).max_degree
+        holds = delta <= (chi - 1) ** 2
+        record = {
+            "canonical": _edge_string(tree),
+            "n": tree.n,
+            "chi": chi,
+            "delta": delta,
+            "verdict": holds,
+        }
+        instances.append(record)
+        if not holds:
+            counterexamples.append(record)
+        max_delta_by_chi[chi] = max(max_delta_by_chi.get(chi, 0), delta)
     return {
         "conjecture": DELTA_CONJECTURE,
         "maxN": limits.max_n,
@@ -231,25 +256,22 @@ def _diameter_sweep(limits: SweepLimits, options: SolveOptions | None) -> dict:
         raise ValueError(f"diameter sweep supports 2 <= max_n <= {CONNECTED_ENUM_CAP}")
     instances = []
     counterexamples = []
-    for n in range(2, limits.max_n + 1):
-        for g in connected_graphs(n):
-            result = chi_nl_exact(g, options)
-            if result.chi is None:
-                raise RuntimeError("solver gave up inside the sweep; raise the budget")
-            d = diameter(g)
-            floor = chi_closed_form(FamilySpec.path(d + 1))
-            holds = result.chi >= floor
-            record = {
-                "canonical": _edge_string(g),
-                "n": n,
-                "chi": result.chi,
-                "diameter": d,
-                "pathValue": floor,
-                "verdict": holds,
-            }
-            instances.append(record)
-            if not holds:
-                counterexamples.append(record)
+    graphs = (g for n in range(2, limits.max_n + 1) for g in connected_graphs(n))
+    for g, chi in _exact_values(graphs, options):
+        d = diameter(g)
+        floor = chi_closed_form(FamilySpec.path(d + 1))
+        holds = chi >= floor
+        record = {
+            "canonical": _edge_string(g),
+            "n": g.n,
+            "chi": chi,
+            "diameter": d,
+            "pathValue": floor,
+            "verdict": holds,
+        }
+        instances.append(record)
+        if not holds:
+            counterexamples.append(record)
     return {
         "conjecture": DIAMETER_CONJECTURE,
         "maxN": limits.max_n,

@@ -180,6 +180,26 @@ def test_sweep_out_of_budget_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_sweep_parallel_report_is_byte_identical(tmp_path, capsys):
+    written = []
+    for extra in ([], ["--parallel"]):
+        report_file = tmp_path / f"delta{len(extra)}.json"
+        code, _, _ = run(capsys, "sweep", "--conjecture", "delta", "--max-n", "8",
+                         "--report", str(report_file), *extra)
+        assert code == 0
+        written.append(report_file.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_sweep_internal_fault_is_not_a_usage_error(monkeypatch):
+    def fault(g, options=None):
+        raise RuntimeError("search produced an invalid witness")
+
+    monkeypatch.setattr(nlcoloring.sweeps, "chi_nl_exact", fault)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        main(["sweep", "--conjecture", "delta", "--max-n", "4"])
+
+
 def test_path2_certificate_payload(capsys):
     code, payload, _ = run_json(capsys, "color", "--family", "path", "--n", "2")
     assert code == 0

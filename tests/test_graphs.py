@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,14 @@ def test_graph_equality_and_adjacency():
     assert g.adj == ((1,), (0, 2), (1,))
     assert g == Graph(3, [(0, 1), (1, 2)])
     assert g.sorted_edges() == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("g", [family_graph(FamilySpec.cycle(9)),
+                               Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])])
+def test_graph_pickle_roundtrip(g):
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert copy.adj == g.adj
 
 
 def test_smallest_path():

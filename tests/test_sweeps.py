@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from nlcoloring import (
+    SolveOptions,
     SweepLimits,
     classify,
     conjecture_sweep,
@@ -95,6 +96,13 @@ def test_diameter_sweep_small():
     report = conjecture_sweep("diameter", SweepLimits(5))
     assert report["holds"]
     assert len(report["instances"]) == 1 + 2 + 6 + 21
+
+
+@pytest.mark.parametrize("which,max_n", [("delta", 10), ("diameter", 6)])
+def test_parallel_sweep_report_matches_sequential(which, max_n):
+    sequential = conjecture_sweep(which, SweepLimits(max_n))
+    parallel = conjecture_sweep(which, SweepLimits(max_n), SolveOptions(parallel=True))
+    assert parallel == sequential
 
 
 def test_sweep_rejects_unknown():

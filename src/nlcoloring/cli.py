@@ -4,7 +4,8 @@ Subcommands: gen, color, verify, chi, bounds, sweep, export.  Output is
 JSON on stdout with stable key order; identical invocations produce
 byte-identical payloads.  Exit codes: 0 success, 1 computation succeeded
 with a negative verdict (failed verification, infeasible within caps,
-conjecture violated), 2 usage or input errors.
+conjecture violated), 2 usage or input errors, 3 internal fault (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .graphs import FamilySpec, GraphError, classify
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_FAULT = 3
 
 
 class CliError(Exception):
@@ -360,6 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_USAGE
+    except Exception:
+        # a bug or a broken environment: neither a verdict (1) nor a usage error (2)
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Graph JSON is ``{"n": <int>, "edges": [[u, v], ...]}`` with u < v and the
 list sorted lexicographically.  The edge-list text format has one ``u v``
 pair per line with ``#`` comments allowed.  Certificates are
 ``{"n": <int>, "k": <int>, "colors": [c_0, ..., c_{n-1}]}`` with 1-based
-colors.  Vertex ids are 0-based everywhere.
+colors.  Vertex ids are 0-based everywhere.  In the JSON formats ``n``,
+``k``, every vertex id and every color must be a JSON integer: ``1.0``,
+``"1"`` and ``true`` are rejected with ``FormatError``, not converted.
 """
 
 from __future__ import annotations
@@ -23,15 +25,22 @@ def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
 
 
+def _json_int(value, what: str) -> int:
+    """`value` itself when it is a JSON integer; floats, strings and booleans
+    are refused rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be a JSON integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def graph_from_dict(data: dict) -> Graph:
     try:
         n = data["n"]
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        pairs = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"graph JSON needs integer 'n' and an 'edges' pair list: {exc}")
-    if not isinstance(n, int):
-        raise FormatError("graph JSON field 'n' must be an integer")
-    return Graph(n, edges)
+    n = _json_int(n, "graph JSON field 'n'")
+    return Graph(n, [(_json_int(u, "vertex id"), _json_int(v, "vertex id")) for u, v in pairs])
 
 
 def graph_to_json(g: Graph) -> str:
@@ -79,10 +88,12 @@ def certificate_to_dict(c: Coloring) -> dict:
 
 def certificate_from_dict(data: dict) -> Coloring:
     try:
-        n, k = data["n"], data["k"]
-        colors = tuple(int(c) for c in data["colors"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n, k, colors = data["n"], data["k"], list(data["colors"])
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"certificate JSON needs 'n', 'k' and a 'colors' list: {exc}")
+    n = _json_int(n, "certificate field 'n'")
+    k = _json_int(k, "certificate field 'k'")
+    colors = tuple(_json_int(c, "color") for c in colors)
     if len(colors) != n:
         raise FormatError(f"certificate lists {len(colors)} colors for n={n} vertices")
     try:

@@ -1,11 +1,10 @@
 """Exhaustive instance enumeration and conjecture sweeps.
 
-Two supplies of instances: all non-isomorphic trees of a given order
-(generated from scratch through rooted multiset recursion plus
-centroid-canonical deduplication), and all non-isomorphic connected graphs
-of order at most 7 (taken from the graph atlas shipped with networkx, with
-the known class counts asserted).  Two sweeps run over them: the tree
-degree conjecture max_degree <= (chi-1)^2, and the diameter conjecture
+Two supplies of instances, both from networkx: all non-isomorphic trees of
+a given order up to 12 (``nonisomorphic_trees``), and all non-isomorphic
+connected graphs of order at most 7 (the graph atlas, with the known class
+counts asserted).  Two sweeps run over them: the tree degree conjecture
+max_degree <= (chi-1)^2, and the diameter conjecture
 chi(G) >= chi(P_{diam+1}).
 """
 
@@ -26,108 +25,24 @@ CONNECTED_ENUM_CAP = 7
 # atlas slice before trusting it
 _CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
-# canonical form of a rooted tree: tuple of children forms, sorted descending
-_RootedForm = tuple
-
-
-@lru_cache(maxsize=None)
-def _rooted_forms(size: int) -> tuple[_RootedForm, ...]:
-    """All canonical rooted trees with `size` vertices."""
-    if size == 1:
-        return ((),)
-    bound = (size - 1, max(_rooted_forms(size - 1)))
-    return tuple(tuple(children) for children in _child_multisets(size - 1, bound))
-
-
-def _child_multisets(total: int, bound) -> Iterator[tuple[_RootedForm, ...]]:
-    """Multisets of rooted forms with sizes summing to `total`, generated in
-    non-increasing (size, form) order so each multiset appears once."""
-    if total == 0:
-        yield ()
-        return
-    max_size = min(total, bound[0])
-    for s in range(max_size, 0, -1):
-        for f in _rooted_forms(s):
-            key = (s, f)
-            if key > bound:
-                continue
-            for rest in _child_multisets(total - s, key):
-                yield (f,) + rest
-
-
-def _form_edges(form: _RootedForm, root: int, counter: list[int],
-                edges: list[tuple[int, int]]) -> None:
-    for child in form:
-        counter[0] += 1
-        cid = counter[0]
-        edges.append((root, cid))
-        _form_edges(child, cid, counter, edges)
-
-
-def _form_to_graph(form: _RootedForm, n: int) -> Graph:
-    edges: list[tuple[int, int]] = []
-    _form_edges(form, 0, [0], edges)
-    return Graph(n, edges)
-
-
-def _rooted_form_of(g: Graph, root: int) -> _RootedForm:
-    def build(v: int, parent: int) -> _RootedForm:
-        return tuple(sorted((build(u, v) for u in g.adj[v] if u != parent), reverse=True))
-    return build(root, -1)
-
-
-def _centroids(g: Graph) -> list[int]:
-    """One or two vertices minimizing the largest component left by removal."""
-    n = g.n
-    best, out = n + 1, []
-    size = [1] * n
-    order: list[int] = []
-    seen = [False] * n
-    stack = [(0, -1)]
-    parents = [-1] * n
-    while stack:
-        v, parent = stack.pop()
-        if seen[v]:
-            continue
-        seen[v] = True
-        parents[v] = parent
-        order.append(v)
-        for u in g.adj[v]:
-            if not seen[u]:
-                stack.append((u, v))
-    for v in reversed(order):
-        if parents[v] >= 0:
-            size[parents[v]] += size[v]
-    for v in range(n):
-        heaviest = max((size[u] if parents[u] == v else n - size[v])
-                       for u in g.adj[v]) if g.adj[v] else 0
-        if heaviest < best:
-            best, out = heaviest, [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
-
-
-def free_tree_canonical(g: Graph) -> _RootedForm:
-    """Isomorphism-invariant canonical form: minimal rooting at a centroid."""
-    return min(_rooted_form_of(g, c) for c in _centroids(g))
-
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Every isomorphism class of trees on n vertices, exactly once.
 
-    Rooted trees are generated by the multiset recursion, mapped to their
-    free canonical form (rooted at the centroid), and deduplicated.
+    For n >= 2 the trees come from ``networkx.nonisomorphic_trees`` (the
+    constant-time free-tree generator of Wright, Richmond, Odlyzko and
+    McKay); networkx is imported here because a module-level import slows
+    every ``nlc`` start-up.
     """
     if not 1 <= n <= TREE_ENUM_CAP:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_ENUM_CAP}")
-    seen: set[_RootedForm] = set()
-    for form in _rooted_forms(n):
-        g = _form_to_graph(form, n)
-        canon = free_tree_canonical(g)
-        if canon not in seen:
-            seen.add(canon)
-            yield _form_to_graph(canon, n)
+    if n == 1:
+        yield Graph(1, [])
+        return
+    import networkx as nx
+
+    for t in nx.nonisomorphic_trees(n):
+        yield Graph(n, list(t.edges()))
 
 
 def connected_graphs(n: int) -> list[Graph]:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -191,13 +192,41 @@ def test_sweep_parallel_report_is_byte_identical(tmp_path, capsys):
     assert written[0] == written[1]
 
 
-def test_sweep_internal_fault_is_not_a_usage_error(monkeypatch):
+def test_sweep_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     def fault(g, options=None):
         raise RuntimeError("search produced an invalid witness")
 
     monkeypatch.setattr(nlcoloring.sweeps, "chi_nl_exact", fault)
-    with pytest.raises(RuntimeError, match="invalid witness"):
-        main(["sweep", "--conjecture", "delta", "--max-n", "4"])
+    code, out, err = run(capsys, "sweep", "--conjecture", "delta", "--max-n", "4")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "invalid witness" in err
+
+
+def test_chi_exact_internal_fault_exits_3(monkeypatch, tmp_path, capsys):
+    # a verifier that rejects every witness trips the solver's own cross-check
+    monkeypatch.setattr(nlcoloring.solver, "is_nl_coloring",
+                        lambda g, c: SimpleNamespace(ok=False))
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, err = run(capsys, "chi", "--graph", str(graph_file), "--exact")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "invalid witness" in err
+
+
+@pytest.mark.parametrize("graph,certificate", [
+    ('{"n":2,"edges":[[0,1]]}', '{"n":2,"k":2,"colors":[1.9,"2"]}'),
+    ('{"n":2,"edges":[[0.7,"1"]]}', '{"n":2,"k":2,"colors":[1,2]}'),
+    ('{"n":true,"edges":[]}', '{"n":1,"k":1,"colors":[1]}'),
+], ids=["float-and-string-colors", "float-and-string-edge", "boolean-n"])
+def test_verify_rejects_non_integer_json(graph, certificate, tmp_path, capsys):
+    graph_file = tmp_path / "g.json"
+    cert_file = tmp_path / "cert.json"
+    graph_file.write_text(graph)
+    cert_file.write_text(certificate)
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file),
+                         "--certificate", str(cert_file))
+    assert code == 2 and out == ""
+    assert "must be a JSON integer" in err
 
 
 def test_path2_certificate_payload(capsys):

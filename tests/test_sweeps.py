@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 import networkx as nx
 import pytest
 
@@ -15,32 +13,18 @@ from nlcoloring import (
     connected_graphs,
     enumerate_trees,
 )
-from nlcoloring.sweeps import free_tree_canonical
-from nlcoloring.graphs import Graph
 
 
-def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Classic decode: every labeled tree on n >= 2 vertices, bijectively."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    seq = list(seq)
-    for x in seq:
-        leaf = min(v for v in range(n) if degree[v] == 1)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-    u, v = [w for w in range(n) if degree[w] == 1]
-    edges.append((u, v))
-    return edges
+# OEIS A000055: trees on n unlabeled vertices, n = 1..12
+TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 
-def test_tree_counts_match_networkx():
-    for n in range(1, 10):
-        mine = len(list(enumerate_trees(n)))
-        theirs = len(list(nx.nonisomorphic_trees(n))) if n >= 2 else 1
-        assert mine == theirs, n
+def test_tree_counts_match_oeis():
+    for n, expected in enumerate(TREE_COUNTS, start=1):
+        trees = list(enumerate_trees(n))
+        assert len(trees) == expected, n
+        for t in trees:
+            assert t.n == n and len(t.edges) == n - 1, n
 
 
 def test_small_counts():
@@ -49,27 +33,13 @@ def test_small_counts():
     assert len(list(enumerate_trees(5))) == 3  # path, star, spider
 
 
-def test_enumeration_covers_all_labeled_trees():
-    # brute force over Prüfer sequences; every labeled tree must hit one of
-    # the enumerated canonical forms, and all forms must be hit
-    for n in range(2, 8):
-        canon = {free_tree_canonical(t) for t in enumerate_trees(n)}
-        hit = set()
-        for seq in product(range(n), repeat=max(0, n - 2)):
-            g = Graph(n, _prufer_edges(seq, n))
-            c = free_tree_canonical(g)
-            assert c in canon, (n, seq)
-            hit.add(c)
-        assert hit == canon
-
-
 def test_enumerated_trees_pairwise_nonisomorphic():
-    trees = list(enumerate_trees(7))
-    assert len(trees) == 11
-    nxt = [nx.Graph(t.sorted_edges()) for t in trees]
-    for i in range(len(nxt)):
-        for j in range(i + 1, len(nxt)):
-            assert not nx.is_isomorphic(nxt[i], nxt[j])
+    # with the OEIS counts this means every tree class appears exactly once
+    for n in range(2, 10):
+        trees = [nx.Graph(t.sorted_edges()) for t in enumerate_trees(n)]
+        for i in range(len(trees)):
+            for j in range(i + 1, len(trees)):
+                assert not nx.is_isomorphic(trees[i], trees[j]), (n, i, j)
 
 
 def test_enumeration_rejects_out_of_range():
@@ -90,6 +60,15 @@ def test_delta_sweep_small():
     report = conjecture_sweep("delta", SweepLimits(6))
     assert report["holds"] and not report["counterexamples"]
     assert len(report["instances"]) == 1 + 1 + 1 + 2 + 3 + 6
+
+
+def test_delta_sweep_summary_at_11():
+    # recorded with the previous, hand-written tree enumerator
+    report = conjecture_sweep("delta", SweepLimits(11))
+    assert report["maxDeltaByChi"] == {"1": 0, "2": 1, "3": 4, "4": 6, "5": 7, "6": 7,
+                                       "7": 8, "8": 8, "9": 9, "10": 9, "11": 10}
+    assert report["holds"] and not report["counterexamples"]
+    assert len(report["instances"]) == sum(TREE_COUNTS[:11])
 
 
 def test_diameter_sweep_small():

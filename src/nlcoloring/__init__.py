@@ -58,6 +58,6 @@ from .graphs import (
     family_graph,
 )
 from .solver import SolveOptions, SolveResult, chi_nl_exact, exists_nl_coloring
-from .sweeps import SweepLimits, conjecture_sweep, connected_graphs, enumerate_trees
+from .sweeps import conjecture_sweep, connected_graphs, enumerate_trees
 
 __version__ = "0.1.0"

@@ -216,8 +216,7 @@ def _cmd_chi(args) -> int:
         _emit({"chiLowerBound": bounds_mod.chi_lower_bound(g)}, args.pretty)
         return EXIT_OK
     budget = args.budget if args.budget is not None else _default_budget()
-    options = solver.SolveOptions(max_k=args.max_k, time_budget=budget,
-                                  parallel=args.parallel)
+    options = solver.SolveOptions(max_k=args.max_k, time_budget=budget)
     result = solver.chi_nl_exact(g, options)
     _emit(result.to_dict(), args.pretty)
     return EXIT_OK if result.status == solver.EXACT else EXIT_NEGATIVE
@@ -241,10 +240,10 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
-    options = solver.SolveOptions(time_budget=budget, parallel=args.parallel)
+    options = solver.SolveOptions(time_budget=budget)
     try:
-        report = sweeps.conjecture_sweep(args.conjecture, sweeps.SweepLimits(args.max_n),
-                                         options)
+        report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options,
+                                         parallel=args.parallel)
     except (ValueError, sweeps.SweepBudgetExhausted) as exc:
         raise CliError(str(exc))
     if args.report:
@@ -313,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="run the exact solver")
     p.add_argument("--max-k", type=int, dest="max_k", help="cap on the color count")
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--parallel", action="store_true",
-                   help="no effect: a single search always runs sequentially")
 
     p = sub.add_parser("bounds", help="print the bounds report for a color count")
     p.add_argument("--k", type=int, required=True)

@@ -2,7 +2,8 @@
 
 Graph JSON is ``{"n": <int>, "edges": [[u, v], ...]}`` with u < v and the
 list sorted lexicographically.  The edge-list text format has one ``u v``
-pair per line with ``#`` comments allowed.  Certificates are
+pair per line with ``#`` comments allowed, each id written with the ASCII
+digits 0-9 only (no sign, no underscores).  Certificates are
 ``{"n": <int>, "k": <int>, "colors": [c_0, ..., c_{n-1}]}`` with 1-based
 colors.  Vertex ids are 0-based everywhere.  In the JSON formats ``n``,
 ``k``, every vertex id and every color must be a JSON integer: ``1.0``,
@@ -43,10 +44,6 @@ def graph_from_dict(data: dict) -> Graph:
     return Graph(n, [(_json_int(u, "vertex id"), _json_int(v, "vertex id")) for u, v in pairs])
 
 
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_dict(g))
-
-
 def graph_from_json(text: str) -> Graph:
     try:
         data = json.loads(text)
@@ -69,12 +66,11 @@ def graph_from_edgelist(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers, got {raw!r}")
-        if u < 0 or v < 0:
-            raise FormatError(f"line {lineno}: vertex ids must be non-negative")
+        # int() would also take "+1", "1_0" and non-ASCII digits
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise FormatError(f"line {lineno}: vertex ids must be non-negative integers "
+                              f"written with the digits 0-9, got {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
         edges.append((u, v))
         top = max(top, u, v)
     if not edges:

@@ -7,7 +7,9 @@ vertices whose whole neighborhood is colored, and optional color-symmetry
 breaking.  The search is deliberately simple and fully exhaustive: it is
 the independent check the constructions are measured against, so
 completeness beats speed.  It is also sequential and deterministic: the
-same graph and options always give the same witness and node count.
+same graph and options always give the same witness and node count.  The
+only parallelism is one level up, where a sweep may solve its independent
+instances in worker processes (``conjecture_sweep(..., parallel=True)``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class SolveOptions:
     max_k: int | None = None
     time_budget: float | None = None  # seconds of wall clock
     symmetry_breaking: bool = True
-    parallel: bool = False  # sweeps solve instances in worker processes
 
 
 EXACT = "Exact"
@@ -93,13 +94,11 @@ class _Search:
             self.cum_capacity[d - 1] = total
         self.class_ceiling_counts = [[0] * k for _ in range(k + 1)]
         self.finalized: list[dict[frozenset, int]] = [dict() for _ in range(k + 1)]
+        self.signature: list[frozenset | None] = [None] * g.n  # set by _finalize
         self.max_used = 0
         self.nodes = 0
 
     # -- incremental state -------------------------------------------------
-    def _signature(self, v: int) -> frozenset:
-        return frozenset(self.colors[u] for u in self.g.adj[v])
-
     def _capacity_ok(self, color: int) -> bool:
         counts = self.class_ceiling_counts[color]
         running = 0
@@ -111,18 +110,17 @@ class _Search:
 
     def _finalize(self, v: int) -> bool:
         """Record v's now-final signature; False on a same-class clash."""
-        sig = self._signature(v)
+        sig = frozenset(self.colors[u] for u in self.g.adj[v])
         table = self.finalized[self.colors[v]]
         if sig in table:
             return False
         table[sig] = v
+        self.signature[v] = sig
         return True
 
     def _unfinalize(self, v: int) -> None:
-        table = self.finalized[self.colors[v]]
-        sig = self._signature(v)
-        if table.get(sig) == v:
-            del table[sig]
+        # only vertices _finalize accepted are undone, so the key is v's
+        del self.finalized[self.colors[v]][self.signature[v]]
 
     def assign(self, v: int, color: int) -> tuple[bool, list[int]]:
         """Try coloring v; returns (feasible, finalized vertices to undo).
@@ -131,9 +129,8 @@ class _Search:
         must eventually pass the finalized list to unassign().
         """
         self.nodes += 1
-        if self.nodes % self.CHECK_EVERY == 0 and self.budget.deadline is not None:
-            if time.monotonic() > self.budget.deadline:
-                raise _OutOfTime
+        if self.nodes % self.CHECK_EVERY == 0:
+            self.budget.check()
         for u in self.g.adj[v]:
             if self.colors[u] == color:
                 return False, []

@@ -3,14 +3,15 @@
 Two supplies of instances, both from networkx: all non-isomorphic trees of
 a given order up to 12 (``nonisomorphic_trees``), and all non-isomorphic
 connected graphs of order at most 7 (the graph atlas, with the known class
-counts asserted).  Two sweeps run over them: the tree degree conjecture
-max_degree <= (chi-1)^2, and the diameter conjecture
-chi(G) >= chi(P_{diam+1}).
+counts asserted).  One sweep loop tests either conjecture on them: the
+tree degree conjecture max_degree <= (chi-1)^2 on the trees, and the
+diameter conjecture chi(G) >= chi(P_{diam+1}) on the connected graphs.
+Each conjecture supplies only its range check, its instance stream and the
+fields it measures on a solved instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -82,25 +83,20 @@ DELTA_CONJECTURE = "delta"
 DIAMETER_CONJECTURE = "diameter"
 
 
-@dataclass(frozen=True)
-class SweepLimits:
-    max_n: int
-
-
 class SweepBudgetExhausted(RuntimeError):
     """The solver gave up on a sweep instance, so the sweep has no verdict."""
 
 
-def _exact_values(graphs: Iterable[Graph],
-                  options: SolveOptions | None) -> Iterator[tuple[Graph, int]]:
+def _exact_values(graphs: Iterable[Graph], options: SolveOptions | None,
+                  parallel: bool) -> Iterator[tuple[Graph, int]]:
     """Each graph with its exact value, in input order.
 
-    With ``options.parallel`` the independent instances are solved in
-    spawned worker processes; ``map`` keeps input order, so the report is the
-    same.  The pool is imported here because a module-level import slows
-    every ``nlc`` start-up.
+    With ``parallel`` the independent instances are solved in spawned worker
+    processes; ``map`` keeps input order, so the report is the same.  The
+    pool is imported here because a module-level import slows every ``nlc``
+    start-up.
     """
-    if options is None or not options.parallel:
+    if not parallel:
         solved = ((g, chi_nl_exact(g, options)) for g in graphs)
     else:
         import multiprocessing
@@ -116,81 +112,51 @@ def _exact_values(graphs: Iterable[Graph],
         yield g, result.chi
 
 
-def _edge_string(g: Graph) -> str:
-    return ";".join(f"{u}-{v}" for u, v in g.sorted_edges())
+def _delta_fields(tree: Graph, chi: int) -> dict:
+    delta = degree_stats(tree).max_degree
+    return {"delta": delta, "verdict": delta <= (chi - 1) ** 2}
 
 
-def conjecture_sweep(which: str, limits: SweepLimits,
-                     options: SolveOptions | None = None) -> dict:
-    """Exhaustively test one of the two conjectures up to limits.max_n.
+def _diameter_fields(g: Graph, chi: int) -> dict:
+    d = diameter(g)
+    floor = chi_closed_form(FamilySpec.path(d + 1))
+    return {"diameter": d, "pathValue": floor, "verdict": chi >= floor}
+
+
+def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None,
+                     parallel: bool = False) -> dict:
+    """Exhaustively test one of the two conjectures on every instance of
+    order at most max_n.
 
     Returns a JSON-ready report with one record per instance (canonical
-    form, exact value, the measured quantity, and the verdict) plus the
-    aggregate; any violating instance lands in "counterexamples".
+    edge string, order, exact value, the measured quantity, and the
+    verdict) plus the aggregate; any violating instance lands in
+    "counterexamples".  ``parallel`` solves the instances in worker
+    processes and gives the same report.
     """
     if which == DELTA_CONJECTURE:
-        return _delta_sweep(limits, options)
-    if which == DIAMETER_CONJECTURE:
-        return _diameter_sweep(limits, options)
-    raise ValueError(f"unknown conjecture {which!r}")
-
-
-def _delta_sweep(limits: SweepLimits, options: SolveOptions | None) -> dict:
-    if not 1 <= limits.max_n <= TREE_ENUM_CAP:
-        raise ValueError(f"delta sweep supports max_n up to {TREE_ENUM_CAP}")
-    instances = []
-    max_delta_by_chi: dict[int, int] = {}
-    counterexamples = []
-    trees = (t for n in range(1, limits.max_n + 1) for t in enumerate_trees(n))
-    for tree, chi in _exact_values(trees, options):
-        delta = degree_stats(tree).max_degree
-        holds = delta <= (chi - 1) ** 2
-        record = {
-            "canonical": _edge_string(tree),
-            "n": tree.n,
-            "chi": chi,
-            "delta": delta,
-            "verdict": holds,
-        }
-        instances.append(record)
-        if not holds:
-            counterexamples.append(record)
-        max_delta_by_chi[chi] = max(max_delta_by_chi.get(chi, 0), delta)
-    return {
-        "conjecture": DELTA_CONJECTURE,
-        "maxN": limits.max_n,
-        "instances": instances,
-        "counterexamples": counterexamples,
-        "maxDeltaByChi": {str(k): v for k, v in sorted(max_delta_by_chi.items())},
-        "holds": not counterexamples,
-    }
-
-
-def _diameter_sweep(limits: SweepLimits, options: SolveOptions | None) -> dict:
-    if not 2 <= limits.max_n <= CONNECTED_ENUM_CAP:
-        raise ValueError(f"diameter sweep supports 2 <= max_n <= {CONNECTED_ENUM_CAP}")
-    instances = []
-    counterexamples = []
-    graphs = (g for n in range(2, limits.max_n + 1) for g in connected_graphs(n))
-    for g, chi in _exact_values(graphs, options):
-        d = diameter(g)
-        floor = chi_closed_form(FamilySpec.path(d + 1))
-        holds = chi >= floor
-        record = {
-            "canonical": _edge_string(g),
-            "n": g.n,
-            "chi": chi,
-            "diameter": d,
-            "pathValue": floor,
-            "verdict": holds,
-        }
-        instances.append(record)
-        if not holds:
-            counterexamples.append(record)
-    return {
-        "conjecture": DIAMETER_CONJECTURE,
-        "maxN": limits.max_n,
-        "instances": instances,
-        "counterexamples": counterexamples,
-        "holds": not counterexamples,
-    }
+        if not 1 <= max_n <= TREE_ENUM_CAP:
+            raise ValueError(f"delta sweep supports max_n up to {TREE_ENUM_CAP}")
+        graphs = (t for n in range(1, max_n + 1) for t in enumerate_trees(n))
+        fields = _delta_fields
+    elif which == DIAMETER_CONJECTURE:
+        if not 2 <= max_n <= CONNECTED_ENUM_CAP:
+            raise ValueError(f"diameter sweep supports 2 <= max_n <= {CONNECTED_ENUM_CAP}")
+        graphs = (g for n in range(2, max_n + 1) for g in connected_graphs(n))
+        fields = _diameter_fields
+    else:
+        raise ValueError(f"unknown conjecture {which!r}")
+    instances = [{"canonical": ";".join(f"{u}-{v}" for u, v in g.sorted_edges()),
+                  "n": g.n, "chi": chi, **fields(g, chi)}
+                 for g, chi in _exact_values(graphs, options, parallel)]
+    counterexamples = [record for record in instances if not record["verdict"]]
+    report = {"conjecture": which, "maxN": max_n, "instances": instances,
+              "counterexamples": counterexamples}
+    if which == DELTA_CONJECTURE:
+        max_delta_by_chi: dict[int, int] = {}
+        for record in instances:
+            chi = record["chi"]
+            max_delta_by_chi[chi] = max(max_delta_by_chi.get(chi, 0), record["delta"])
+        report["maxDeltaByChi"] = {str(k): v for k, v in sorted(max_delta_by_chi.items())}
+    report["holds"] = not counterexamples
+    return report

@@ -12,8 +12,6 @@ from math import comb
 
 from nlcoloring import (
     FamilySpec,
-    SolveOptions,
-    SweepLimits,
     chi_closed_form,
     chi_nl_exact,
     classify,
@@ -208,24 +206,23 @@ def test_criterion_8_property_suites():
             if n == ell(k) - 1:
                 continue
             one_paired_cycle_coloring(k, n)  # raises on any failed insertion
-    # (c) + (d) cone law and parallel equality on a 30-graph corpus
+    # (c) cone law on a 30-graph corpus; (d), parallel equality, is checked
+    # on whole sweeps in test_sweeps.py and test_cli.py
     corpus = _cone_law_corpus()
     assert len(corpus) == 30
     for g in corpus:
         base_chi = chi_nl_exact(g).chi
         cone = Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)])
         assert chi_nl_exact(cone).chi == base_chi + 1
-        parallel = chi_nl_exact(g, SolveOptions(parallel=True))
-        assert (parallel.chi, parallel.status) == (base_chi, "Exact")
     _report(8, "property suites", started, 600)
 
 
 def test_criterion_9_conjecture_sweeps(tmp_path):
     started = time.monotonic()
-    delta = conjecture_sweep("delta", SweepLimits(9))
+    delta = conjecture_sweep("delta", 9)
     assert delta["holds"] and not delta["counterexamples"]
     assert delta["maxDeltaByChi"]["3"] == 4
-    diam = conjecture_sweep("diameter", SweepLimits(7))
+    diam = conjecture_sweep("diameter", 7)
     assert diam["holds"] and not diam["counterexamples"]
     assert len(diam["instances"]) == 1 + 2 + 6 + 21 + 112 + 853
     report_file = tmp_path / "sweeps.json"

@@ -100,6 +100,15 @@ def test_chi_exact_capped_exits_1(tmp_path, capsys):
     assert code == 1 and payload["status"] == "CappedOut"
 
 
+def test_chi_has_no_parallel_flag(tmp_path):
+    # --parallel belongs to sweep only; a single exact search is sequential
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chi", "--graph", str(graph_file), "--exact", "--parallel"])
+    assert excinfo.value.code == 2
+
+
 def test_bounds_payload(capsys):
     code, payload, _ = run_json(capsys, "bounds", "--k", "6", "--class", "tree")
     assert code == 0
@@ -125,6 +134,18 @@ def test_export_roundtrip(tmp_path, capsys):
     code, back, _ = run(capsys, "export", "--input", str(edge_file), "--to", "json")
     assert code == 0
     assert json.loads(back) == json.loads(out)
+
+
+@pytest.mark.parametrize("text", [
+    "0 +1\n", "0 1\n1 0_2\n", "0 \u0661\n", "\uff10 \uff11\n", "0 -1\n", "0 1.0\n",
+], ids=["plus-sign", "underscore", "arabic-indic-digit", "fullwidth-digits",
+        "negative", "decimal-point"])
+def test_export_rejects_non_decimal_edgelist_ids(text, tmp_path, capsys):
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "export", "--input", str(edge_file), "--to", "json")
+    assert code == 2 and out == ""
+    assert "vertex ids must be non-negative integers" in err
 
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -6,8 +6,6 @@ import networkx as nx
 import pytest
 
 from nlcoloring import (
-    SolveOptions,
-    SweepLimits,
     classify,
     conjecture_sweep,
     connected_graphs,
@@ -57,14 +55,14 @@ def test_connected_graph_universe():
 
 
 def test_delta_sweep_small():
-    report = conjecture_sweep("delta", SweepLimits(6))
+    report = conjecture_sweep("delta", 6)
     assert report["holds"] and not report["counterexamples"]
     assert len(report["instances"]) == 1 + 1 + 1 + 2 + 3 + 6
 
 
 def test_delta_sweep_summary_at_11():
     # recorded with the previous, hand-written tree enumerator
-    report = conjecture_sweep("delta", SweepLimits(11))
+    report = conjecture_sweep("delta", 11)
     assert report["maxDeltaByChi"] == {"1": 0, "2": 1, "3": 4, "4": 6, "5": 7, "6": 7,
                                        "7": 8, "8": 8, "9": 9, "10": 9, "11": 10}
     assert report["holds"] and not report["counterexamples"]
@@ -72,18 +70,21 @@ def test_delta_sweep_summary_at_11():
 
 
 def test_diameter_sweep_small():
-    report = conjecture_sweep("diameter", SweepLimits(5))
+    report = conjecture_sweep("diameter", 5)
     assert report["holds"]
     assert len(report["instances"]) == 1 + 2 + 6 + 21
 
 
 @pytest.mark.parametrize("which,max_n", [("delta", 10), ("diameter", 6)])
 def test_parallel_sweep_report_matches_sequential(which, max_n):
-    sequential = conjecture_sweep(which, SweepLimits(max_n))
-    parallel = conjecture_sweep(which, SweepLimits(max_n), SolveOptions(parallel=True))
+    sequential = conjecture_sweep(which, max_n)
+    parallel = conjecture_sweep(which, max_n, parallel=True)
     assert parallel == sequential
 
 
 def test_sweep_rejects_unknown():
     with pytest.raises(ValueError):
-        conjecture_sweep("girth", SweepLimits(5))
+        conjecture_sweep("girth", 5)
+    # the name is checked before the order range
+    with pytest.raises(ValueError, match="unknown conjecture"):
+        conjecture_sweep("girth", 100)

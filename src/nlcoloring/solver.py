@@ -4,8 +4,10 @@ Complete backtracking over vertex color assignments in a fixed order
 (descending degree, ties by index) with four prunes: properness, per-class
 capacity derived from the color-degree ceilings, signature clashes among
 vertices whose whole neighborhood is colored, and optional color-symmetry
-breaking.  The search is deliberately simple and fully exhaustive: it is
-the independent check the constructions are measured against, so
+breaking.  Per-depth work is scheduled once per instance and signatures
+are color bitmasks (see ``_Search``), which changes neither the search nor
+its node counts.  The search is deliberately simple and fully exhaustive:
+it is the independent check the constructions are measured against, so
 completeness beats speed.  It is also sequential and deterministic: the
 same graph and options always give the same witness and node count.  The
 only parallelism is one level up, where a sweep may solve its independent
@@ -72,7 +74,17 @@ class _OutOfTime(TimeoutError):
 
 
 class _Search:
-    """Backtracking state for one (graph, k) decision instance."""
+    """Backtracking state for one (graph, k) decision instance.
+
+    The vertex order is fixed, so everything that depends only on the depth
+    is computed once here: ``earlier[d]``, the neighbours of ``order[d]``
+    colored before it (the properness check), and ``final_at[d]``, the
+    vertices whose closed neighbourhood is complete once ``order[d]`` is
+    colored (the signature check).  A signature is the OR of ``bits`` over a
+    neighbourhood, where ``bits[v] = 1 << color`` and 0 while v is uncolored.
+    The nodes visited, and whether each assignment succeeds, are the same as
+    if every node recomputed these facts; only the per-node cost is lower.
+    """
 
     CHECK_EVERY = 4096
 
@@ -82,8 +94,14 @@ class _Search:
         self.symmetry = symmetry
         self.budget = budget
         self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        pos = {v: d for d, v in enumerate(self.order)}
+        self.earlier = [[u for u in g.adj[v] if pos[u] < d]
+                        for d, v in enumerate(self.order)]
+        self.final_at: list[list[int]] = [[] for _ in range(g.n)]
+        for w in range(g.n):
+            self.final_at[max([pos[w]] + [pos[u] for u in g.adj[w]])].append(w)
         self.colors = [0] * g.n
-        self.uncolored_neighbors = [g.degree(v) for v in range(g.n)]
+        self.bits = [0] * g.n
         # capacity: a class may hold at most sum_{j<=D} C(k-1, j) vertices
         # whose color-degree ceiling min(deg, k-1) is at most D
         self.ceiling = [max(1, min(g.degree(v), k - 1)) for v in range(g.n)]
@@ -93,8 +111,7 @@ class _Search:
             total += comb(k - 1, d)
             self.cum_capacity[d - 1] = total
         self.class_ceiling_counts = [[0] * k for _ in range(k + 1)]
-        self.finalized: list[dict[frozenset, int]] = [dict() for _ in range(k + 1)]
-        self.signature: list[frozenset | None] = [None] * g.n  # set by _finalize
+        self.finalized: list[set[int]] = [set() for _ in range(k + 1)]
         self.max_used = 0
         self.nodes = 0
 
@@ -108,63 +125,46 @@ class _Search:
                 return False
         return True
 
-    def _finalize(self, v: int) -> bool:
-        """Record v's now-final signature; False on a same-class clash."""
-        sig = frozenset(self.colors[u] for u in self.g.adj[v])
-        table = self.finalized[self.colors[v]]
-        if sig in table:
-            return False
-        table[sig] = v
-        self.signature[v] = sig
-        return True
-
-    def _unfinalize(self, v: int) -> None:
-        # only vertices _finalize accepted are undone, so the key is v's
-        del self.finalized[self.colors[v]][self.signature[v]]
-
-    def assign(self, v: int, color: int) -> tuple[bool, list[int]]:
-        """Try coloring v; returns (feasible, finalized vertices to undo).
-
-        On failure the state is fully rolled back; on success the caller
-        must eventually pass the finalized list to unassign().
-        """
+    def assign(self, depth: int, color: int) -> list[tuple[set[int], int]] | None:
+        """Try coloring order[depth].  Returns None, with the state rolled
+        back, if infeasible; else the (table, signature) pairs it added,
+        which the caller must eventually pass to unassign()."""
         self.nodes += 1
         if self.nodes % self.CHECK_EVERY == 0:
             self.budget.check()
-        for u in self.g.adj[v]:
-            if self.colors[u] == color:
-                return False, []
-        self.colors[v] = color
+        colors = self.colors
+        for u in self.earlier[depth]:
+            if colors[u] == color:
+                return None
+        v = self.order[depth]
+        colors[v] = color
+        self.bits[v] = 1 << color
         self.class_ceiling_counts[color][self.ceiling[v] - 1] += 1
-        for u in self.g.adj[v]:
-            self.uncolored_neighbors[u] -= 1
-        finalized: list[int] = []
-        ok = self._capacity_ok(color)
-        if ok:
-            for u in self.g.adj[v]:
-                if self.uncolored_neighbors[u] == 0 and self.colors[u] != 0:
-                    if self._finalize(u):
-                        finalized.append(u)
-                    else:
-                        ok = False
-                        break
-            if ok and self.uncolored_neighbors[v] == 0:
-                if self._finalize(v):
-                    finalized.append(v)
-                else:
-                    ok = False
-        if not ok:
-            self.unassign(v, finalized)
-            return False, []
-        return True, finalized
+        added: list[tuple[set[int], int]] = []
+        if self._capacity_ok(color):
+            bits = self.bits
+            adj = self.g.adj
+            for w in self.final_at[depth]:
+                sig = 0
+                for u in adj[w]:
+                    sig |= bits[u]
+                table = self.finalized[colors[w]]
+                if sig in table:
+                    break
+                table.add(sig)
+                added.append((table, sig))
+            else:
+                return added
+        self.unassign(depth, added)
+        return None
 
-    def unassign(self, v: int, finalized: list[int]) -> None:
-        for u in reversed(finalized):
-            self._unfinalize(u)
-        for u in self.g.adj[v]:
-            self.uncolored_neighbors[u] += 1
+    def unassign(self, depth: int, added: list[tuple[set[int], int]]) -> None:
+        for table, sig in added:
+            table.remove(sig)
+        v = self.order[depth]
         self.class_ceiling_counts[self.colors[v]][self.ceiling[v] - 1] -= 1
         self.colors[v] = 0
+        self.bits[v] = 0
 
     # -- search ------------------------------------------------------------
     def color_options(self) -> range:
@@ -175,18 +175,16 @@ class _Search:
     def run(self, depth: int) -> tuple[int, ...] | None:
         if depth == self.g.n:
             return tuple(self.colors)
-        v = self.order[depth]
         for color in self.color_options():
-            ok, finalized = self.assign(v, color)
-            if ok:
+            added = self.assign(depth, color)
+            if added is not None:
                 prev_max = self.max_used
                 self.max_used = max(self.max_used, color)
                 found = self.run(depth + 1)
                 self.max_used = prev_max
+                self.unassign(depth, added)
                 if found is not None:
-                    self.unassign(v, finalized)
                     return found
-                self.unassign(v, finalized)
         return None
 
 

@@ -1,0 +1,99 @@
+"""Differential tests: the exact solver against a brute-force oracle.
+
+The oracle shares no code with the solver's search.  It lists the set
+partitions of the vertices as restricted growth strings and checks each
+complete one with the independent verifier, so it has no capacity,
+signature or symmetry prune that could hide a solver bug.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlcoloring import (
+    Coloring,
+    Graph,
+    chi_lower_bound,
+    chi_nl_exact,
+    enumerate_trees,
+    exists_nl_coloring,
+    is_nl_coloring,
+)
+
+
+def _partition_colorings(g: Graph, k: int) -> Iterator[Coloring]:
+    """Every proper coloring of g with exactly k colors, one per partition.
+
+    A restricted growth string has a[0] = 0 and a[i] <= 1 + max(a[:i])
+    (Knuth, TAOCP 4A, 7.2.1.5), so it names each set partition once.  A
+    prefix is dropped as soon as an edge joins two vertices of one block or
+    too few vertices remain to open the missing blocks.
+    """
+    a = [0] * g.n
+
+    def extend(i: int, blocks: int) -> Iterator[Coloring]:
+        if blocks + (g.n - i) < k:
+            return
+        if i == g.n:
+            yield Coloring(k, tuple(b + 1 for b in a))
+            return
+        for b in range(min(blocks + 1, k)):
+            if all(a[u] != b for u in g.adj[i] if u < i):
+                a[i] = b
+                yield from extend(i + 1, max(blocks, b + 1))
+
+    return extend(0, 0)
+
+
+def oracle_chi(g: Graph) -> int:
+    """The least k for which some k-block partition is an NL-coloring."""
+    k = 1
+    while not any(is_nl_coloring(g, c).ok for c in _partition_colorings(g, k)):
+        k += 1
+    return k
+
+
+def _check_against_oracle(g: Graph) -> None:
+    chi = oracle_chi(g)
+    result = chi_nl_exact(g)
+    assert (result.chi, result.status) == (chi, "Exact"), g.sorted_edges()
+    assert chi_lower_bound(g) <= chi
+    if chi > 1:  # the search itself refutes chi - 1, whatever the lower bound
+        assert exists_nl_coloring(g, chi - 1)[0] is False, g.sorted_edges()
+
+
+def test_oracle_on_known_values():
+    path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert oracle_chi(path4) == 3
+    assert oracle_chi(Graph(4, [(0, 1), (0, 2), (0, 3)])) == 4  # star K_{1,3}
+    assert oracle_chi(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) == 4  # C4
+    assert oracle_chi(Graph(1, [])) == 1
+    # P4: x(x-1)^3 = x^(4 falling) + 3 x^(3 falling) + x^(2 falling)
+    assert sum(1 for _ in _partition_colorings(path4, 2)) == 1
+    assert sum(1 for _ in _partition_colorings(path4, 3)) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_solver_matches_oracle_on_all_trees(n):
+    for tree in enumerate_trees(n):
+        _check_against_oracle(tree)
+
+
+@st.composite
+def _connected_graphs(draw, max_n: int = 8) -> Graph:
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
+    if others:
+        edges |= set(draw(st.lists(st.sampled_from(others), unique=True)))
+    return Graph(n, sorted(edges))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_connected_graphs())
+def test_solver_matches_oracle_on_connected_graphs(g):
+    _check_against_oracle(g)

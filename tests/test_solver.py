@@ -6,6 +6,7 @@ import pytest
 
 from nlcoloring import (
     FamilySpec,
+    Graph,
     SolveOptions,
     chi_closed_form,
     chi_lower_bound,
@@ -14,6 +15,7 @@ from nlcoloring import (
     family_graph,
     is_nl_coloring,
 )
+from nlcoloring.solver import _Search
 
 
 def test_exists_examples():
@@ -56,12 +58,24 @@ def test_timed_out():
     assert result.chi is None
 
 
+def test_timed_out_inside_the_search():
+    # time_budget=0.0 trips the check before the search starts; this one
+    # trips the check that assign makes every CHECK_EVERY nodes
+    g = family_graph(FamilySpec.cycle(23))
+    result = chi_nl_exact(g, SolveOptions(time_budget=0.05))
+    assert result.status == "TimedOut"
+    assert result.chi is None
+    assert result.nodes_explored >= _Search.CHECK_EVERY
+
+
 def test_symmetry_breaking_changes_nodes_not_chi():
     for spec in (FamilySpec.cycle(8), FamilySpec.path(7), FamilySpec.star(5)):
         g = family_graph(spec)
         on = chi_nl_exact(g, SolveOptions(symmetry_breaking=True))
         off = chi_nl_exact(g, SolveOptions(symmetry_breaking=False))
         assert on.chi == off.chi
+        assert off.witness.k == off.chi and is_nl_coloring(g, off.witness).ok
+        assert off.nodes_explored >= on.nodes_explored
 
 
 def test_sequential_witness_is_deterministic():
@@ -71,22 +85,43 @@ def test_sequential_witness_is_deterministic():
     assert first.witness == second.witness
 
 
-@pytest.mark.parametrize("spec,chi,nodes", [
-    (FamilySpec.cycle(23), 5, 1_337_045),  # refutes k = 4 exhaustively
-    (FamilySpec.wheel(12), 5, 251),
-], ids=["C23", "W12"])
-def test_node_counts_are_pinned(spec, chi, nodes):
+# the exact benchmark workload's order-20 anchors, written out so the tests
+# do not depend on bench/: bench/workloads.py makes them with
+# random_tree(random.Random("anchor-tree:4"), 20, 4) and
+# random_unicyclic(random.Random("anchor-unicyclic:1"), 20, 4)
+ANCHOR_TREE_20 = Graph(20, [
+    (0, 8), (0, 9), (0, 17), (1, 6), (1, 14), (2, 3), (2, 7), (2, 8), (3, 5),
+    (3, 14), (4, 6), (5, 16), (6, 19), (9, 13), (10, 16), (11, 19), (12, 16),
+    (15, 18), (18, 19)])
+ANCHOR_UNICYCLIC_20 = Graph(20, [
+    (0, 15), (0, 17), (1, 3), (1, 9), (1, 12), (1, 18), (2, 3), (2, 15),
+    (3, 19), (4, 7), (4, 13), (5, 8), (5, 13), (5, 16), (5, 18), (6, 8),
+    (6, 17), (10, 16), (11, 15), (14, 16)])
+
+
+@pytest.mark.parametrize("g,chi,nodes,colors", [
+    (family_graph(FamilySpec.cycle(23)), 5, 1_337_045,  # refutes k = 4 exhaustively
+     [1, 2, 1, 2, 3, 1, 2, 4, 1, 2, 5, 1, 3, 1, 3, 4, 1, 3, 5, 2, 3, 4, 5]),
+    (family_graph(FamilySpec.wheel(12)), 5, 251,
+     [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
+    (ANCHOR_TREE_20, 4, 180_894,
+     [1, 1, 1, 2, 1, 4, 2, 4, 2, 4, 1, 2, 4, 2, 3, 4, 3, 3, 2, 3]),
+    (ANCHOR_UNICYCLIC_20, 4, 105_224,
+     [1, 1, 1, 2, 3, 1, 2, 1, 3, 2, 2, 3, 4, 4, 4, 2, 3, 4, 3, 4]),
+], ids=["C23", "W12", "anchor-tree-20", "anchor-unicyclic-20"])
+def test_node_counts_are_pinned(g, chi, nodes, colors):
     # a change to the search order or the prunes shows here; lower the pin
-    # when a change makes the search smaller
-    g = family_graph(spec)
+    # when a change makes the search smaller.  The witnesses are pinned too,
+    # so a change that claims the same search must give the same answers.
     first = chi_nl_exact(g)
-    assert (first.chi, first.status, first.nodes_explored) == (chi, "Exact", nodes)
+    assert first.to_dict() == {
+        "chi": chi, "status": "Exact", "nodesExplored": nodes,
+        "certificate": {"n": g.n, "k": chi, "colors": colors},
+    }
     assert chi_nl_exact(g).to_dict() == first.to_dict()
 
 
 def test_universal_vertex_law_small():
-    from nlcoloring import Graph
-
     for spec in (FamilySpec.path(5), FamilySpec.cycle(6), FamilySpec.star(4)):
         g = family_graph(spec)
         cone = Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)])

@@ -188,14 +188,21 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_NEGATIVE
 
 
-def _default_budget() -> float | None:
-    raw = os.environ.get("NLC_BUDGET_SECS")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"NLC_BUDGET_SECS must be a number, got {raw!r}")
+def _budget(args) -> float | None:
+    """Seconds from --budget, else from NLC_BUDGET_SECS, else no budget."""
+    source, value = "--budget", args.budget
+    if value is None:
+        raw = os.environ.get("NLC_BUDGET_SECS")
+        if raw is None:
+            return None
+        source = "NLC_BUDGET_SECS"
+        try:
+            value = float(raw)
+        except ValueError:
+            raise CliError(f"NLC_BUDGET_SECS must be a number, got {raw!r}")
+    if not value >= 0:  # also rejects nan, which would never expire
+        raise CliError(f"{source} must be a number of seconds >= 0, got {value}")
+    return value
 
 
 def _cmd_chi(args) -> int:
@@ -215,8 +222,7 @@ def _cmd_chi(args) -> int:
     if not args.exact:
         _emit({"chiLowerBound": bounds_mod.chi_lower_bound(g)}, args.pretty)
         return EXIT_OK
-    budget = args.budget if args.budget is not None else _default_budget()
-    options = solver.SolveOptions(max_k=args.max_k, time_budget=budget)
+    options = solver.SolveOptions(max_k=args.max_k, time_budget=_budget(args))
     result = solver.chi_nl_exact(g, options)
     _emit(result.to_dict(), args.pretty)
     return EXIT_OK if result.status == solver.EXACT else EXIT_NEGATIVE
@@ -239,8 +245,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    options = solver.SolveOptions(time_budget=budget)
+    options = solver.SolveOptions(time_budget=_budget(args))
     try:
         report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options,
                                          parallel=args.parallel)

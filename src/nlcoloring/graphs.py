@@ -30,6 +30,9 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphError("graph must have at least one vertex")
+        edges = list(edges)
+        if n > len(edges) + 1:  # before allocating anything of size n
+            raise GraphError("graph is not connected")
         seen = set()
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:

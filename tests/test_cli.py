@@ -100,6 +100,74 @@ def test_chi_exact_capped_exits_1(tmp_path, capsys):
     assert code == 1 and payload["status"] == "CappedOut"
 
 
+def test_chi_exact_deep_path(tmp_path, capsys):
+    # order 1100 lies past the interpreter's default recursion limit
+    graph_file = tmp_path / "p1100.json"
+    graph_file.write_text(json.dumps({"n": 1100, "edges": [[i, i + 1] for i in range(1099)]}))
+    code, payload, err = run_json(capsys, "chi", "--graph", str(graph_file), "--exact")
+    assert code == 0, err
+    assert (payload["chi"], payload["status"]) == (14, "Exact")
+
+
+@pytest.mark.parametrize("text,name", [
+    ('{"n": 1000000000, "edges": [[0, 1]]}', "g.json"),
+    ("0 1\n1 1000000000\n", "g.txt"),
+], ids=["json", "edgelist"])
+def test_graph_with_too_few_edges_is_rejected_cheaply(text, name, tmp_path, capsys):
+    # n = 10**9 with two edges cannot be connected; it must be rejected
+    # before anything of size n is built
+    graph_file = tmp_path / name
+    graph_file.write_text(text)
+    code, out, err = run(capsys, "chi", "--graph", str(graph_file), "--exact")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not connected" in err
+
+
+@pytest.mark.parametrize("flag,env", [
+    ("nan", None), ("-1", None), (None, "nan"), (None, "-1"), (None, "abc"),
+], ids=["flag-nan", "flag-negative", "env-nan", "env-negative", "env-not-a-number"])
+@pytest.mark.parametrize("command", ["chi", "sweep"])
+def test_budget_must_be_a_number_of_seconds(command, flag, env, monkeypatch,
+                                            tmp_path, capsys):
+    # nan would never expire and a negative budget would act as 0
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    argv = {"chi": ["chi", "--graph", str(graph_file), "--exact"],
+            "sweep": ["sweep", "--conjecture", "delta", "--max-n", "4"]}[command]
+    if flag is not None:
+        argv.append(f"--budget={flag}")
+    if env is None:
+        monkeypatch.delenv("NLC_BUDGET_SECS", raising=False)
+    else:
+        monkeypatch.setenv("NLC_BUDGET_SECS", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err.lower() and err.count("\n") == 1
+
+
+def _cycle_file(tmp_path, n):
+    graph_file = tmp_path / f"c{n}.json"
+    graph_file.write_text(
+        json.dumps({"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]}))
+    return str(graph_file)
+
+
+def test_env_budget_zero_times_out(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("NLC_BUDGET_SECS", "0")
+    code, payload, _ = run_json(capsys, "chi", "--graph", _cycle_file(tmp_path, 23),
+                                "--exact")
+    assert code == 1
+    assert (payload["chi"], payload["status"]) == (None, "TimedOut")
+
+
+def test_budget_flag_overrides_env(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("NLC_BUDGET_SECS", "0")
+    code, payload, _ = run_json(capsys, "chi", "--graph", _cycle_file(tmp_path, 8),
+                                "--exact", "--budget", "600")
+    assert code == 0
+    assert (payload["chi"], payload["status"]) == (4, "Exact")
+
+
 def test_chi_has_no_parallel_flag(tmp_path):
     # --parallel belongs to sweep only; a single exact search is sequential
     graph_file = tmp_path / "p3.json"

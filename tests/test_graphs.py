@@ -33,6 +33,8 @@ def test_graph_rejects_bad_input():
         Graph(4, [(0, 1)])  # disconnected
     with pytest.raises(GraphError):
         Graph(3, [(0, 5), (0, 1), (1, 2)])  # out of range
+    with pytest.raises(GraphError, match="not connected"):
+        Graph(10**9, [(0, 1)])  # too few edges: rejected before anything of size n
 
 
 def test_graph_equality_and_adjacency():

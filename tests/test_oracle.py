@@ -19,6 +19,7 @@ from nlcoloring import (
     Graph,
     chi_lower_bound,
     chi_nl_exact,
+    connected_graphs,
     enumerate_trees,
     exists_nl_coloring,
     is_nl_coloring,
@@ -77,10 +78,15 @@ def test_oracle_on_known_values():
     assert sum(1 for _ in _partition_colorings(path4, 3)) == 3
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_solver_matches_oracle_on_all_trees(n):
-    for tree in enumerate_trees(n):
-        _check_against_oracle(tree)
+# every tree up to order 9 (ids 1..9) and every connected graph up to
+# order 7 (ids atlas-1..atlas-7, the networkx graph atlas)
+@pytest.mark.parametrize("universe,n", [
+    *(pytest.param(enumerate_trees, n, id=str(n)) for n in range(1, 10)),
+    *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 8)),
+])
+def test_solver_matches_oracle_on_all_trees(universe, n):
+    for g in universe(n):
+        _check_against_oracle(g)
 
 
 @st.composite

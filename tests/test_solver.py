@@ -15,7 +15,7 @@ from nlcoloring import (
     family_graph,
     is_nl_coloring,
 )
-from nlcoloring.solver import _Search
+from nlcoloring.solver import CHECK_EVERY
 
 
 def test_exists_examples():
@@ -60,22 +60,22 @@ def test_timed_out():
 
 def test_timed_out_inside_the_search():
     # time_budget=0.0 trips the check before the search starts; this one
-    # trips the check that assign makes every CHECK_EVERY nodes
+    # trips the check that the search makes every CHECK_EVERY nodes
     g = family_graph(FamilySpec.cycle(23))
     result = chi_nl_exact(g, SolveOptions(time_budget=0.05))
     assert result.status == "TimedOut"
     assert result.chi is None
-    assert result.nodes_explored >= _Search.CHECK_EVERY
+    assert result.nodes_explored >= CHECK_EVERY
 
 
-def test_symmetry_breaking_changes_nodes_not_chi():
-    for spec in (FamilySpec.cycle(8), FamilySpec.path(7), FamilySpec.star(5)):
-        g = family_graph(spec)
-        on = chi_nl_exact(g, SolveOptions(symmetry_breaking=True))
-        off = chi_nl_exact(g, SolveOptions(symmetry_breaking=False))
-        assert on.chi == off.chi
-        assert off.witness.k == off.chi and is_nl_coloring(g, off.witness).ok
-        assert off.nodes_explored >= on.nodes_explored
+@pytest.mark.parametrize("spec", [FamilySpec.path(1100), FamilySpec.cycle(1100)],
+                         ids=["P1100", "C1100"])
+def test_deep_instances_match_closed_form(spec):
+    # past ell(13) = 1014 the closed forms need orders above 1000, so the
+    # search depth must not be bounded by the interpreter's recursion limit
+    result = chi_nl_exact(family_graph(spec))
+    assert (result.chi, result.status) == (14, "Exact")
+    assert result.chi == chi_closed_form(spec)
 
 
 def test_sequential_witness_is_deterministic():

@@ -50,12 +50,13 @@ from .graphs import (
     DegreeStats,
     FamilySpec,
     Graph,
-    GraphClass,
     GraphError,
     classify,
     degree_stats,
     diameter,
+    distances,
     family_graph,
+    is_tree,
 )
 from .solver import SolveOptions, SolveResult, chi_nl_exact, exists_nl_coloring
 from .sweeps import conjecture_sweep, connected_graphs, enumerate_trees

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import FamilySpec, Graph, classify, degree_stats
+from .graphs import FamilySpec, Graph, degree_stats, is_tree
 
 
 def a1(k: int) -> int:
@@ -124,23 +124,22 @@ def chi_lower_bound(g: Graph) -> int:
     Returns the smallest k passing every applicable necessary condition:
     the general order bound, the degree-bounded order bound (when the
     degree cap applies, which for paths and cycles is the ell bound), and
-    the unicyclic/tree order bounds when the graph classifies as such.
+    the tree order bound for n-1 edges and the unicyclic one for n edges.
     Never below 2 for graphs of order >= 2.
     """
     if g.n == 1:
         return 1
-    kind = classify(g).kind
-    is_tree = kind in ("Path", "Caterpillar", "TreeGeneral")
-    is_unicyclic = kind in ("Cycle", "Unicyclic")
+    tree = is_tree(g)
+    unicyclic = len(g.edges) == g.n
     delta = degree_stats(g).max_degree
     for k in range(2, g.n + 1):
         if g.n > max_order(k):
             continue
         if delta <= k - 1 and g.n > max_order(k, delta):
             continue
-        if is_tree and k >= 3 and g.n > class_order_bound(k, "tree"):
+        if tree and k >= 3 and g.n > class_order_bound(k, "tree"):
             continue
-        if is_unicyclic and k >= 3 and g.n > class_order_bound(k, "unicyclic"):
+        if unicyclic and k >= 3 and g.n > class_order_bound(k, "unicyclic"):
             continue
         return k
     return g.n

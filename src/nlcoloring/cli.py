@@ -19,7 +19,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import construct, formats, solver, sweeps
 from .coloring import is_nl_coloring
-from .graphs import FamilySpec, GraphError, classify
+from .graphs import FAMILIES, FamilySpec, GraphError, family_graph, is_tree
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -57,48 +57,35 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}")
 
 
-def read_graph(path: str, fmt: str | None = None):
+def read_graph(path: str):
     """Load a graph from JSON or edge-list text ('-' reads stdin).
 
-    The format is sniffed from the content unless given explicitly.
+    Graph JSON starts with ``{`` (after any whitespace) and an edge list
+    cannot, so the content tells the two formats apart.
     """
     text = _read_text(path)
-    if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "edgelist"
     try:
-        if fmt == "json":
+        if text.lstrip().startswith("{"):
             return formats.graph_from_json(text)
-        if fmt == "edgelist":
-            return formats.graph_from_edgelist(text)
+        return formats.graph_from_edgelist(text)
     except (formats.FormatError, GraphError) as exc:
         raise CliError(f"{path}: {exc}")
-    raise CliError(f"unknown graph format {fmt!r}")
 
 
 def _family_spec(args) -> FamilySpec:
     fam = args.family.lower().replace("_", "-")
     if fam == "doublestar":
         fam = "double-star"
+    if fam not in FAMILIES:
+        raise CliError(f"unknown family {args.family!r}")
+    params = FAMILIES[fam][0]
+    values = tuple(getattr(args, name) for name in params)
+    if None in values:
+        raise CliError(f"{fam} needs {' and '.join('--' + name for name in params)}")
     try:
-        if fam == "double-star":
-            if args.r is None or args.s is None:
-                raise CliError("double-star needs --r and --s")
-            return FamilySpec.double_star(args.r, args.s)
-        if fam in ("unicyclic", "caterpillar"):
-            if args.k is None:
-                raise CliError(f"{fam} needs --k")
-            return FamilySpec(fam, (args.k,))
-        if fam == "comb":
-            if args.m is None:
-                raise CliError("comb needs --m")
-            return FamilySpec.comb(args.m)
-        if fam in ("path", "cycle", "fan", "wheel", "star"):
-            if args.n is None:
-                raise CliError(f"{fam} needs --n")
-            return FamilySpec(fam, (args.n,))
+        return FamilySpec(fam, values)
     except ValueError as exc:
         raise CliError(str(exc))
-    raise CliError(f"unknown family {args.family!r}")
 
 
 def _colored_graph_for(spec: FamilySpec) -> construct.ColoredGraph:
@@ -119,8 +106,6 @@ def _colored_graph_for(spec: FamilySpec) -> construct.ColoredGraph:
                            f"k >= 5; {m} is not of that form")
         return construct.comb_coloring(k)
     if fam in ("star", "double-star"):
-        from .graphs import family_graph
-
         return construct.generic_tree_coloring(family_graph(spec))
     if fam == "unicyclic":
         return construct.unicyclic_extremal(spec.args[0])
@@ -141,8 +126,6 @@ def write_certificate(cg: construct.ColoredGraph) -> dict:
 # subcommands
 
 def _cmd_gen(args) -> int:
-    from .graphs import family_graph
-
     spec = _family_spec(args)
     try:
         g = family_graph(spec)
@@ -159,8 +142,8 @@ def _cmd_color(args) -> int:
         if args.family is not None:
             cg = _colored_graph_for(_family_spec(args))
         else:
-            g = read_graph(args.graph, args.format)
-            if classify(g).kind not in ("Path", "Caterpillar", "TreeGeneral"):
+            g = read_graph(args.graph)
+            if not is_tree(g):
                 raise CliError("only tree input is supported for --graph coloring")
             cg = construct.generic_tree_coloring(g)
     except (ValueError, construct.ConstructionError) as exc:
@@ -172,7 +155,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = read_graph(args.graph, args.format)
+    g = read_graph(args.graph)
     try:
         cert = formats.certificate_from_json(_read_text(args.certificate))
     except formats.FormatError as exc:
@@ -190,19 +173,15 @@ def _cmd_verify(args) -> int:
 
 def _budget(args) -> float | None:
     """Seconds from --budget, else from NLC_BUDGET_SECS, else no budget."""
-    source, value = "--budget", args.budget
-    if value is None:
-        raw = os.environ.get("NLC_BUDGET_SECS")
-        if raw is None:
-            return None
-        source = "NLC_BUDGET_SECS"
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CliError(f"NLC_BUDGET_SECS must be a number, got {raw!r}")
-    if not value >= 0:  # also rejects nan, which would never expire
-        raise CliError(f"{source} must be a number of seconds >= 0, got {value}")
-    return value
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get("NLC_BUDGET_SECS")
+    if raw is None:
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise CliError(f"NLC_BUDGET_SECS must be a number, got {raw!r}")
 
 
 def _cmd_chi(args) -> int:
@@ -218,11 +197,14 @@ def _cmd_chi(args) -> int:
             raise CliError(str(exc))
         _emit({"chi": value}, args.pretty)
         return EXIT_OK
-    g = read_graph(args.graph, args.format)
+    g = read_graph(args.graph)
     if not args.exact:
         _emit({"chiLowerBound": bounds_mod.chi_lower_bound(g)}, args.pretty)
         return EXIT_OK
-    options = solver.SolveOptions(max_k=args.max_k, time_budget=_budget(args))
+    try:  # SolveOptions rejects a cap below 1 and a negative or nan budget
+        options = solver.SolveOptions(max_k=args.max_k, time_budget=_budget(args))
+    except ValueError as exc:
+        raise CliError(str(exc))
     result = solver.chi_nl_exact(g, options)
     _emit(result.to_dict(), args.pretty)
     return EXIT_OK if result.status == solver.EXACT else EXIT_NEGATIVE
@@ -245,8 +227,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    options = solver.SolveOptions(time_budget=_budget(args))
     try:
+        options = solver.SolveOptions(time_budget=_budget(args))
         report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options,
                                          parallel=args.parallel)
     except (ValueError, sweeps.SweepBudgetExhausted) as exc:
@@ -259,15 +241,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    g = read_graph(args.input, args.from_format)
+    g = read_graph(args.input)
     if args.to == "json":
         text = json.dumps(formats.graph_to_dict(g), indent=2) + "\n"
     elif args.to == "edgelist":
         text = formats.graph_to_edgelist(g)
-    elif args.to == "dot":
-        text = formats.graph_to_dot(g)
     else:
-        raise CliError(f"unknown output format {args.to!r}")
+        text = formats.graph_to_dot(g)
     if args.out:
         _write_text(args.out, text)
     else:
@@ -302,18 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="construct a verified coloring")
     _add_family_arguments(p)
     p.add_argument("--graph", help="graph file (trees only), '-' for stdin")
-    p.add_argument("--format", choices=["json", "edgelist"], help="input format")
     p.add_argument("--dot", help="also write a DOT rendering here")
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
     p.add_argument("--graph", required=True, help="graph file, '-' for stdin")
-    p.add_argument("--format", choices=["json", "edgelist"], help="input format")
     p.add_argument("--certificate", required=True, help="certificate JSON file")
 
     p = sub.add_parser("chi", help="closed-form (family) or exact (graph) value")
     _add_family_arguments(p)
     p.add_argument("--graph", help="graph file, '-' for stdin")
-    p.add_argument("--format", choices=["json", "edgelist"], help="input format")
     p.add_argument("--exact", action="store_true", help="run the exact solver")
     p.add_argument("--max-k", type=int, dest="max_k", help="cap on the color count")
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
@@ -335,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert graph formats")
     p.add_argument("--input", required=True, help="graph file, '-' for stdin")
-    p.add_argument("--from", dest="from_format", choices=["json", "edgelist"],
-                   help="input format (sniffed when omitted)")
     p.add_argument("--to", required=True, choices=["json", "edgelist", "dot"])
     p.add_argument("--out", help="output file (default stdout)")
 

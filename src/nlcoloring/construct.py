@@ -15,14 +15,13 @@ ConstructionError instead of shipping a bad coloring.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import a2, bracket, ell
-from .coloring import Coloring, color_degree, is_nl_coloring, neighbor_signature
-from .graphs import FamilySpec, Graph, classify, family_graph
+from .coloring import Coloring, is_nl_coloring, neighbor_signature
+from .graphs import FamilySpec, Graph, classify, distances, family_graph, is_tree
 
 
 class ConstructionError(RuntimeError):
@@ -50,6 +49,12 @@ def _certified(graph: Graph, coloring: Coloring, provenance: tuple[str, ...]) ->
             f"trace: {' -> '.join(provenance)}"
         )
     return ColoredGraph(graph, coloring, provenance)
+
+
+def _colored(family: str, seq: tuple[int, ...], provenance: tuple[str, ...]) -> ColoredGraph:
+    """The coloring seq of the canonical path or cycle of order len(seq), certified."""
+    graph = family_graph(FamilySpec(family, (len(seq),)))
+    return _certified(graph, Coloring(max(seq), seq), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +96,7 @@ def base_small_coloring(spec: FamilySpec) -> ColoredGraph:
         seq = _CYCLE_BASES[n]
     else:
         raise ValueError(f"no stored base coloring for {spec.label()}")
-    return _certified(family_graph(spec), Coloring(max(seq), seq),
-                      (f"base({spec.label()})",))
+    return _colored(fam, seq, (f"base({spec.label()})",))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +149,6 @@ def _splice(seq: tuple[int, ...], p: int, inserted: list[int]) -> tuple[int, ...
     return seq[: p + 1] + tuple(inserted) + seq[p + 1 :]
 
 
-def _cycle_colored(seq: tuple[int, ...], provenance: tuple[str, ...]) -> ColoredGraph:
-    graph = family_graph(FamilySpec.cycle(len(seq)))
-    return _certified(graph, Coloring(max(seq), seq), provenance)
-
-
 def op1_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
     """Insert one vertex colored h between two adjacent color-degree-1 vertices.
 
@@ -175,7 +174,7 @@ def op1_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
     if not 1 <= h <= cg.k + 1:
         raise ValueError(f"OP1 color h={h} out of range (k={cg.k})")
     new_seq = _splice(seq, p, [h])
-    return _cycle_colored(new_seq, cg.provenance + (f"op1(h={h},edge={p})",))
+    return _colored("cycle", new_seq, cg.provenance + (f"op1(h={h},edge={p})",))
 
 
 def op2_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
@@ -208,7 +207,8 @@ def op2_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
                 f"color-degree-1 vertex; inserting it again would clash"
             )
     new_seq = _splice(seq, p, [j, i])
-    return _cycle_colored(new_seq, cg.provenance + (f"op2({min(i,j)},{max(i,j)},edge={p})",))
+    return _colored("cycle", new_seq,
+                    cg.provenance + (f"op2({min(i,j)},{max(i,j)},edge={p})",))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def one_paired_cycle_coloring(k: int, n: int) -> ColoredGraph:
     if n == ell(k) - 1:
         raise ValueError(f"order {n} = ell({k})-1 has no {k}-coloring; "
                          f"use cycle_coloring for the k+1 construction")
-    return _cycle_colored(*_pipeline_sequence(k, n))
+    return _colored("cycle", *_pipeline_sequence(k, n))
 
 
 def cycle_coloring(n: int) -> ColoredGraph:
@@ -315,13 +315,8 @@ def cycle_coloring(n: int) -> ColoredGraph:
         # subdivide one edge of the order n-1 cycle with a fresh color
         seq, trace = _pipeline_sequence(k, n - 1)
         new_seq = (seq[0], k + 1) + seq[1:]
-        return _cycle_colored(new_seq, trace + (f"subdivide(h={k + 1})",))
+        return _colored("cycle", new_seq, trace + (f"subdivide(h={k + 1})",))
     return one_paired_cycle_coloring(k, n)
-
-
-def _path_colored(seq: tuple[int, ...], provenance: tuple[str, ...]) -> ColoredGraph:
-    graph = family_graph(FamilySpec.path(len(seq)))
-    return _certified(graph, Coloring(max(seq), seq), provenance)
 
 
 def path_coloring(n: int) -> ColoredGraph:
@@ -341,7 +336,7 @@ def path_coloring(n: int) -> ColoredGraph:
         seq, trace = _pipeline_sequence(k, ell(k))
         u = _designated_vertex(seq)
         path_seq = seq[u + 1 :] + seq[:u]
-        return _path_colored(path_seq, trace + ("drop-located-vertex",))
+        return _colored("path", path_seq, trace + ("drop-located-vertex",))
     seq, trace = _pipeline_sequence(k, n)
     if n == a2(k):
         cut = 0  # no color-degree-1 pair exists; any edge works, take the first
@@ -351,7 +346,7 @@ def path_coloring(n: int) -> ColoredGraph:
                    if _seq_color_degree(seq, p) == 1
                    and _seq_color_degree(seq, (p + 1) % m) == 1)
     path_seq = seq[cut + 1 :] + seq[: cut + 1]
-    return _path_colored(path_seq, trace + (f"cut(edge={cut})",))
+    return _colored("path", path_seq, trace + (f"cut(edge={cut})",))
 
 
 def cone_coloring(cg: ColoredGraph) -> ColoredGraph:
@@ -555,7 +550,7 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     colors = seq + comb.coloring.colors
     cg = _certified(graph, Coloring(k, colors),
                     ring_trace + comb.provenance + ("ring-comb splice",))
-    if classify(graph).kind != "Unicyclic":
+    if classify(graph) != "Unicyclic":
         raise ConstructionError("splice did not produce a unicyclic graph")
     return cg
 
@@ -659,7 +654,7 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
     n = t.n
     if n < 5:
         raise ValueError("generic tree coloring applies to trees of order >= 5")
-    if classify(t).kind not in ("Path", "Caterpillar", "TreeGeneral"):
+    if not is_tree(t):
         raise ValueError("input is not a tree")
     degrees = [t.degree(v) for v in range(n)]
 
@@ -682,9 +677,7 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
         return _certified(t, Coloring(s + 1, tuple(assignment)), ("double-star coloring",))
 
     # diameter >= 4: one shared color on x, b, y along a distance-4 path
-    x, path = _first_distance4_pair(t)
-    b = path[2]
-    y = path[4]
+    x, b, y = _first_distance4_pair(t)
     assignment = [0] * n
     assignment[x] = assignment[b] = assignment[y] = 1
     nxt = 2
@@ -695,26 +688,15 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
     return _certified(t, Coloring(n - 2, tuple(assignment)), ("shared-triple coloring",))
 
 
-def _first_distance4_pair(t: Graph) -> tuple[int, list[int]]:
-    """Lexicographically first (x, y) at distance exactly 4, with the path."""
+def _first_distance4_pair(t: Graph) -> tuple[int, int, int]:
+    """(x, b, y): the lexicographically first pair x, y at distance exactly 4,
+    with b the midpoint of the path between them."""
     for x in range(t.n):
-        dist = {x: 0}
-        parent = {x: None}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= 4:
-                continue
-            for w in t.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-        hits = sorted(v for v, d in dist.items() if d == 4)
-        if hits:
-            y = hits[0]
-            path = [y]
-            while path[-1] != x:
-                path.append(parent[path[-1]])
-            return x, path[::-1]
+        dist = distances(t, x)
+        if 4 in dist:
+            y = b = dist.index(4)
+            # in a tree each vertex has exactly one neighbour nearer to x
+            for d in (3, 2):
+                b = next(w for w in t.adj[b] if dist[w] == d)
+            return x, b, y
     raise ValueError("tree has diameter below 4")

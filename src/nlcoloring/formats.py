@@ -44,12 +44,15 @@ def graph_from_dict(data: dict) -> Graph:
     return Graph(n, [(_json_int(u, "vertex id"), _json_int(v, "vertex id")) for u, v in pairs])
 
 
-def graph_from_json(text: str) -> Graph:
+def _decode(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return graph_from_dict(data)
+
+
+def graph_from_json(text: str) -> Graph:
+    return graph_from_dict(_decode(text))
 
 
 def graph_to_edgelist(g: Graph) -> str:
@@ -99,11 +102,7 @@ def certificate_from_dict(data: dict) -> Coloring:
 
 
 def certificate_from_json(text: str) -> Coloring:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return certificate_from_dict(data)
+    return certificate_from_dict(_decode(text))
 
 
 # fill colors for DOT output, one per color index (cycled past twelve)

@@ -1,15 +1,19 @@
-"""Graph representation, named-family generators, and structural classification.
+"""Graph representation, named-family generators, and structural facts.
 
 Every graph handled by this package is connected, simple, undirected and
 finite, with vertices labeled 0..n-1.  The constructor enforces all of that
-up front so the rest of the code can assume it.
+up front so the rest of the code can assume it.  Each structural fact is
+decided in one place here: breadth-first distances (``distances``, which
+also backs the connectivity check and ``diameter``), the tree test
+(``is_tree``: a connected graph is a tree exactly when it has n-1 edges,
+and has one cycle exactly when it has n), the structural kind
+(``classify``), and the family parameters (``FAMILIES``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -49,7 +53,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(seen))
         object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in neighbors))
-        if not self._connected():
+        if -1 in distances(self, 0):
             raise GraphError("graph is not connected")
 
     def __setattr__(self, name, value):
@@ -57,20 +61,6 @@ class Graph:
 
     def __reduce__(self):
         return Graph, (self.n, self.sorted_edges())
-
-    def _connected(self) -> bool:
-        reached = [False] * self.n
-        reached[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not reached[v]:
-                    reached[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -96,18 +86,27 @@ class Graph:
 # ---------------------------------------------------------------------------
 # graph families
 
-FAMILIES = (
-    "path", "cycle", "fan", "wheel", "comb",
-    "star", "double-star", "unicyclic", "caterpillar",
-)
+# family -> (parameter names, in ``FamilySpec.args`` order; range check on them)
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., bool]]] = {
+    "path": (("n",), lambda n: n >= 2),
+    "cycle": (("n",), lambda n: n >= 3),
+    "fan": (("n",), lambda n: n >= 4),
+    "wheel": (("n",), lambda n: n >= 4),
+    "comb": (("m",), lambda m: m >= 3),
+    "star": (("n",), lambda n: n >= 3),
+    "double-star": (("r", "s"), lambda r, s: 1 <= r <= s and r + s + 2 >= 5),
+    "unicyclic": (("k",), lambda k: k >= 5),
+    "caterpillar": (("k",), lambda k: k >= 6),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph-family instance, e.g. cycle of order 24.
 
-    ``args`` holds the family parameters: (n,) for path/cycle/fan/wheel/star,
-    (m,) for comb, (r, s) for double-star, (k,) for unicyclic/caterpillar.
+    ``args`` holds the family parameters named in ``FAMILIES``: (n,) for
+    path/cycle/fan/wheel/star, (m,) for comb, (r, s) for double-star, (k,)
+    for unicyclic/caterpillar; the table's range check is applied here.
     """
 
     family: str
@@ -116,18 +115,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        checks = {
-            "path": lambda a: len(a) == 1 and a[0] >= 2,
-            "cycle": lambda a: len(a) == 1 and a[0] >= 3,
-            "fan": lambda a: len(a) == 1 and a[0] >= 4,
-            "wheel": lambda a: len(a) == 1 and a[0] >= 4,
-            "comb": lambda a: len(a) == 1 and a[0] >= 3,
-            "star": lambda a: len(a) == 1 and a[0] >= 3,
-            "double-star": lambda a: len(a) == 2 and 1 <= a[0] <= a[1] and a[0] + a[1] + 2 >= 5,
-            "unicyclic": lambda a: len(a) == 1 and a[0] >= 5,
-            "caterpillar": lambda a: len(a) == 1 and a[0] >= 6,
-        }
-        if not checks[self.family](self.args):
+        params, in_range = FAMILIES[self.family]
+        if len(self.args) != len(params) or not in_range(*self.args):
             raise ValueError(f"parameters {self.args} out of range for family {self.family!r}")
 
     # convenience constructors -- keep call sites readable
@@ -229,92 +218,53 @@ def family_graph(spec: FamilySpec) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# structural classification
+# structural facts
 
-@dataclass(frozen=True)
-class GraphClass:
-    """Result of classify(): structure kind plus the cycle, when there is one."""
-
-    kind: str  # Path | Cycle | TreeGeneral | Caterpillar | Unicyclic | Other
-    cycle_vertices: tuple[int, ...] = ()
-
-
-def _unique_cycle(g: Graph) -> tuple[int, ...]:
-    """Vertices of the unique cycle of a unicyclic graph, in traversal order.
-
-    Starts at the smallest cycle vertex and walks toward its smallest
-    cycle neighbor, so the order is deterministic.
-    """
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] == 1)
-    while queue:
-        u = queue.popleft()
-        alive[u] = False
+def distances(g: Graph, source: int) -> list[int]:
+    """Breadth-first distance of every vertex from source; -1 if unreached."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the queue grows while it is read
         for v in g.adj[u]:
-            if alive[v]:
-                deg[v] -= 1
-                if deg[v] == 1:
-                    queue.append(v)
-    core = [v for v in range(g.n) if alive[v]]
-    start = min(core)
-    on_core = set(core)
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = min(v for v in g.adj[cur] if v in on_core and v != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
-def classify(g: Graph) -> GraphClass:
-    """Exact structural classification of a connected graph.
+def is_tree(g: Graph) -> bool:
+    """A connected graph is a tree exactly when it has n - 1 edges."""
+    return len(g.edges) == g.n - 1
+
+
+def classify(g: Graph) -> str:
+    """Structural kind of a connected graph: Path, Caterpillar or TreeGeneral
+    for trees, Cycle or Unicyclic for graphs with one cycle, else Other.
 
     Caterpillar detection is: a tree whose non-leaf vertices induce a path.
     Paths take precedence over Caterpillar, Cycle over Unicyclic.
     """
-    m = len(g.edges)
     degrees = [g.degree(v) for v in range(g.n)]
-    if m == g.n - 1:  # tree
-        if max(degrees, default=0) <= 2:
-            return GraphClass("Path")
+    if is_tree(g):
+        if max(degrees) <= 2:
+            return "Path"
         spine = [v for v in range(g.n) if degrees[v] >= 2]
         spine_set = set(spine)
         inner_deg = {v: sum(1 for w in g.adj[v] if w in spine_set) for v in spine}
         # induced subgraph on a tree's non-leaves is always a subtree; it is
         # a path exactly when no inner vertex has three spine neighbors
         if all(d <= 2 for d in inner_deg.values()):
-            return GraphClass("Caterpillar")
-        return GraphClass("TreeGeneral")
-    if m == g.n:
-        if all(d == 2 for d in degrees):
-            return GraphClass("Cycle", tuple(_unique_cycle(g)))
-        return GraphClass("Unicyclic", _unique_cycle(g))
-    return GraphClass("Other")
-
-
-def _bfs_eccentricity(g: Graph, source: int) -> int:
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    far = 0
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                far = max(far, dist[v])
-                queue.append(v)
-    return far
+            return "Caterpillar"
+        return "TreeGeneral"
+    if len(g.edges) == g.n:
+        return "Cycle" if all(d == 2 for d in degrees) else "Unicyclic"
+    return "Other"
 
 
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance, by breadth-first search from every vertex."""
-    return max(_bfs_eccentricity(g, v) for v in range(g.n))
+    return max(max(distances(g, v)) for v in range(g.n))
 
 
 class DegreeStats(NamedTuple):

@@ -31,8 +31,18 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Caps on one solve: the largest color count tried (at least 1) and a
+    wall-clock budget in seconds (at least 0); None means no cap."""
+
     max_k: int | None = None
-    time_budget: float | None = None  # seconds of wall clock
+    time_budget: float | None = None
+
+    def __post_init__(self):
+        if self.max_k is not None and self.max_k < 1:
+            raise ValueError(f"max_k must be at least 1, got {self.max_k}")
+        if self.time_budget is not None and not self.time_budget >= 0:  # also rejects nan
+            raise ValueError(f"time budget must be a number of seconds >= 0, "
+                             f"got {self.time_budget}")
 
 
 EXACT = "Exact"

@@ -125,7 +125,7 @@ def test_criterion_5_extremal_constructions():
     assert is_nl_coloring(u6.graph, u6.coloring).ok
     t6 = caterpillar_extremal(6)
     assert t6.graph.n == 118 and t6.k == 6
-    assert classify(t6.graph).kind == "Caterpillar"
+    assert classify(t6.graph) == "Caterpillar"
     assert is_nl_coloring(t6.graph, t6.coloring).ok
     expected_sigs = _splice_signature_table(6)
     for (r, l), expected in expected_sigs.items():

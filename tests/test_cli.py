@@ -100,6 +100,16 @@ def test_chi_exact_capped_exits_1(tmp_path, capsys):
     assert code == 1 and payload["status"] == "CappedOut"
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_chi_exact_cap_below_one_is_a_usage_error(cap, tmp_path, capsys):
+    # no graph can meet the cap, so it is not a CappedOut verdict
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, err = run(capsys, "chi", "--graph", str(graph_file), "--exact", "--max-k", cap)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "max_k" in err and err.count("\n") == 1
+
+
 def test_chi_exact_deep_path(tmp_path, capsys):
     # order 1100 lies past the interpreter's default recursion limit
     graph_file = tmp_path / "p1100.json"
@@ -202,6 +212,28 @@ def test_export_roundtrip(tmp_path, capsys):
     code, back, _ = run(capsys, "export", "--input", str(edge_file), "--to", "json")
     assert code == 0
     assert json.loads(back) == json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--graph", "{path}", "--format", "json"],
+    ["verify", "--graph", "{path}", "--certificate", "{path}", "--format", "json"],
+    ["chi", "--graph", "{path}", "--format", "edgelist"],
+    ["export", "--input", "{path}", "--from", "json", "--to", "dot"],
+], ids=["color", "verify", "chi", "export"])
+def test_input_format_flags_are_gone(argv, tmp_path):
+    # the content tells graph JSON (starts with "{") from an edge list
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    with pytest.raises(SystemExit) as excinfo:
+        main([a.format(path=graph_file) for a in argv])
+    assert excinfo.value.code == 2
+
+
+def test_json_with_leading_whitespace_is_read_as_json(tmp_path, capsys):
+    graph_file = tmp_path / "p3.txt"
+    graph_file.write_text('\n  {"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, _ = run(capsys, "export", "--input", str(graph_file), "--to", "edgelist")
+    assert code == 0 and out == "0 1\n1 2\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlcoloring import (
     FamilySpec,
+    Graph,
     InsertionSite,
     a2,
     base_small_coloring,
@@ -304,7 +306,7 @@ def test_unicyclic_extremal():
 def test_caterpillar_extremal():
     t6 = caterpillar_extremal(6)
     assert t6.graph.n == 118 and t6.k == 6
-    assert classify(t6.graph).kind == "Caterpillar"
+    assert classify(t6.graph) == "Caterpillar"
     assert caterpillar_extremal(7).graph.n == 187
     with pytest.raises(ValueError):
         caterpillar_extremal(5)
@@ -347,6 +349,39 @@ def test_generic_tree_rejects_small_or_cyclic():
         generic_tree_coloring(family_graph(FamilySpec.path(4)))
     with pytest.raises(ValueError):
         generic_tree_coloring(family_graph(FamilySpec.cycle(6)))
+
+
+def _prufer_tree(seq: list[int], n: int) -> Graph:
+    """The labeled tree on 0..n-1 with Pruefer sequence seq (len n - 2)."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = [u for u in range(n) if degree[u] == 1]
+    return Graph(n, edges + [(u, w)])
+
+
+# sha256 over one "<n>:<colors>" line per tree for 200 random labeled trees
+# of order 5..40 (random.Random(2024)); 193 of them take the shared-triple
+# coloring, so this pins the distance-4 pair and its midpoint.  Recorded from
+# the version that found the midpoint through BFS parent pointers.
+GENERIC_TREE_DIGEST = "bf549b63bac515399562e02b45aeed0e3d08e7e162c5970b0a161b5ae668151b"
+
+
+def test_generic_tree_colorings_are_pinned():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        n = rng.randint(5, 40)
+        tree = _prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+        colors = generic_tree_coloring(tree).coloring.colors
+        digest.update(f"{n}:{','.join(map(str, colors))}\n".encode())
+    assert digest.hexdigest() == GENERIC_TREE_DIGEST
 
 
 @given(st.integers(5, 40))

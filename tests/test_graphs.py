@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,10 @@ from nlcoloring import (
     class_order_bound,
     degree_stats,
     diameter,
+    distances,
     ell,
     family_graph,
+    is_tree,
 )
 
 
@@ -86,39 +89,49 @@ def test_family_parameter_ranges():
         FamilySpec("caterpillar", (5,))
     with pytest.raises(ValueError):
         FamilySpec("nonsense", (3,))
+    with pytest.raises(ValueError):
+        FamilySpec("path", (5, 6))  # one parameter too many
+    with pytest.raises(ValueError):
+        FamilySpec("double-star", (2,))  # one parameter too few
 
 
 def test_classify_cycle():
-    cls = classify(family_graph(FamilySpec.cycle(5)))
-    assert cls.kind == "Cycle"
-    assert len(cls.cycle_vertices) == 5
-    assert cls.cycle_vertices[0] == 0
+    assert classify(family_graph(FamilySpec.cycle(5))) == "Cycle"
 
 
 def test_classify_comb_is_caterpillar():
-    assert classify(family_graph(FamilySpec.comb(6))).kind == "Caterpillar"
+    assert classify(family_graph(FamilySpec.comb(6))) == "Caterpillar"
 
 
 def test_classify_families():
-    assert classify(family_graph(FamilySpec.path(7))).kind == "Path"
-    assert classify(family_graph(FamilySpec.star(6))).kind == "Caterpillar"
-    assert classify(family_graph(FamilySpec.double_star(2, 3))).kind == "Caterpillar"
-    assert classify(family_graph(FamilySpec.wheel(7))).kind == "Other"
+    assert classify(family_graph(FamilySpec.path(7))) == "Path"
+    assert classify(family_graph(FamilySpec.star(6))) == "Caterpillar"
+    assert classify(family_graph(FamilySpec.double_star(2, 3))) == "Caterpillar"
+    assert classify(family_graph(FamilySpec.wheel(7))) == "Other"
     spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    assert classify(spider).kind == "TreeGeneral"
+    assert classify(spider) == "TreeGeneral"
 
 
 def test_classify_unicyclic_extremal():
     # the unique cycle runs through the comb spine: a1(k) + a2(k) vertices
-    cls = classify(family_graph(FamilySpec.unicyclic(5)))
-    assert cls.kind == "Unicyclic"
-    assert len(cls.cycle_vertices) == a1(5) + a2(5)
+    g = family_graph(FamilySpec.unicyclic(5))
+    assert classify(g) == "Unicyclic"
+    (cycle,) = nx.cycle_basis(nx.Graph(list(g.edges)))
+    assert len(cycle) == a1(5) + a2(5)
 
 
 def test_diameter_values():
     assert diameter(family_graph(FamilySpec.path(9))) == 8
     assert diameter(family_graph(FamilySpec.star(7))) == 2
     assert diameter(family_graph(FamilySpec.wheel(10))) == 2
+    assert diameter(Graph(1, [])) == 0
+
+
+def test_distances_from_a_source():
+    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    assert distances(spider, 0) == [0, 1, 2, 1, 2, 1, 2]
+    assert distances(spider, 2) == [2, 1, 0, 3, 4, 3, 4]
+    assert distances(family_graph(FamilySpec.cycle(6)), 4) == [2, 3, 2, 1, 0, 1]
 
 
 def test_degree_stats_cycle():
@@ -175,10 +188,11 @@ def test_family_graph_invariants(spec):
     g = family_graph(spec)
     # connected and simple are constructor guarantees; handshake re-checked
     assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges)
-    kind = classify(g).kind
+    kind = classify(g)
     expected = EXPECTED_KIND[spec.family]
     if spec.family == "star" and spec.args[0] == 3:
         expected = "Path"  # the order-3 star is the order-3 path
     if spec.family in ("fan", "wheel") and spec.args[0] == 4:
         expected = "Other"
     assert kind == expected
+    assert is_tree(g) == (kind in ("Path", "Caterpillar", "TreeGeneral"))

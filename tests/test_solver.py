@@ -58,6 +58,21 @@ def test_timed_out():
     assert result.chi is None
 
 
+@pytest.mark.parametrize("options", [
+    {"max_k": 0}, {"max_k": -3}, {"time_budget": float("nan")}, {"time_budget": -1.0},
+], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative"])
+def test_options_out_of_range_are_rejected(options):
+    # nan would never expire, a negative budget would time out at once, and
+    # no graph can meet a cap below one color
+    with pytest.raises(ValueError, match="max_k" if "max_k" in options else "budget"):
+        SolveOptions(**options)
+
+
+def test_cap_of_one_color_is_accepted():
+    result = chi_nl_exact(family_graph(FamilySpec.path(2)), SolveOptions(max_k=1))
+    assert result.status == "CappedOut"
+
+
 def test_timed_out_inside_the_search():
     # time_budget=0.0 trips the check before the search starts; this one
     # trips the check that the search makes every CHECK_EVERY nodes

@@ -27,7 +27,7 @@ def test_tree_counts_match_oeis():
 
 def test_small_counts():
     assert len(list(enumerate_trees(4))) == 2  # path and star
-    assert {classify(t).kind for t in enumerate_trees(4)} == {"Path", "Caterpillar"}
+    assert {classify(t) for t in enumerate_trees(4)} == {"Path", "Caterpillar"}
     assert len(list(enumerate_trees(5))) == 3  # path, star, spider
 
 

@@ -73,6 +73,8 @@ def read_graph(path: str):
 
 
 def _family_spec(args) -> FamilySpec:
+    if args.family is None:
+        raise CliError(f"{args.command} needs --family")
     fam = args.family.lower().replace("_", "-")
     if fam == "doublestar":
         fam = "double-star"

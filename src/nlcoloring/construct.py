@@ -690,13 +690,23 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
 
 def _first_distance4_pair(t: Graph) -> tuple[int, int, int]:
     """(x, b, y): the lexicographically first pair x, y at distance exactly 4,
-    with b the midpoint of the path between them."""
-    for x in range(t.n):
-        dist = distances(t, x)
-        if 4 in dist:
-            y = b = dist.index(4)
-            # in a tree each vertex has exactly one neighbour nearer to x
-            for d in (3, 2):
-                b = next(w for w in t.adj[b] if dist[w] == d)
-            return x, b, y
-    raise ValueError("tree has diameter below 4")
+    with b the midpoint of the path between them.
+
+    x is the first vertex of eccentricity at least 4.  In a tree the
+    farthest vertex from any vertex is an end of a longest path, so a
+    breadth-first search from vertex 0 finds one end ``a``, one from ``a``
+    finds the other end, and ecc(x) = max(d(a, x), d(other end, x)).  One
+    more search from x gives y and b: four searches in all.
+    """
+    from_0 = distances(t, 0)
+    from_a = distances(t, from_0.index(max(from_0)))
+    from_end = distances(t, from_a.index(max(from_a)))
+    x = next((v for v in range(t.n) if max(from_a[v], from_end[v]) >= 4), None)
+    if x is None:
+        raise ValueError("tree has diameter below 4")
+    dist = distances(t, x)
+    y = b = dist.index(4)  # a tree's distances from x take every value to ecc(x)
+    # in a tree each vertex has exactly one neighbour nearer to x
+    for d in (3, 2):
+        b = next(w for w in t.adj[b] if dist[w] == d)
+    return x, b, y

@@ -1,18 +1,23 @@
 """Exact search oracle for the neighbor-locating chromatic number.
 
 Complete backtracking over vertex color assignments in a fixed order
-(descending degree, ties by index) with four prunes: properness, per-class
-capacity derived from the color-degree ceilings, signature clashes among
-vertices whose whole neighborhood is colored, and color-symmetry breaking
-(of the unused colors a vertex may take only the lowest).  The per-depth
-work is scheduled once per instance, signatures are color bitmasks, and
-the search is one loop over the depth with its state in per-depth lists
-(see ``_search``), so it has no recursion and no depth limit.  The search
-is deliberately simple and fully exhaustive: it is the independent check
-the constructions are measured against, so completeness beats speed.  It
-is also sequential and deterministic: the same graph and options always
-give the same witness and node count.  The only parallelism is one level
-up, where a sweep may solve its independent instances in worker processes
+with four prunes: properness, per-class capacity derived from the
+color-degree ceilings, signature clashes among vertices whose whole
+neighborhood is colored, and color-symmetry breaking (of the unused colors
+a vertex may take only the lowest).  The order is breadth-first from the
+highest-degree vertex, lowest index on ties, and visits each vertex's
+neighbours by descending degree, then index; so every vertex after the
+first has a colored neighbour, and signatures close soon after their
+vertex is colored.  The per-depth work is scheduled once per instance,
+signatures and the colors a vertex may not take are color bitmasks, each
+class keeps headroom counters for its capacity, and the search is one loop
+over the depth with its state in per-depth lists (see ``_search``), so it
+has no recursion and no depth limit.  The search is deliberately simple
+and fully exhaustive: it is the independent check the constructions are
+measured against, so completeness beats speed.  It is also sequential and
+deterministic: the same graph and options always give the same witness and
+node count.  The only parallelism is one level up, where a sweep may solve
+its independent instances in worker processes
 (``conjecture_sweep(..., parallel=True)``).
 """
 
@@ -20,9 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from math import comb
-from operator import gt
 
 from .bounds import chi_lower_bound
 from .coloring import Coloring, is_nl_coloring
@@ -93,21 +97,25 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
     """Colors (indexed by vertex) of the first NL-coloring of g with at most
     k colors in search order, or None once the search is exhausted.
 
-    The vertex order is fixed, so everything that depends only on the depth
-    is scheduled first: ``earlier[d]``, the neighbours of ``order[d]``
-    colored before it (the properness check), ``final_at[d]``, the vertices
-    whose closed neighbourhood is complete once ``order[d]`` is colored (the
-    signature check), and the capacity slot of ``order[d]``.  A signature is
-    the OR of ``bits`` over a neighbourhood, where ``bits[v] = 1 << color``
-    and 0 while v is uncolored.  One loop then walks the depths.  Per depth
-    it keeps the color last tried, the highest color allowed (one above the
-    highest used at the depths before, at most k, which breaks the symmetry
-    between unused colors) and the (table, signature) entries added.  Each color
+    The vertex order is breadth-first from the highest-degree vertex (lowest
+    index on ties), visiting each vertex's neighbours by descending degree,
+    then index (``_search_order``).  It is fixed, so everything that depends
+    only on the depth is scheduled first: ``earlier[d]``, the neighbours of
+    ``order[d]`` colored before it (the properness check), ``final_at[d]``,
+    the vertices whose closed neighbourhood is complete once ``order[d]`` is
+    colored (the signature check), and ``span[d]``, the capacity counters
+    ``order[d]`` counts against.  A signature is the OR of ``bits`` over a
+    neighbourhood, where ``bits[v] = 1 << color`` and 0 while v is uncolored.
+    One loop then walks the depths.  Per depth it keeps the colors its
+    earlier neighbours hold (``forbidden``, set when the depth is entered),
+    the color last tried, the highest color allowed (one above the highest
+    used at the depths before, at most k, which breaks the symmetry between
+    unused colors) and the (table, signature) entries added.  Each color
     tried is one node, failures included, and the nodes are added to
     ``budget.nodes``.
     """
     n, adj = g.n, g.adj
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = _search_order(g)
     pos = [0] * n
     for d, v in enumerate(order):
         pos[v] = d
@@ -116,13 +124,20 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
     for w in range(n):
         final_at[max([pos[w]] + [pos[u] for u in adj[w]])].append(w)
     # capacity: a class may hold at most sum_{j<=D} C(k-1, j) vertices whose
-    # color-degree ceiling min(deg, k-1) is at most D; slot D-1 counts them
-    slot = [max(1, min(g.degree(v), k - 1)) - 1 for v in order]
-    capacity = list(accumulate(comb(k - 1, d) for d in range(1, k)))
-    class_counts = [[0] * k for _ in range(k + 1)]
+    # color-degree ceiling min(deg, k-1) is at most D.  room[c][D-1] is what
+    # class c has left of that.  A vertex of ceiling D counts against slot
+    # D-1 and every slot above it (its span, which runs to the end of the
+    # list), and the class is full for it when one of them is 0.  A slot of
+    # capacity n or more never blocks a vertex (at most n - 1 others share
+    # its class), so the list stops before it.
+    sums = accumulate(comb(k - 1, d) for d in range(1, k))
+    capacity = list(takewhile(lambda c: c < n, sums))
+    span = [range(max(1, min(g.degree(v), k - 1)) - 1, len(capacity)) for v in order]
+    room = [capacity[:] for _ in range(k + 1)]
     tables: list[set[int]] = [set() for _ in range(k + 1)]
     colors = [0] * n
     bits = [0] * n
+    forbidden = [0] * n
     tried = [0] * n
     limit = [1] * n
     added: list[list[tuple[set[int], int]]] = [[] for _ in range(n)]
@@ -135,7 +150,9 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
                 for table, sig in added[depth]:
                     table.remove(sig)
                 added[depth].clear()
-                class_counts[colors[v]][slot[depth]] -= 1
+                left = room[colors[v]]
+                for i in span[depth]:
+                    left[i] += 1
                 colors[v] = bits[v] = 0
             color = tried[depth] + 1
             if color > limit[depth]:
@@ -146,14 +163,17 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
             nodes += 1
             if nodes % CHECK_EVERY == 0:
                 budget.check()
-            if color in map(colors.__getitem__, earlier[depth]):  # not proper
+            bit = 1 << color
+            if forbidden[depth] & bit:  # not proper
                 continue
+            left = room[color]
+            slots = span[depth]
+            if 0 in left[slots.start:]:  # class full
+                continue
+            for i in slots:
+                left[i] -= 1
             colors[v] = color
-            bits[v] = 1 << color
-            counts = class_counts[color]
-            counts[slot[depth]] += 1
-            if any(map(gt, accumulate(counts), capacity)):  # class over capacity
-                continue
+            bits[v] = bit
             for w in final_at[depth]:
                 sig = 0
                 for u in adj[w]:
@@ -168,9 +188,33 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
                     return tuple(colors)
                 depth += 1
                 limit[depth] = min(k, max(limit[depth - 1], color + 1))
+                mask = 0
+                for u in earlier[depth]:
+                    mask |= bits[u]
+                forbidden[depth] = mask
         return None
     finally:
         budget.nodes += nodes
+
+
+def _search_order(g: Graph) -> list[int]:
+    """Breadth-first order from the highest-degree vertex, lowest index on
+    ties, visiting each vertex's neighbours by descending degree, then
+    index.  The graph is connected, so every vertex after the first has a
+    neighbour before it."""
+    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    rank = [0] * g.n
+    for r, v in enumerate(by_degree):
+        rank[v] = r
+    order = [by_degree[0]]
+    seen = [False] * g.n
+    seen[order[0]] = True
+    for v in order:  # grows while it is walked
+        for u in sorted(g.adj[v], key=rank.__getitem__):
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+    return order
 
 
 def exists_nl_coloring(g: Graph, k: int,

@@ -37,6 +37,12 @@ def test_gen_bad_family(capsys):
     assert code == 2 and "error" in err
 
 
+def test_gen_without_family_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "gen")
+    assert (code, out) == (2, "")
+    assert "gen needs --family" in err and "Traceback" not in err
+
+
 def test_gen_out_of_range(capsys):
     code, _, err = run(capsys, "gen", "--family", "cycle", "--n", "2")
     assert code == 2

@@ -23,7 +23,9 @@ from nlcoloring import (
     cone_coloring,
     cycle_coloring,
     degree_stats,
+    distances,
     ell,
+    enumerate_trees,
     family_graph,
     generic_tree_coloring,
     is_1_paired,
@@ -37,6 +39,7 @@ from nlcoloring import (
 )
 from nlcoloring.construct import (
     _comb_spine_index,
+    _first_distance4_pair,
     _splice_signature_table,
     comb_signature_table,
 )
@@ -382,6 +385,34 @@ def test_generic_tree_colorings_are_pinned():
         colors = generic_tree_coloring(tree).coloring.colors
         digest.update(f"{n}:{','.join(map(str, colors))}\n".encode())
     assert digest.hexdigest() == GENERIC_TREE_DIGEST
+
+
+def _subdivided_star(m: int) -> Graph:
+    """K_{1,m} with every edge subdivided, labelled center 0, then the m
+    inner vertices, then the m leaves: only the leaves have eccentricity 4."""
+    return Graph(2 * m + 1, [(0, i) for i in range(1, m + 1)]
+                 + [(i, m + i) for i in range(1, m + 1)])
+
+
+def _distance4_pair_by_brute_force(t: Graph):
+    dist = [distances(t, v) for v in range(t.n)]
+    for x in range(t.n):
+        for y in range(t.n):
+            if dist[x][y] == 4:
+                b = next(v for v in range(t.n) if dist[x][v] == dist[v][y] == 2)
+                return x, b, y
+    return None
+
+
+def test_first_distance4_pair_matches_brute_force():
+    trees = [t for n in range(5, 11) for t in enumerate_trees(n)]
+    for t in trees + [_subdivided_star(60)]:
+        expected = _distance4_pair_by_brute_force(t)
+        if expected is None:
+            with pytest.raises(ValueError, match="diameter below 4"):
+                _first_distance4_pair(t)
+        else:
+            assert _first_distance4_pair(t) == expected, t.sorted_edges()
 
 
 @given(st.integers(5, 40))

@@ -24,6 +24,7 @@ from nlcoloring import (
     exists_nl_coloring,
     is_nl_coloring,
 )
+from nlcoloring.solver import _search_order
 
 
 def _partition_colorings(g: Graph, k: int) -> Iterator[Coloring]:
@@ -80,13 +81,27 @@ def test_oracle_on_known_values():
 
 # every tree up to order 9 (ids 1..9) and every connected graph up to
 # order 7 (ids atlas-1..atlas-7, the networkx graph atlas)
-@pytest.mark.parametrize("universe,n", [
+UNIVERSES = [
     *(pytest.param(enumerate_trees, n, id=str(n)) for n in range(1, 10)),
     *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 8)),
-])
+]
+
+
+@pytest.mark.parametrize("universe,n", UNIVERSES)
 def test_solver_matches_oracle_on_all_trees(universe, n):
     for g in universe(n):
         _check_against_oracle(g)
+
+
+@pytest.mark.parametrize("universe,n", UNIVERSES)
+def test_search_order_is_connected(universe, n):
+    # every vertex after the first has a neighbour colored before it, so
+    # the properness check and the signatures see colors from depth 1 on
+    for g in universe(n):
+        order = _search_order(g)
+        assert sorted(order) == list(range(g.n))
+        for d in range(1, g.n):
+            assert set(g.adj[order[d]]) & set(order[:d]), (g.sorted_edges(), order)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from nlcoloring import (
     chi_closed_form,
     chi_lower_bound,
     chi_nl_exact,
+    enumerate_trees,
     exists_nl_coloring,
     family_graph,
     is_nl_coloring,
@@ -115,14 +116,14 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
 
 
 @pytest.mark.parametrize("g,chi,nodes,colors", [
-    (family_graph(FamilySpec.cycle(23)), 5, 1_337_045,  # refutes k = 4 exhaustively
-     [1, 2, 1, 2, 3, 1, 2, 4, 1, 2, 5, 1, 3, 1, 3, 4, 1, 3, 5, 2, 3, 4, 5]),
+    (family_graph(FamilySpec.cycle(23)), 5, 1_336_994,  # refutes k = 4 exhaustively
+     [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 251,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
-    (ANCHOR_TREE_20, 4, 180_894,
-     [1, 1, 1, 2, 1, 4, 2, 4, 2, 4, 1, 2, 4, 2, 3, 4, 3, 3, 2, 3]),
-    (ANCHOR_UNICYCLIC_20, 4, 105_224,
-     [1, 1, 1, 2, 3, 1, 2, 1, 3, 2, 2, 3, 4, 4, 4, 2, 3, 4, 3, 4]),
+    (ANCHOR_TREE_20, 4, 120,
+     [1, 1, 3, 1, 3, 3, 2, 1, 2, 2, 1, 3, 2, 4, 4, 2, 4, 2, 3, 4]),
+    (ANCHOR_UNICYCLIC_20, 4, 496,
+     [3, 1, 1, 2, 4, 4, 3, 2, 1, 2, 1, 4, 3, 1, 2, 2, 3, 4, 2, 3]),
 ], ids=["C23", "W12", "anchor-tree-20", "anchor-unicyclic-20"])
 def test_node_counts_are_pinned(g, chi, nodes, colors):
     # a change to the search order or the prunes shows here; lower the pin
@@ -134,6 +135,14 @@ def test_node_counts_are_pinned(g, chi, nodes, colors):
         "certificate": {"n": g.n, "k": chi, "colors": colors},
     }
     assert chi_nl_exact(g).to_dict() == first.to_dict()
+
+
+def test_node_total_over_small_trees_is_pinned():
+    # witness search on every tree up to order 11, where the search order
+    # decides how soon signatures close; lower the pin when it shrinks
+    total = sum(chi_nl_exact(g).nodes_explored
+                for n in range(1, 12) for g in enumerate_trees(n))
+    assert total == 46_757
 
 
 def test_universal_vertex_law_small():

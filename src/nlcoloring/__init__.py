@@ -57,6 +57,7 @@ from .graphs import (
     distances,
     family_graph,
     is_tree,
+    twin_classes,
 )
 from .solver import SolveOptions, SolveResult, chi_nl_exact, exists_nl_coloring
 from .sweeps import conjecture_sweep, connected_graphs, enumerate_trees

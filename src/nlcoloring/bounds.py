@@ -2,9 +2,10 @@
 
 Everything here is integer arithmetic: capacity counts a1/a2/ell, order
 bounds for general / degree-bounded / unicyclic / tree inputs, the derived
-lower bound for arbitrary connected graphs, and the exact values for the
-named families (paths, cycles, fans, wheels, stars, double stars and the
-extremal unicyclic/caterpillar instances).
+lower bound (order bounds and twin classes) for arbitrary connected
+graphs, and the exact values for the named families (paths, cycles, fans,
+wheels, stars, double stars and the extremal unicyclic/caterpillar
+instances).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import FamilySpec, Graph, degree_stats, is_tree
+from .graphs import FamilySpec, Graph, degree_stats, is_tree, twin_classes
 
 
 def a1(k: int) -> int:
@@ -118,17 +119,29 @@ def bounds_report(k: int, max_degree: int | None = None) -> BoundsReport:
     )
 
 
-def chi_lower_bound(g: Graph) -> int:
-    """Largest lower bound on the NL-chromatic number implied by the order bounds.
+def chi_lower_bound(g: Graph, twins: list[list[int]] | None = None) -> int:
+    """Largest lower bound on the NL-chromatic number implied by the order
+    bounds and the twin classes.
 
     Returns the smallest k passing every applicable necessary condition:
     the general order bound, the degree-bounded order bound (when the
     degree cap applies, which for paths and cycles is the ell bound), and
-    the tree order bound for n-1 edges and the unicyclic one for n edges.
-    Never below 2 for graphs of order >= 2.
+    the tree order bound for n-1 edges and the unicyclic one for n edges;
+    and at least min(t + 1, n) for a class of t >= 2 twins (``twins`` is
+    ``twin_classes(g)``, computed here unless the caller has it).  Never
+    below 2 for graphs of order >= 2.
+
+    Twin bound: two twins of one color would have equal signatures (false
+    twins) or be adjacent (true twins), so a class takes t colors.  A class
+    of false twins has a common neighbour, and a class of true twins smaller
+    than n has a neighbour outside it, adjacent to the whole class; that
+    neighbour needs one more color, so chi >= min(t + 1, n).
     """
     if g.n == 1:
         return 1
+    if twins is None:
+        twins = twin_classes(g)
+    twin_bound = min(max(map(len, twins), default=1) + 1, g.n)
     tree = is_tree(g)
     unicyclic = len(g.edges) == g.n
     delta = degree_stats(g).max_degree
@@ -141,7 +154,7 @@ def chi_lower_bound(g: Graph) -> int:
             continue
         if unicyclic and k >= 3 and g.n > class_order_bound(k, "unicyclic"):
             continue
-        return k
+        return max(k, twin_bound)
     return g.n
 
 

@@ -6,12 +6,14 @@ up front so the rest of the code can assume it.  Each structural fact is
 decided in one place here: breadth-first distances (``distances``, which
 also backs the connectivity check and ``diameter``), the tree test
 (``is_tree``: a connected graph is a tree exactly when it has n-1 edges,
-and has one cycle exactly when it has n), the structural kind
-(``classify``), and the family parameters (``FAMILIES``).
+and has one cycle exactly when it has n), the twin classes
+(``twin_classes``), the structural kind (``classify``), and the family
+parameters (``FAMILIES``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -236,6 +238,30 @@ def distances(g: Graph, source: int) -> list[int]:
 def is_tree(g: Graph) -> bool:
     """A connected graph is a tree exactly when it has n - 1 edges."""
     return len(g.edges) == g.n - 1
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of two or more twins, each in increasing vertex order.
+
+    Twins have equal open neighbourhoods (false twins, never adjacent) or
+    equal closed ones (true twins, always adjacent).  No vertex has both
+    kinds: from N(u) = N(v) and N[u] = N[w], w is in N(u) = N(v), so v is
+    in N[w] = N[u] and u, v would be adjacent.  So the classes are
+    disjoint, and a vertex with a false twin needs no true-twin lookup.
+    One pass, keyed on the sorted ``adj`` tuples.
+    """
+    first_open: dict[tuple[int, ...], int] = {}
+    first_closed: dict[tuple[int, ...], int] = {}
+    classes: dict[int, list[int]] = {}  # first twin -> its class
+    for v, a in enumerate(g.adj):
+        u = first_open.setdefault(a, v)
+        if u == v:
+            i = bisect(a, v)
+            u = first_closed.setdefault(a[:i] + (v,) + a[i:], v)
+            if u == v:
+                continue
+        classes.setdefault(u, [u]).append(v)
+    return list(classes.values())
 
 
 def classify(g: Graph) -> str:

@@ -1,18 +1,20 @@
 """Exact search oracle for the neighbor-locating chromatic number.
 
 Complete backtracking over vertex color assignments in a fixed order
-with four prunes: properness, per-class capacity derived from the
+with five prunes: properness, per-class capacity derived from the
 color-degree ceilings, signature clashes among vertices whose whole
-neighborhood is colored, and color-symmetry breaking (of the unused colors
-a vertex may take only the lowest).  The order is breadth-first from the
-highest-degree vertex, lowest index on ties, and visits each vertex's
-neighbours by descending degree, then index; so every vertex after the
-first has a colored neighbour, and signatures close soon after their
-vertex is colored.  The per-depth work is scheduled once per instance,
-signatures and the colors a vertex may not take are color bitmasks, each
-class keeps headroom counters for its capacity, and the search is one loop
-over the depth with its state in per-depth lists (see ``_search``), so it
-has no recursion and no depth limit.  The search is deliberately simple
+neighborhood is colored, color-symmetry breaking (of the unused colors a
+vertex may take only the lowest), and twin order (of two twins, vertices
+with equal open or closed neighbourhoods, the later in the order takes the
+higher color).  The order is breadth-first from the highest-degree vertex,
+lowest index on ties, and visits each vertex's neighbours by descending
+degree, then index; so every vertex after the first has a colored
+neighbour, and signatures close soon after their vertex is colored.  The
+per-depth work is scheduled once per graph, signatures and the colors a
+vertex may not take are color bitmasks, each class keeps headroom counters
+for its capacity, and the search is one loop over the depth with its state
+in per-depth lists (see ``_search``), so it has no recursion and no depth
+limit.  The search is deliberately simple
 and fully exhaustive: it is the independent check the constructions are
 measured against, so completeness beats speed.  It is also sequential and
 deterministic: the same graph and options always give the same witness and
@@ -30,7 +32,7 @@ from math import comb
 
 from .bounds import chi_lower_bound
 from .coloring import Coloring, is_nl_coloring
-from .graphs import Graph
+from .graphs import Graph, twin_classes
 
 
 @dataclass(frozen=True)
@@ -93,27 +95,13 @@ class _OutOfTime(TimeoutError):
 CHECK_EVERY = 4096  # nodes between two deadline checks
 
 
-def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
-    """Colors (indexed by vertex) of the first NL-coloring of g with at most
-    k colors in search order, or None once the search is exhausted.
+_Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int]]
 
-    The vertex order is breadth-first from the highest-degree vertex (lowest
-    index on ties), visiting each vertex's neighbours by descending degree,
-    then index (``_search_order``).  It is fixed, so everything that depends
-    only on the depth is scheduled first: ``earlier[d]``, the neighbours of
-    ``order[d]`` colored before it (the properness check), ``final_at[d]``,
-    the vertices whose closed neighbourhood is complete once ``order[d]`` is
-    colored (the signature check), and ``span[d]``, the capacity counters
-    ``order[d]`` counts against.  A signature is the OR of ``bits`` over a
-    neighbourhood, where ``bits[v] = 1 << color`` and 0 while v is uncolored.
-    One loop then walks the depths.  Per depth it keeps the colors its
-    earlier neighbours hold (``forbidden``, set when the depth is entered),
-    the color last tried, the highest color allowed (one above the highest
-    used at the depths before, at most k, which breaks the symmetry between
-    unused colors) and the (table, signature) entries added.  Each color
-    tried is one node, failures included, and the nodes are added to
-    ``budget.nodes``.
-    """
+
+def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
+    """What ``_search`` does at each depth, whatever k is: (order, earlier,
+    final_at, twin).  ``twins`` is ``twin_classes(g)``, computed here unless
+    the caller has it."""
     n, adj = g.n, g.adj
     order = _search_order(g)
     pos = [0] * n
@@ -123,6 +111,61 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
     final_at: list[list[int]] = [[] for _ in range(n)]
     for w in range(n):
         final_at[max([pos[w]] + [pos[u] for u in adj[w]])].append(w)
+    twin = [n] * n  # n: no earlier twin, and colors[n] stays 0
+    for members in twin_classes(g) if twins is None else twins:
+        members = sorted(members, key=pos.__getitem__)
+        for u, w in zip(members, members[1:]):
+            twin[pos[w]] = u
+    return order, earlier, final_at, twin
+
+
+def _search(g: Graph, k: int, budget: _Budget,
+            schedule: _Schedule | None = None) -> tuple[int, ...] | None:
+    """Colors (indexed by vertex) of the first NL-coloring of g with at most
+    k colors in search order, or None once the search is exhausted.
+
+    The vertex order is breadth-first from the highest-degree vertex (lowest
+    index on ties), visiting each vertex's neighbours by descending degree,
+    then index (``_search_order``).  It is fixed, so everything that depends
+    only on the depth is scheduled first, once per graph (``_schedule``,
+    built here unless the caller has it): ``earlier[d]``, the neighbours of
+    ``order[d]`` colored before it (the properness check), ``final_at[d]``,
+    the vertices whose closed neighbourhood is complete once ``order[d]`` is
+    colored (the signature check), and ``twin[d]``, the twin of ``order[d]``
+    last before it in the order (the twin check).  ``span[d]``, the
+    capacity counters ``order[d]`` counts against, depends on k and is set
+    up here.  A signature is the OR of ``bits`` over a neighbourhood, where
+    ``bits[v] = 1 << color`` and 0 while v is uncolored.  One loop then
+    walks the depths.  Per depth it keeps the colors its earlier neighbours
+    hold (``forbidden``, set when the depth is entered), the color last
+    tried (which starts at the color of ``twin[d]`` when the depth is
+    entered, so that a twin takes a higher color than the twin before it),
+    the highest color allowed (one above the highest used at the depths
+    before, at most k, which breaks the symmetry between unused colors) and
+    the (table, signature) entries added.  Each color tried is one node,
+    failures included, and the nodes are added to ``budget.nodes``.
+
+    The two symmetry prunes keep the search complete, and they leave its
+    first answer unchanged: each only drops colorings that are not the
+    least, in search order, of their class under color permutations and
+    graph automorphisms (a lex-leader constraint: Crawford, Ginsberg, Luks
+    and Roy, KR 1996), and the search meets the colorings in that order.
+    Take c, the least NL-coloring with at most k colors.  Renaming colors
+    maps NL-colorings to NL-colorings, so c opens colors in increasing
+    order: a color higher than one above those used before could be
+    swapped with that one for a smaller coloring.  Twins (equal open or
+    closed neighbourhoods) take distinct colors: false twins of one color
+    would have equal signatures, and true twins are adjacent.  Swapping two
+    twins is an automorphism, so it maps c to an NL-coloring too; if an
+    earlier twin u had a higher color than a later twin w, the swap would
+    be smaller than c at u and equal before it.  Both rules hold for c at
+    once, so using both cuts nothing that the search returns.  No vertex
+    has both a false and a true twin (``twin_classes``), so the twins form
+    disjoint classes and the chain of one pointer per depth orders each
+    class completely.
+    """
+    order, earlier, final_at, twin = schedule or _schedule(g)
+    n, adj = g.n, g.adj
     # capacity: a class may hold at most sum_{j<=D} C(k-1, j) vertices whose
     # color-degree ceiling min(deg, k-1) is at most D.  room[c][D-1] is what
     # class c has left of that.  A vertex of ceiling D counts against slot
@@ -135,7 +178,7 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
     span = [range(max(1, min(g.degree(v), k - 1)) - 1, len(capacity)) for v in order]
     room = [capacity[:] for _ in range(k + 1)]
     tables: list[set[int]] = [set() for _ in range(k + 1)]
-    colors = [0] * n
+    colors = [0] * (n + 1)
     bits = [0] * n
     forbidden = [0] * n
     tried = [0] * n
@@ -156,7 +199,6 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
                 colors[v] = bits[v] = 0
             color = tried[depth] + 1
             if color > limit[depth]:
-                tried[depth] = 0
                 depth -= 1
                 continue
             tried[depth] = color
@@ -185,9 +227,10 @@ def _search(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
                 added[depth].append((table, sig))
             else:
                 if depth + 1 == n:
-                    return tuple(colors)
+                    return tuple(colors[:n])
                 depth += 1
                 limit[depth] = min(k, max(limit[depth - 1], color + 1))
+                tried[depth] = colors[twin[depth]]
                 mask = 0
                 for u in earlier[depth]:
                     mask |= bits[u]
@@ -242,17 +285,22 @@ def chi_nl_exact(g: Graph, options: SolveOptions | None = None) -> SolveResult:
     The Exact status carries a verified witness with exactly chi colors and
     the implicit infeasibility certificate for chi-1 (the exhausted search).
     A max-k cap or time budget yields CappedOut / TimedOut with whatever was
-    learned.
+    learned.  The twin classes are found once, for the lower bound and the
+    search schedule, and the one schedule serves every k tried.
     """
     opts = options or SolveOptions()
     budget = _Budget(opts.time_budget)
-    lower = chi_lower_bound(g)
+    twins = twin_classes(g)
+    lower = chi_lower_bound(g, twins)
+    schedule = _schedule(g, twins)
     top = g.n if opts.max_k is None else min(opts.max_k, g.n)
     k = lower
     try:
         while k <= top:
-            feasible, witness = exists_nl_coloring(g, k, opts, budget)
-            if feasible:
+            budget.check()
+            found = _search(g, k, budget, schedule)
+            if found is not None:
+                witness = Coloring(max(found), found)
                 verdict = is_nl_coloring(g, witness)
                 if not verdict.ok:  # cross-check against the independent verifier
                     raise RuntimeError(f"search produced an invalid witness: {verdict}")

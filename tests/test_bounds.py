@@ -21,6 +21,7 @@ from nlcoloring import (
     family_graph,
     max_order,
     tree_max_degree,
+    twin_classes,
 )
 from nlcoloring.bounds import bracket
 
@@ -84,8 +85,18 @@ def test_chi_lower_bound_examples():
     assert chi_lower_bound(family_graph(FamilySpec.path(9))) == 3
     assert chi_lower_bound(family_graph(FamilySpec.path(2))) == 2
     assert chi_lower_bound(Graph(1, [])) == 1
-    # a tree of order 119 needs at least 7 colors (tree bound at 6 is 118)
-    assert chi_lower_bound(family_graph(FamilySpec.star(119))) == 7
+    # a tree of order 119 needs at least 7 colors (tree bound at 6 is 118):
+    # the spider with 59 legs of length 2, which has no twins and whose
+    # maximum degree 59 lets no degree-bounded order bound apply
+    spider = Graph(119, [(0, i) for i in range(1, 60)] + [(i, i + 59) for i in range(1, 60)])
+    assert twin_classes(spider) == []
+    assert chi_lower_bound(spider) == 7
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 119])
+def test_chi_lower_bound_of_a_star_is_its_order(n):
+    # the n - 1 leaves are false twins: the twin bound proves the true value
+    assert chi_lower_bound(family_graph(FamilySpec.star(n))) == n
 
 
 def test_chi_closed_form_paths_cycles():

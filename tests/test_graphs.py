@@ -18,12 +18,14 @@ from nlcoloring import (
     a2,
     classify,
     class_order_bound,
+    connected_graphs,
     degree_stats,
     diameter,
     distances,
     ell,
     family_graph,
     is_tree,
+    twin_classes,
 )
 
 
@@ -132,6 +134,30 @@ def test_distances_from_a_source():
     assert distances(spider, 0) == [0, 1, 2, 1, 2, 1, 2]
     assert distances(spider, 2) == [2, 1, 0, 3, 4, 3, 4]
     assert distances(family_graph(FamilySpec.cycle(6)), 4) == [2, 3, 2, 1, 0, 1]
+
+
+def test_twin_classes_examples():
+    assert twin_classes(Graph(1, [])) == []
+    assert twin_classes(family_graph(FamilySpec.path(2))) == [[0, 1]]  # true twins
+    assert twin_classes(family_graph(FamilySpec.path(5))) == []
+    assert twin_classes(family_graph(FamilySpec.star(5))) == [[0, 1, 2, 3]]
+    assert twin_classes(family_graph(FamilySpec.cycle(4))) == [[0, 2], [1, 3]]
+    assert twin_classes(family_graph(FamilySpec.wheel(4))) == [[0, 1, 2, 3]]  # K4
+    # K4 without the edge 0-1: 0 and 1 are false twins, 2 and 3 true twins
+    assert twin_classes(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])) == [[0, 1], [2, 3]]
+
+
+def test_twin_classes_match_the_pairwise_definition():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            closed = [set(a) | {v} for v, a in enumerate(g.adj)]
+            expected = []
+            for v in range(n):
+                twins = [u for u in range(n)
+                         if set(g.adj[u]) == set(g.adj[v]) or closed[u] == closed[v]]
+                if len(twins) > 1 and twins[0] == v:
+                    expected.append(twins)
+            assert sorted(twin_classes(g)) == expected, g.sorted_edges()
 
 
 def test_degree_stats_cycle():

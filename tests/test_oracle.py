@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from nlcoloring import (
     Coloring,
+    FamilySpec,
     Graph,
     chi_lower_bound,
     chi_nl_exact,
     connected_graphs,
     enumerate_trees,
     exists_nl_coloring,
+    family_graph,
     is_nl_coloring,
 )
 from nlcoloring.solver import _search_order
@@ -104,6 +106,55 @@ def test_search_order_is_connected(universe, n):
             assert set(g.adj[order[d]]) & set(order[:d]), (g.sorted_edges(), order)
 
 
+def _spider(legs: tuple[int, ...]) -> Graph:
+    """A centre (vertex 0) with one path of each given length hanging off it."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Graph(n, edges)
+
+
+def _complete(n: int, missing: tuple[tuple[int, int], ...] = ()) -> Graph:
+    return Graph(n, [(u, v) for v in range(n) for u in range(v) if (u, v) not in missing])
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def _friendship(blades: int) -> Graph:
+    """Triangles sharing vertex 0; the two other corners of each are true twins."""
+    return Graph(2 * blades + 1, [e for i in range(1, 2 * blades, 2)
+                                  for e in ((0, i), (0, i + 1), (i, i + 1))])
+
+
+# graphs whose twins are the point: every vertex but a few has a twin, so
+# the twin prune and the twin bound decide most of each search.  Leaves on
+# one vertex are false twins, and so is each pair of K_n minus a perfect
+# matching; K_n, K_n minus an edge and the friendship graphs have true twins.
+TWIN_RICH = [
+    *(pytest.param(family_graph(FamilySpec.star(n)), id=f"star-{n}") for n in range(3, 10)),
+    *(pytest.param(family_graph(FamilySpec.double_star(r, s)), id=f"double-star-{r}-{s}")
+      for s in range(1, 7) for r in range(1, s + 1) if 5 <= r + s + 2 <= 9),
+    *(pytest.param(_complete_bipartite(a, b), id=f"K{a},{b}")
+      for b in range(1, 8) for a in range(1, b + 1) if a + b <= 8),
+    *(pytest.param(_spider(legs), id="spider-" + "".join(map(str, legs)))
+      for legs in [(1, 1, 2), (1, 1, 1, 2), (1, 1, 2, 2), (2, 2, 2), (1, 1, 1, 1, 2),
+                   (1, 1, 1, 3), (2, 2, 3), (1, 2, 2, 2), (2, 2, 2, 2)]),
+    *(pytest.param(_complete(n), id=f"K{n}") for n in range(1, 9)),
+    *(pytest.param(_complete(n, tuple((i, i + 1) for i in range(0, n, 2))),
+                   id=f"K{n}-perfect-matching") for n in (4, 6, 8)),
+    *(pytest.param(_complete(n, ((0, 1),)), id=f"K{n}-edge") for n in range(3, 9)),
+    *(pytest.param(_friendship(b), id=f"friendship-{b}") for b in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("g", TWIN_RICH)
+def test_solver_matches_oracle_on_twin_rich_graphs(g):
+    _check_against_oracle(g)
+
+
 @st.composite
 def _connected_graphs(draw, max_n: int = 8) -> Graph:
     n = draw(st.integers(1, max_n))
@@ -118,3 +169,17 @@ def _connected_graphs(draw, max_n: int = 8) -> Graph:
 @given(_connected_graphs())
 def test_solver_matches_oracle_on_connected_graphs(g):
     _check_against_oracle(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_chi_and_witness_survive_relabelling(data):
+    # the search order, and with it which twin of a class comes first,
+    # depends on the labels; the value must not, so a prune that cuts a
+    # coloring it should keep shows here as a moved chi
+    g = data.draw(_connected_graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.sorted_edges()])
+    result = chi_nl_exact(h)
+    assert (result.chi, result.status) == (chi_nl_exact(g).chi, "Exact"), g.sorted_edges()
+    assert is_nl_coloring(h, result.witness).ok

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import networkx as nx
 import pytest
 
@@ -67,6 +70,27 @@ def test_delta_sweep_summary_at_11():
                                        "7": 8, "8": 8, "9": 9, "10": 9, "11": 10}
     assert report["holds"] and not report["counterexamples"]
     assert len(report["instances"]) == sum(TREE_COUNTS[:11])
+
+
+def test_delta_sweep_summary_at_the_enumeration_cap():
+    # order 12 is TREE_ENUM_CAP, the largest order the delta sweep takes
+    report = conjecture_sweep("delta", 12)
+    assert report["maxDeltaByChi"] == {"1": 0, "2": 1, "3": 4, "4": 7, "5": 7, "6": 8,
+                                       "7": 8, "8": 9, "9": 9, "10": 10, "11": 10,
+                                       "12": 11}
+    assert report["holds"] and not report["counterexamples"]
+    assert len(report["instances"]) == sum(TREE_COUNTS)
+
+
+@pytest.mark.parametrize("which,max_n,digest", [
+    ("delta", 10, "339928d27c70723462722fb3e7904aa1135ccb42bc91dc7d07aaf1d8c022c3c5"),
+    ("diameter", 6, "318597e5d7df8fea8498ebc7f2c4ad624594fb77c55fdc86e0238bc152aeb345"),
+])
+def test_sweep_reports_match_pinned_digest(which, max_n, digest):
+    # every exact value in the report, as `nlc sweep --report` writes it; a
+    # prune that cuts a coloring it must not shows here as a moved chi
+    text = json.dumps(conjecture_sweep(which, max_n), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_diameter_sweep_small():

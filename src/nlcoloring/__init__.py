@@ -20,10 +20,8 @@ from .bounds import (
     tree_max_degree,
 )
 from .coloring import (
-    ClassAudit,
     Coloring,
     NLVerdict,
-    class_capacity_ok,
     color_degree,
     extremal_audit,
     is_1_paired,
@@ -33,7 +31,6 @@ from .coloring import (
 from .construct import (
     ColoredGraph,
     ConstructionError,
-    InsertionSite,
     base_small_coloring,
     caterpillar_extremal,
     comb_coloring,
@@ -41,8 +38,6 @@ from .construct import (
     cycle_coloring,
     generic_tree_coloring,
     one_paired_cycle_coloring,
-    op1_insert,
-    op2_insert,
     path_coloring,
     unicyclic_extremal,
 )

@@ -148,7 +148,7 @@ def _cmd_color(args) -> int:
             if not is_tree(g):
                 raise CliError("only tree input is supported for --graph coloring")
             cg = construct.generic_tree_coloring(g)
-    except (ValueError, construct.ConstructionError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     if args.dot:
         _write_text(args.dot, formats.graph_to_dot(cg.graph, cg.coloring))

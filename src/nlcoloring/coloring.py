@@ -8,7 +8,6 @@ the checks live in :func:`is_nl_coloring`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .graphs import Graph
 
@@ -124,18 +123,8 @@ class ClassCensus:
     by_color_degree: dict[int, int] = field(hash=False)
 
 
-@dataclass(frozen=True)
-class ClassAudit:
-    """Per-color census of class sizes and color-degree distributions."""
-
-    per_color: tuple[ClassCensus, ...]
-
-    def census(self, color: int) -> ClassCensus:
-        return self.per_color[color - 1]
-
-
-def extremal_audit(g: Graph, c: Coloring) -> ClassAudit:
-    """Full per-class census of a verified NL-coloring.
+def extremal_audit(g: Graph, c: Coloring) -> tuple[ClassCensus, ...]:
+    """Full per-class census of a verified NL-coloring, one entry per color 1..k.
 
     Callers compare the result against the extremal expectations, e.g. on a
     max-order cycle every class has size C(k,2) with k-1 vertices of
@@ -150,18 +139,4 @@ def extremal_audit(g: Graph, c: Coloring) -> ClassAudit:
         for v in members:
             dist[cd[v]] = dist.get(cd[v], 0) + 1
         out.append(ClassCensus(color=color, size=len(members), by_color_degree=dist))
-    return ClassAudit(tuple(out))
-
-
-def class_capacity_ok(g: Graph, c: Coloring) -> bool:
-    """Fast necessary condition: within any class, at most C(k-1, j) vertices
-    may have color-degree j.  Violations rule out neighbor-location outright."""
-    _check_match(g, c)
-    counts: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        j = color_degree(g, c, v)
-        key = (c.colors[v], j)
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > comb(c.k - 1, j):
-            return False
-    return True
+    return tuple(out)

@@ -8,9 +8,10 @@ the universal-vertex lift, the comb coloring, the extremal unicyclic graph
 and caterpillar, and the generic coloring of trees of order at least 5.
 
 The pipeline runs its chain of insertions in one loop over a plain color
-list, without recursion or caching, and verifies nothing on the way.  Every
-constructor verifies its own output once before returning; a failure raises
-ConstructionError instead of shipping a bad coloring.
+list, without recursion or caching; each insertion checks only its own
+preconditions.  Every constructor verifies its own output once before
+returning; a failure raises ConstructionError instead of shipping a bad
+coloring.
 """
 
 from __future__ import annotations
@@ -100,115 +101,52 @@ def base_small_coloring(spec: FamilySpec) -> ColoredGraph:
 
 
 # ---------------------------------------------------------------------------
-# insertion operations on canonically labeled colored cycles
-
-OP1 = "OP1"
-OP2 = "OP2"
-
-
-@dataclass(frozen=True)
-class InsertionSite:
-    """Where and how to insert on a colored cycle.
-
-    ``edge`` is a vertex pair of the cycle, ``colors`` the endpoint colors
-    (i, j).  OP1 additionally carries the color ``h`` of the single vertex
-    inserted between a color-degree-1 pair; OP2 inserts two vertices colored
-    j and i between a color-degree-2 pair.
-    """
-
-    edge: tuple[int, int]
-    kind: str
-    colors: tuple[int, int]
-    h: int | None = None
-
-
-def _is_canonical_cycle(g: Graph) -> bool:
-    n = g.n
-    if n < 3 or len(g.edges) != n:
-        return False
-    want = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
-    return g.edges == frozenset(want)
-
-
-def _edge_position(g: Graph, edge: tuple[int, int]) -> int:
-    """Position p of a cycle edge joining positions p and (p+1) mod n."""
-    u, v = sorted(edge)
-    if v == u + 1:
-        return u
-    if u == 0 and v == g.n - 1:
-        return v
-    raise ValueError(f"({edge[0]},{edge[1]}) is not an edge of the cycle")
-
+# the two insertion operations, on the color list of a cycle
+#
+# Position p of the list is vertex p of the cycle, and edge p joins
+# positions p and (p+1) mod m.  Both operations check their preconditions in
+# O(1), splice the list in place and return their trace entry; a broken
+# precondition raises ConstructionError and leaves the list as it was.
 
 def _seq_color_degree(seq: Sequence[int], p: int) -> int:
     m = len(seq)
     return 1 if seq[p - 1] == seq[(p + 1) % m] else 2
 
 
-def _splice(seq: tuple[int, ...], p: int, inserted: list[int]) -> tuple[int, ...]:
-    return seq[: p + 1] + tuple(inserted) + seq[p + 1 :]
+def _op1(seq: list[int], p: int, h: int) -> str:
+    """OP1: insert one vertex colored h on edge p.
 
-
-def op1_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
-    """Insert one vertex colored h between two adjacent color-degree-1 vertices.
-
-    The endpoints must carry distinct colors i, j and h must avoid both.
-    Their color-degrees rise to 2, the new vertex has color-degree 2, and no
-    other vertex's signature changes.  The result is re-verified.
+    The endpoints must carry distinct colors i, j and both have
+    color-degree 1, and h must avoid i and j.  Their color-degrees rise to
+    2, the new vertex has color-degree 2, and no other vertex's signature
+    changes.
     """
-    if site.kind != OP1:
-        raise ValueError("op1_insert requires an OP1 site")
-    if not _is_canonical_cycle(cg.graph):
-        raise ValueError("insertion operations require a canonically labeled cycle")
-    seq = cg.coloring.colors
-    p = _edge_position(cg.graph, site.edge)
     q = (p + 1) % len(seq)
     i, j = seq[p], seq[q]
-    if i == j or {i, j} != set(site.colors):
-        raise ValueError(f"site colors {site.colors} do not match endpoints ({i},{j})")
-    if _seq_color_degree(seq, p) != 1 or _seq_color_degree(seq, q) != 1:
-        raise ValueError("OP1 endpoints must both have color-degree 1")
-    h = site.h
-    if h is None or h in (i, j):
-        raise ValueError(f"OP1 color h must exist and avoid the endpoint colors ({i},{j})")
-    if not 1 <= h <= cg.k + 1:
-        raise ValueError(f"OP1 color h={h} out of range (k={cg.k})")
-    new_seq = _splice(seq, p, [h])
-    return _colored("cycle", new_seq, cg.provenance + (f"op1(h={h},edge={p})",))
+    if (i == j or h in (i, j)
+            or _seq_color_degree(seq, p) != 1 or _seq_color_degree(seq, q) != 1):
+        raise ConstructionError(f"OP1 with h={h} needs distinct color-degree-1 endpoints "
+                                f"colored other than h; edge {p} joins colors ({i},{j})")
+    seq.insert(p + 1, h)
+    return f"op1(h={h},edge={p})"
 
 
-def op2_insert(cg: ColoredGraph, site: InsertionSite) -> ColoredGraph:
-    """Insert two adjacent vertices colored j, i between color-degree-2
-    endpoints colored i, j.
+def _op2(seq: list[int], p: int) -> str:
+    """OP2: insert two adjacent vertices colored j, i on edge p, whose
+    endpoints carry distinct colors i, j and both have color-degree 2.
 
-    Endpoint signatures are preserved; the new vertices form an adjacent
-    color-degree-1 pair.  Rejected when some vertex already carries the
-    signature one of the new vertices would get (in particular when the
-    color pair {i, j} is already realized by a color-degree-1 pair).
+    Endpoint signatures are preserved and the new vertices form an adjacent
+    color-degree-1 pair.  The result is neighbor-locating exactly when the
+    input is and no vertex colored i sees only j, nor one colored j only i;
+    the pipeline inserts each color pair once.
     """
-    if site.kind != OP2:
-        raise ValueError("op2_insert requires an OP2 site")
-    if not _is_canonical_cycle(cg.graph):
-        raise ValueError("insertion operations require a canonically labeled cycle")
-    seq = cg.coloring.colors
-    p = _edge_position(cg.graph, site.edge)
     q = (p + 1) % len(seq)
     i, j = seq[p], seq[q]
-    if i == j or {i, j} != set(site.colors):
-        raise ValueError(f"site colors {site.colors} do not match endpoints ({i},{j})")
-    if _seq_color_degree(seq, p) != 2 or _seq_color_degree(seq, q) != 2:
-        raise ValueError("OP2 endpoints must both have color-degree 2")
-    m = len(seq)
-    for t in range(m):
-        sig = {seq[t - 1], seq[(t + 1) % m]}
-        if (seq[t] == j and sig == {i}) or (seq[t] == i and sig == {j}):
-            raise ValueError(
-                f"color pair ({min(i, j)},{max(i, j)}) is already realized by a "
-                f"color-degree-1 vertex; inserting it again would clash"
-            )
-    new_seq = _splice(seq, p, [j, i])
-    return _colored("cycle", new_seq,
-                    cg.provenance + (f"op2({min(i,j)},{max(i,j)},edge={p})",))
+    if i == j or _seq_color_degree(seq, p) != 2 or _seq_color_degree(seq, q) != 2:
+        raise ConstructionError(f"OP2 needs distinct color-degree-2 endpoints; "
+                                f"edge {p} joins colors ({i},{j})")
+    seq[p + 1 : p + 1] = [j, i]
+    return f"op2({min(i, j)},{max(i, j)},edge={p})"
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +192,9 @@ def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]
     lays down the run 1,2,1,2,3,2,3 needed at full order.  Every level below
     k runs to its full order ell(k'); level k stops at n.
 
-    The insertions edit one color list in place and nothing is verified
-    here: callers check that (k, n) is reachable and certify what they
-    build from the sequence.
+    The insertions edit one color list in place and check only their own
+    preconditions: callers check that (k, n) is reachable and certify what
+    they build from the sequence.
     """
     seq = list(_CYCLE_BASES[9])
     trace = [f"base({FamilySpec.cycle(9).label()})"]
@@ -266,9 +204,7 @@ def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]
         odd = target > a2k and (target - a2k) % 2 == 1
         phase1_end = a2k - 1 if odd else min(target, a2k)
         for pair in _lex_pairs(level - 1)[: phase1_end - len(seq)]:
-            p = _find_cd_pair_edge(seq, pair, cd=1)
-            seq.insert(p + 1, level)
-            trace.append(f"op1(h={level},edge={p})")
+            trace.append(_op1(seq, _find_cd_pair_edge(seq, pair, cd=1), level))
         if odd:
             skipped = {level - 2, level - 1}  # pair whose color-degree-1 vertices survive
             pairs = [pr for pr in _lex_pairs(level) if set(pr) != skipped]
@@ -276,15 +212,12 @@ def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]
             pairs = [(1, 2), (2, 3)] + [pr for pr in _lex_pairs(level)
                                         if set(pr) not in ({1, 2}, {2, 3})]
         for step, pair in enumerate(pairs[: (target - len(seq)) // 2]):
-            m = len(seq)
             if odd or step >= 2:
                 p = _find_cd_pair_edge(seq, pair, cd=2)
             else:  # {1,2}, then {2,3}, on the edges at the designated vertex
                 u = _designated_vertex(seq)
-                p = (u - 1) % m if seq[u - 1] == (1 if step == 0 else 3) else u
-            i, j = seq[p], seq[(p + 1) % m]
-            seq[p + 1 : p + 1] = [j, i]
-            trace.append(f"op2({min(i, j)},{max(i, j)},edge={p})")
+                p = (u - 1) % len(seq) if seq[u - 1] == (1 if step == 0 else 3) else u
+            trace.append(_op2(seq, p))
     return tuple(seq), tuple(trace)
 
 

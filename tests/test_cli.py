@@ -340,6 +340,17 @@ def test_chi_exact_internal_fault_exits_3(monkeypatch, tmp_path, capsys):
     assert "Traceback" in err and "invalid witness" in err
 
 
+def test_color_construction_fault_exits_3(monkeypatch, capsys):
+    # a build that fails its own verification is a fault, not a usage error
+    def fault(n):
+        raise nlcoloring.construct.ConstructionError("self-verification failed")
+
+    monkeypatch.setattr(nlcoloring.construct, "cycle_coloring", fault)
+    code, out, err = run(capsys, "color", "--family", "cycle", "--n", "30")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "self-verification failed" in err
+
+
 @pytest.mark.parametrize("graph,certificate", [
     ('{"n":2,"edges":[[0,1]]}', '{"n":2,"k":2,"colors":[1.9,"2"]}'),
     ('{"n":2,"edges":[[0.7,"1"]]}', '{"n":2,"k":2,"colors":[1,2]}'),

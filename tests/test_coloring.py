@@ -25,6 +25,7 @@ from nlcoloring import (
     neighbor_signature,
     one_paired_cycle_coloring,
 )
+from nlcoloring.construct import _op1
 
 C9 = base_small_coloring(FamilySpec.cycle(9))
 
@@ -118,14 +119,12 @@ def test_is_1_paired():
 
 
 def test_op1_step_keeps_1_paired():
-    from nlcoloring import InsertionSite, op1_insert
-
-    seq = C9.coloring.colors
+    seq = list(C9.coloring.colors)
     p = next(i for i in range(9) if seq[i] == 2 and seq[(i + 1) % 9] == 1)
-    site = InsertionSite(edge=(p, p + 1), kind="OP1", colors=(2, 1), h=4)
-    c10 = op1_insert(C9, site)
-    assert c10.graph.n == 10
-    assert is_1_paired(c10.graph, c10.coloring)
+    _op1(seq, p, 4)
+    g, c = family_graph(FamilySpec.cycle(10)), Coloring(4, tuple(seq))
+    assert is_nl_coloring(g, c).ok
+    assert is_1_paired(g, c)
 
 
 def test_extremal_audit_rejects_non_nl():
@@ -135,34 +134,32 @@ def test_extremal_audit_rejects_non_nl():
 
 
 def test_extremal_audit_cycle9():
-    audit = extremal_audit(C9.graph, C9.coloring)
-    for census in audit.per_color:
+    for census in extremal_audit(C9.graph, C9.coloring):
         assert census.size == comb(3, 2)
 
 
 def test_audit_c24():
     cg = one_paired_cycle_coloring(4, 24)
-    audit = extremal_audit(cg.graph, cg.coloring)
-    for census in audit.per_color:
+    for census in extremal_audit(cg.graph, cg.coloring):
         assert census.size == 6
         assert census.by_color_degree == {1: 3, 2: 3}
 
 
 def test_audit_c12_no_color_degree_one():
     cg = one_paired_cycle_coloring(4, 12)
-    audit = extremal_audit(cg.graph, cg.coloring)
-    for census in audit.per_color:
+    for census in extremal_audit(cg.graph, cg.coloring):
         assert census.by_color_degree.get(1, 0) == 0
 
 
 def test_class_capacity_check():
-    from nlcoloring import class_capacity_ok
-
-    assert class_capacity_ok(C9.graph, C9.coloring)
+    # within a class, at most C(k-1, j) vertices have color-degree j ...
+    for census in extremal_audit(C9.graph, C9.coloring):
+        assert all(count <= comb(2, j) for j, count in census.by_color_degree.items())
+    # ... and exceeding it forces a clash: three same-colored leaves of
+    # color-degree 1 against the C(2,1) cap
     star = family_graph(FamilySpec.star(7))
-    # three same-colored leaves of color-degree 1 exceed the C(2,1) cap
     bad = Coloring(3, (1, 1, 1, 2, 2, 2, 3))
-    assert not class_capacity_ok(star, bad)
+    assert is_nl_coloring(star, bad).reason == "DuplicateSignature"
 
 
 @given(st.permutations(range(1, 4)), st.sampled_from([3, 5, 7, 9]))
@@ -179,8 +176,7 @@ def test_class_capacity_property(n):
     # within any class, at most C(k-1, j) vertices of color-degree j
     cg = cycle_coloring(n)
     g, c = cg.graph, cg.coloring
-    audit = extremal_audit(g, c)
-    for census in audit.per_color:
+    for census in extremal_audit(g, c):
         for j, count in census.by_color_degree.items():
             assert count <= comb(c.k - 1, j)
 

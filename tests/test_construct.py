@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlcoloring import (
+    Coloring,
+    ConstructionError,
     FamilySpec,
     Graph,
-    InsertionSite,
     a2,
     base_small_coloring,
     caterpillar_extremal,
@@ -32,14 +33,15 @@ from nlcoloring import (
     is_nl_coloring,
     neighbor_signature,
     one_paired_cycle_coloring,
-    op1_insert,
-    op2_insert,
     path_coloring,
     unicyclic_extremal,
 )
 from nlcoloring.construct import (
     _comb_spine_index,
     _first_distance4_pair,
+    _op1,
+    _op2,
+    _seq_color_degree,
     _splice_signature_table,
     comb_signature_table,
 )
@@ -91,73 +93,94 @@ def test_base_rejects_out_of_range():
 
 
 # -- insertion operations ----------------------------------------------------
+#
+# The pipeline's own _op1/_op2, driven on color lists from the stored order-9
+# base; every result is certified by is_nl_coloring.
 
-def _cd1_pair_edge(cg, colors_wanted):
-    seq = cg.coloring.colors
-    n = len(seq)
-    for p in range(n):
-        q = (p + 1) % n
-        if {seq[p], seq[q]} == colors_wanted:
-            if (color_degree(cg.graph, cg.coloring, p) == 1
-                    and color_degree(cg.graph, cg.coloring, q) == 1):
-                return p, q
-    raise AssertionError("pair not found")
+C9 = list(base_small_coloring(FamilySpec.cycle(9)).coloring.colors)
+
+
+def _cycle_verdict(seq):
+    return is_nl_coloring(family_graph(FamilySpec.cycle(len(seq))),
+                          Coloring(max(seq), tuple(seq)))
+
+
+def _cd_edges(seq, cd):
+    """Edges p whose endpoints have distinct colors and both color-degree cd."""
+    m = len(seq)
+    return [p for p in range(m)
+            if seq[p] != seq[(p + 1) % m]
+            and _seq_color_degree(seq, p) == cd == _seq_color_degree(seq, (p + 1) % m)]
+
+
+def _c12():
+    """C9 grown by OP1 (h = 4) at each of its color-degree-1 pairs."""
+    seq = list(C9)
+    for p in reversed(_cd_edges(C9, 1)):  # right to left keeps lower positions valid
+        _op1(seq, p, 4)
+    return seq
 
 
 def test_op1_on_cycle9():
-    cg = base_small_coloring(FamilySpec.cycle(9))
-    p, q = _cd1_pair_edge(cg, {1, 2})
-    out = op1_insert(cg, InsertionSite(edge=(p, q), kind="OP1", colors=(2, 1), h=4))
-    assert out.graph.n == 10 and out.k == 4
-    assert is_nl_coloring(out.graph, out.coloring).ok
+    eligible = _cd_edges(C9, 1)
+    assert [{C9[p], C9[p + 1]} for p in eligible] == [{1, 2}, {2, 3}, {1, 3}]
+    for p in eligible:
+        seq = list(C9)
+        assert _op1(seq, p, 4) == f"op1(h=4,edge={p})"
+        assert seq == C9[: p + 1] + [4] + C9[p + 1 :]
+        assert _cycle_verdict(seq).ok
 
 
 def test_op1_three_times_removes_all_color_degree_one():
-    cg = base_small_coloring(FamilySpec.cycle(9))
-    for pair in ({1, 2}, {1, 3}, {2, 3}):
-        p, q = _cd1_pair_edge(cg, pair)
-        cg = op1_insert(cg, InsertionSite(edge=(p, q), kind="OP1",
-                                          colors=tuple(sorted(pair)), h=4))
-    assert cg.graph.n == 12
-    assert _cd_count(cg, 1) == 0
+    seq = _c12()
+    assert len(seq) == 12 and _cycle_verdict(seq).ok
+    assert all(_seq_color_degree(seq, p) == 2 for p in range(12))
+    assert tuple(seq) == one_paired_cycle_coloring(4, 12).coloring.colors
 
 
 def test_op1_rejects_bad_h():
-    cg = base_small_coloring(FamilySpec.cycle(9))
-    p, q = _cd1_pair_edge(cg, {1, 2})
-    with pytest.raises(ValueError):
-        op1_insert(cg, InsertionSite(edge=(p, q), kind="OP1", colors=(2, 1), h=1))
+    for h in (1, 2):  # edge 1 joins colors 2 and 1
+        seq = list(C9)
+        with pytest.raises(ConstructionError, match="OP1"):
+            _op1(seq, 1, h)
+        assert seq == C9
+
+
+def test_op1_rejects_color_degree_two_endpoint():
+    for p in (0, 2):  # edge 0 starts, edge 2 ends at a color-degree-2 vertex
+        seq = list(C9)
+        with pytest.raises(ConstructionError, match="OP1"):
+            _op1(seq, p, 4)
+        assert seq == C9
+
+
+def _cd2_edge_colored_12(seq):
+    return next(p for p in _cd_edges(seq, 2) if {seq[p], seq[(p + 1) % len(seq)]} == {1, 2})
 
 
 def test_op2_on_a2_cycle():
-    cg = one_paired_cycle_coloring(4, 12)
-    seq = cg.coloring.colors
-    p = next(t for t in range(12) if {seq[t], seq[(t + 1) % 12]} == {1, 2})
-    out = op2_insert(cg, InsertionSite(edge=(p, (p + 1) % 12), kind="OP2", colors=(1, 2)))
-    assert out.graph.n == 14
-    assert _cd_count(out, 1) == 2  # exactly one adjacent color-degree-1 pair
+    seq = _c12()
+    p = _cd2_edge_colored_12(seq)
+    assert _op2(seq, p) == f"op2(1,2,edge={p})"
+    assert len(seq) == 14 and _cycle_verdict(seq).ok
+    # exactly one adjacent color-degree-1 pair, the inserted one
+    assert [t for t in range(14) if _seq_color_degree(seq, t) == 1] == [p + 1, p + 2]
 
 
 def test_op2_rejects_realized_pair():
-    cg = one_paired_cycle_coloring(4, 14)  # one insertion already done (pair {1,2})
-    seq = cg.coloring.colors
-    n = len(seq)
-    eligible = next(
-        t for t in range(n)
-        if {seq[t], seq[(t + 1) % n]} == {1, 2}
-        and color_degree(cg.graph, cg.coloring, t) == 2
-        and color_degree(cg.graph, cg.coloring, (t + 1) % n) == 2
-    )
-    q = (eligible + 1) % n
-    with pytest.raises(ValueError):
-        op2_insert(cg, InsertionSite(edge=(eligible, q), kind="OP2", colors=(1, 2)))
+    # OP2 checks its endpoints only; a second {1,2} insertion clashes with the first
+    seq = _c12()
+    _op2(seq, _cd2_edge_colored_12(seq))
+    _op2(seq, _cd2_edge_colored_12(seq))
+    assert _cycle_verdict(seq).reason == "DuplicateSignature"
 
 
-def test_ops_require_matching_kind():
-    cg = base_small_coloring(FamilySpec.cycle(9))
-    p, q = _cd1_pair_edge(cg, {1, 2})
-    with pytest.raises(ValueError):
-        op2_insert(cg, InsertionSite(edge=(p, q), kind="OP1", colors=(2, 1), h=4))
+def test_op2_rejects_color_degree_one_pair():
+    for p in _cd_edges(C9, 1):
+        seq = list(C9)
+        with pytest.raises(ConstructionError, match="OP2"):
+            _op2(seq, p)
+        assert seq == C9
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -240,6 +263,21 @@ def test_pipeline_sequences_match_pinned_digest():
             colors = build(n).coloring.colors
             digest.update(f"{family} {n} {' '.join(map(str, colors))}\n".encode())
     assert digest.hexdigest() == PIPELINE_DIGEST
+
+
+# sha256 over one "<family> <n> <trace>" line per build, cycle then path, for
+# orders 10..400, the trace being the provenance steps joined by " -> ";
+# recorded from the version whose insertion steps were spliced inline
+PROVENANCE_DIGEST = "8e7ab649f5d423035f37fe8aff2c1a4ce38e7373504945dccf61a16d528c9b96"
+
+
+def test_pipeline_traces_match_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(10, 401):
+        for family, build in (("cycle", cycle_coloring), ("path", path_coloring)):
+            trace = " -> ".join(build(n).provenance)
+            digest.update(f"{family} {n} {trace}\n".encode())
+    assert digest.hexdigest() == PROVENANCE_DIGEST
 
 
 # -- cones ---------------------------------------------------------------------

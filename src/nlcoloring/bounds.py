@@ -10,8 +10,8 @@ instances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graphs import FamilySpec, Graph, degree_stats, is_tree, twin_classes
 
@@ -74,8 +74,7 @@ def tree_max_degree(k: int) -> int:
     return (k - 1) ** 2 + (k - 1) // 2
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """All applicable order bounds for a color count k (and optional degree cap)."""
 
     k: int

@@ -6,6 +6,10 @@ byte-identical payloads.  Exit codes: 0 success, 1 computation succeeded
 with a negative verdict (failed verification, infeasible within caps,
 conjecture violated), 2 usage or input errors, 3 internal fault (the
 traceback goes to stderr).
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those: ``--version`` loads none of them and only ``sweep``
+loads networkx.
 """
 
 from __future__ import annotations
@@ -16,15 +20,20 @@ import os
 import sys
 
 from . import __version__
-from . import bounds as bounds_mod
-from . import construct, formats, solver, sweeps
-from .coloring import is_nl_coloring
-from .graphs import FAMILIES, FamilySpec, GraphError, family_graph, is_tree
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .construct import ColoredGraph
+    from .graphs import FamilySpec
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_FAULT = 3
+
+# the largest k whose bounds report prints: generalMaxOrder = k(2^(k-1) - 1)
+# then has 4300 digits, the default cap on converting an int to a string
+BOUNDS_MAX_K = 14271
 
 
 class CliError(Exception):
@@ -40,12 +49,12 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
 
 
@@ -63,6 +72,9 @@ def read_graph(path: str):
     Graph JSON starts with ``{`` (after any whitespace) and an edge list
     cannot, so the content tells the two formats apart.
     """
+    from . import formats
+    from .graphs import GraphError
+
     text = _read_text(path)
     try:
         if text.lstrip().startswith("{"):
@@ -73,6 +85,8 @@ def read_graph(path: str):
 
 
 def _family_spec(args) -> FamilySpec:
+    from .graphs import FAMILIES, FamilySpec
+
     if args.family is None:
         raise CliError(f"{args.command} needs --family")
     fam = args.family.lower().replace("_", "-")
@@ -90,7 +104,10 @@ def _family_spec(args) -> FamilySpec:
         raise CliError(str(exc))
 
 
-def _colored_graph_for(spec: FamilySpec) -> construct.ColoredGraph:
+def _colored_graph_for(spec: FamilySpec) -> ColoredGraph:
+    from . import construct
+    from .graphs import family_graph
+
     fam = spec.family
     if fam == "path":
         return construct.path_coloring(spec.args[0])
@@ -116,8 +133,10 @@ def _colored_graph_for(spec: FamilySpec) -> construct.ColoredGraph:
     raise CliError(f"no construction for family {fam!r}")
 
 
-def write_certificate(cg: construct.ColoredGraph) -> dict:
+def write_certificate(cg: ColoredGraph) -> dict:
     """Graph plus certificate payload for a self-verified colored graph."""
+    from . import formats
+
     return {
         "graph": formats.graph_to_dict(cg.graph),
         "certificate": formats.certificate_to_dict(cg.coloring),
@@ -128,6 +147,9 @@ def write_certificate(cg: construct.ColoredGraph) -> dict:
 # subcommands
 
 def _cmd_gen(args) -> int:
+    from . import formats
+    from .graphs import family_graph
+
     spec = _family_spec(args)
     try:
         g = family_graph(spec)
@@ -138,6 +160,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from . import construct, formats
+    from .graphs import is_tree
+
     if (args.family is None) == (args.graph is None):
         raise CliError("color needs exactly one of --family or --graph")
     try:
@@ -157,6 +182,9 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import formats
+    from .coloring import is_nl_coloring
+
     g = read_graph(args.graph)
     try:
         cert = formats.certificate_from_json(_read_text(args.certificate))
@@ -187,6 +215,8 @@ def _budget(args) -> float | None:
 
 
 def _cmd_chi(args) -> int:
+    from . import bounds
+
     if (args.family is None) == (args.graph is None):
         raise CliError("chi needs exactly one of --family or --graph")
     if args.family is not None:
@@ -194,15 +224,17 @@ def _cmd_chi(args) -> int:
             raise CliError("--exact applies to --graph input; family values are closed-form")
         spec = _family_spec(args)
         try:
-            value = bounds_mod.chi_closed_form(spec)
+            value = bounds.chi_closed_form(spec)
         except ValueError as exc:
             raise CliError(str(exc))
         _emit({"chi": value}, args.pretty)
         return EXIT_OK
     g = read_graph(args.graph)
     if not args.exact:
-        _emit({"chiLowerBound": bounds_mod.chi_lower_bound(g)}, args.pretty)
+        _emit({"chiLowerBound": bounds.chi_lower_bound(g)}, args.pretty)
         return EXIT_OK
+    from . import solver
+
     try:  # SolveOptions rejects a cap below 1 and a negative or nan budget
         options = solver.SolveOptions(max_k=args.max_k, time_budget=_budget(args))
     except ValueError as exc:
@@ -213,8 +245,13 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
+    if args.k > BOUNDS_MAX_K:  # before 2^(k-1) is built
+        raise CliError(f"--k must be at most {BOUNDS_MAX_K}: above it generalMaxOrder "
+                       f"k(2^(k-1) - 1) has too many digits to print")
     try:
-        report = bounds_mod.bounds_report(args.k, args.delta)
+        report = bounds.bounds_report(args.k, args.delta)
     except ValueError as exc:
         raise CliError(str(exc))
     payload = report.to_dict()
@@ -229,6 +266,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import solver, sweeps
+
     try:
         options = solver.SolveOptions(time_budget=_budget(args))
         report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options,
@@ -243,6 +282,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import formats
+
     g = read_graph(args.input)
     if args.to == "json":
         text = json.dumps(formats.graph_to_dict(g), indent=2) + "\n"
@@ -298,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
 
     p = sub.add_parser("bounds", help="print the bounds report for a color count")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True,
+                   help=f"color count, 3 to {BOUNDS_MAX_K}")
     p.add_argument("--delta", type=int, help="degree cap (at most k-1)")
     p.add_argument("--class", dest="graph_class",
                    choices=["tree", "unicyclic", "general"],

@@ -7,7 +7,7 @@ the checks live in :func:`is_nl_coloring`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -15,20 +15,24 @@ NOT_PROPER = "NotProper"
 DUPLICATE_SIGNATURE = "DuplicateSignature"
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Assignment of colors 1..k to vertices 0..n-1, every color used."""
-
+class _Coloring(NamedTuple):
     k: int
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.k < 1:
+
+class Coloring(_Coloring):
+    """Assignment of colors 1..k to vertices 0..n-1, every color used."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, colors: tuple[int, ...]):
+        if k < 1:
             raise ValueError("k must be positive")
-        if any(not (1 <= c <= self.k) for c in self.colors):
+        if any(not (1 <= c <= k) for c in colors):
             raise ValueError("colors must lie in 1..k")
-        if len(set(self.colors)) != self.k:
+        if len(set(colors)) != k:
             raise ValueError("every color 1..k must be used by some vertex")
+        return super().__new__(cls, k, colors)
 
     @property
     def n(self) -> int:
@@ -38,8 +42,7 @@ class Coloring:
         return tuple(v for v, c in enumerate(self.colors) if c == color)
 
 
-@dataclass(frozen=True)
-class NLVerdict:
+class NLVerdict(NamedTuple):
     """Outcome of neighbor-locating verification.
 
     ``ok`` is True exactly when there is no failure; otherwise ``reason`` is
@@ -116,11 +119,10 @@ def is_1_paired(g: Graph, c: Coloring) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ClassCensus:
+class ClassCensus(NamedTuple):
     color: int
     size: int
-    by_color_degree: dict[int, int] = field(hash=False)
+    by_color_degree: dict[int, int]
 
 
 def extremal_audit(g: Graph, c: Coloring) -> tuple[ClassCensus, ...]:

@@ -17,8 +17,8 @@ coloring.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bounds import a2, bracket, ell
 from .coloring import Coloring, is_nl_coloring, neighbor_signature
@@ -29,8 +29,7 @@ class ConstructionError(RuntimeError):
     """A construction produced something that failed self-verification."""
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple):
     """A graph together with a verified NL-coloring and its construction trace."""
 
     graph: Graph

@@ -14,7 +14,6 @@ parameters (``FAMILIES``).
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -102,8 +101,12 @@ FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., bool]]] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpec(NamedTuple):
+    family: str
+    args: tuple[int, ...]
+
+
+class FamilySpec(_FamilySpec):
     """A named graph-family instance, e.g. cycle of order 24.
 
     ``args`` holds the family parameters named in ``FAMILIES``: (n,) for
@@ -111,15 +114,15 @@ class FamilySpec:
     for unicyclic/caterpillar; the table's range check is applied here.
     """
 
-    family: str
-    args: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        params, in_range = FAMILIES[self.family]
-        if len(self.args) != len(params) or not in_range(*self.args):
-            raise ValueError(f"parameters {self.args} out of range for family {self.family!r}")
+    def __new__(cls, family: str, args: tuple[int, ...]):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        params, in_range = FAMILIES[family]
+        if len(args) != len(params) or not in_range(*args):
+            raise ValueError(f"parameters {args} out of range for family {family!r}")
+        return super().__new__(cls, family, args)
 
     # convenience constructors -- keep call sites readable
     @staticmethod

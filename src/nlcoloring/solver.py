@@ -26,29 +26,33 @@ its independent instances in worker processes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from math import comb
+from typing import NamedTuple
 
 from .bounds import chi_lower_bound
 from .coloring import Coloring, is_nl_coloring
 from .graphs import Graph, twin_classes
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class _SolveOptions(NamedTuple):
+    max_k: int | None
+    time_budget: float | None
+
+
+class SolveOptions(_SolveOptions):
     """Caps on one solve: the largest color count tried (at least 1) and a
     wall-clock budget in seconds (at least 0); None means no cap."""
 
-    max_k: int | None = None
-    time_budget: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_k is not None and self.max_k < 1:
-            raise ValueError(f"max_k must be at least 1, got {self.max_k}")
-        if self.time_budget is not None and not self.time_budget >= 0:  # also rejects nan
+    def __new__(cls, max_k: int | None = None, time_budget: float | None = None):
+        if max_k is not None and max_k < 1:
+            raise ValueError(f"max_k must be at least 1, got {max_k}")
+        if time_budget is not None and not time_budget >= 0:  # also rejects nan
             raise ValueError(f"time budget must be a number of seconds >= 0, "
-                             f"got {self.time_budget}")
+                             f"got {time_budget}")
+        return super().__new__(cls, max_k, time_budget)
 
 
 EXACT = "Exact"
@@ -56,8 +60,7 @@ CAPPED_OUT = "CappedOut"
 TIMED_OUT = "TimedOut"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     chi: int | None
     witness: Coloring | None
     status: str

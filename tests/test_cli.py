@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import nlcoloring
+from nlcoloring import cli
 from nlcoloring.cli import main
 
 
@@ -204,6 +205,36 @@ def test_bounds_payload(capsys):
 def test_bounds_rejects_large_delta(capsys):
     code, _, err = run(capsys, "bounds", "--k", "4", "--delta", "4")
     assert code == 2
+
+
+def test_bounds_k_up_to_the_cap_prints(capsys):
+    code, out, err = run(capsys, "bounds", "--k", str(cli.BOUNDS_MAX_K))
+    assert code == 0, err
+    general = json.loads(out)["generalMaxOrder"]
+    assert general == cli.BOUNDS_MAX_K * (2 ** (cli.BOUNDS_MAX_K - 1) - 1)
+
+
+@pytest.mark.parametrize("k", [cli.BOUNDS_MAX_K + 1, 10 ** 8], ids=["cap+1", "1e8"])
+def test_bounds_k_above_the_cap_is_a_usage_error(k, capsys):
+    # rejected before 2^(k-1) is built, so 10^8 is as quick as cap + 1
+    code, out, err = run(capsys, "bounds", "--k", str(k))
+    assert (code, out) == (2, "")
+    assert f"--k must be at most {cli.BOUNDS_MAX_K}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--graph", "{bad}", "--certificate", "{good}"],
+    ["verify", "--graph", "{good}", "--certificate", "{bad}"],
+    ["export", "--input", "{bad}", "--to", "dot"],
+], ids=["graph", "certificate", "export-input"])
+def test_file_that_is_not_utf8_is_a_usage_error(argv, tmp_path, capsys):
+    good = tmp_path / "p3.json"
+    good.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n":3\xff}')
+    code, out, err = run(capsys, *(a.format(good=good, bad=bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert f"cannot read {bad}" in err and "Traceback" not in err
 
 
 def test_export_roundtrip(tmp_path, capsys):

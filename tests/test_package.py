@@ -1,0 +1,156 @@
+"""The package surface: lazy exports, what each nlc process imports, and the
+records (immutable, validating, picklable named tuples)."""
+
+from __future__ import annotations
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nlcoloring
+from nlcoloring import Coloring, FamilySpec, SolveOptions, chi_nl_exact, cycle_coloring
+
+SRC = str(Path(nlcoloring.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=SRC)
+
+# every name the package exported when it imported all its modules up front
+EXPORTS = """
+BoundsReport a1 a2 bounds_report chi_closed_form chi_lower_bound class_order_bound ell
+max_order tree_max_degree
+Coloring NLVerdict color_degree extremal_audit is_1_paired is_nl_coloring
+neighbor_signature
+ColoredGraph ConstructionError base_small_coloring caterpillar_extremal comb_coloring
+cone_coloring cycle_coloring generic_tree_coloring one_paired_cycle_coloring
+path_coloring unicyclic_extremal
+DegreeStats FamilySpec Graph GraphError classify degree_stats diameter distances
+family_graph is_tree twin_classes
+SolveOptions SolveResult chi_nl_exact exists_nl_coloring
+conjecture_sweep connected_graphs enumerate_trees
+""".split()
+
+
+def test_every_export_resolves_in_a_fresh_interpreter():
+    assert len(EXPORTS) == 46
+    code = ("import nlcoloring, sys, json\n"
+            f"names = {EXPORTS!r}\n"
+            "missing = [n for n in names if not hasattr(nlcoloring, n)]\n"
+            "mods = [m for m in ('sweeps', 'solver', 'construct')\n"
+            "        if getattr(nlcoloring, m) is not sys.modules['nlcoloring.' + m]]\n"
+            "print(json.dumps([missing, mods, nlcoloring.__version__]))\n")
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=ENV, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == [[], [], "0.1.0"]
+
+
+def test_export_comes_from_its_module():
+    from nlcoloring import solver
+
+    assert nlcoloring.chi_nl_exact is solver.chi_nl_exact
+    assert set(nlcoloring.__all__) == {"__version__", *EXPORTS}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        nlcoloring.frobnicate  # noqa: B018
+    with pytest.raises(ImportError):
+        from nlcoloring import frobnicate  # noqa: F401
+
+
+# runs the CLI as ``python -m nlcoloring.cli`` does, then lists sys.modules
+# (``-X importtime`` would miss ``from . import module`` imports)
+LIST_MODULES = """
+import runpy, sys
+sys.argv[0] = "nlc"
+try:
+    runpy.run_module("nlcoloring.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)))
+"""
+
+
+def _loaded(tmp_path, *argv) -> set[str]:
+    """Modules one nlc process imported."""
+    proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], capture_output=True,
+                          text=True, env=ENV, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.rsplit("modules: ", 1)[1].split())
+
+
+def _graph_and_certificate(tmp_path) -> tuple[str, str]:
+    cg = cycle_coloring(9)
+    graph, cert = tmp_path / "g.json", tmp_path / "c.json"
+    graph.write_text(json.dumps({"n": cg.graph.n, "edges": cg.graph.sorted_edges()}))
+    cert.write_text(json.dumps({"n": cg.graph.n, "k": cg.k,
+                                "colors": list(cg.coloring.colors)}))
+    return str(graph), str(cert)
+
+
+@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "color"])
+def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
+    graph, cert = _graph_and_certificate(tmp_path)
+    argv = {"--version": ["--version"],
+            "verify": ["verify", "--graph", graph, "--certificate", cert],
+            "chi --exact": ["chi", "--graph", graph, "--exact"],
+            "color": ["color", "--family", "cycle", "--n", "9"]}[command]
+    loaded = _loaded(tmp_path, *argv)
+    ours = {m for m in loaded if m.startswith("nlcoloring.")}
+    assert not loaded & {"dataclasses", "inspect", "networkx"}
+    if command == "--version":
+        assert not ours
+    elif command == "verify":
+        assert ours == {"nlcoloring.graphs", "nlcoloring.coloring", "nlcoloring.formats"}
+    elif command == "chi --exact":
+        assert "nlcoloring.solver" in ours
+        assert not ours & {"nlcoloring.construct", "nlcoloring.sweeps"}
+    else:
+        assert "nlcoloring.construct" in ours
+        assert not ours & {"nlcoloring.solver", "nlcoloring.sweeps"}
+
+
+def test_sweep_imports_networkx(tmp_path):
+    loaded = _loaded(tmp_path, "sweep", "--conjecture", "delta", "--max-n", "4")
+    assert {"networkx", "nlcoloring.sweeps"} <= loaded
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SolveOptions(max_k=0), "max_k must be at least 1, got 0"),
+    (lambda: SolveOptions(time_budget=float("nan")),
+     "time budget must be a number of seconds >= 0, got nan"),
+    (lambda: FamilySpec("cycle", (2,)), "parameters \\(2,\\) out of range for family 'cycle'"),
+    (lambda: FamilySpec("hypercube", (3,)), "unknown family 'hypercube'"),
+    (lambda: Coloring(0, ()), "k must be positive"),
+    (lambda: Coloring(2, (1, 3)), "colors must lie in 1..k"),
+    (lambda: Coloring(3, (1, 2, 2)), "every color 1..k must be used by some vertex"),
+], ids=["max-k", "budget", "range", "family", "k", "color-range", "unused-color"])
+def test_validating_records_reject_bad_values(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_records_refuse_attribute_assignment():
+    cg = cycle_coloring(6)
+    records = [SolveOptions(), FamilySpec.cycle(6), Coloring(2, (1, 2)), cg,
+               chi_nl_exact(cg.graph), nlcoloring.bounds_report(4),
+               nlcoloring.is_nl_coloring(cg.graph, cg.coloring),
+               nlcoloring.extremal_audit(cg.graph, cg.coloring)[0]]
+    for record in records:
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_records_survive_pickling():
+    # spawned --parallel sweep workers receive and return these
+    records = [SolveOptions(max_k=5, time_budget=1.5), FamilySpec.double_star(2, 3),
+               Coloring(2, (1, 2, 1)), chi_nl_exact(cycle_coloring(7).graph)]
+    for record in records:
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record

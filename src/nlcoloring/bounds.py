@@ -10,7 +10,6 @@ instances).
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 from .graphs import FamilySpec, Graph, degree_stats, is_tree, twin_classes
@@ -43,7 +42,7 @@ def max_order(k: int, max_degree: int | None = None) -> int:
     """Largest possible order of a graph with NL-chromatic number k.
 
     Without a degree cap this is k(2^(k-1) - 1).  With max_degree <= k-1
-    supplied, the sharper value k * sum_{j<=max_degree} C(k-1, j) applies;
+    supplied, the sharper value k * sum_{1<=j<=max_degree} C(k-1, j) applies;
     larger degree caps are rejected because the sharper formula does not
     cover them.
     """
@@ -55,7 +54,11 @@ def max_order(k: int, max_degree: int | None = None) -> int:
     if max_degree > k - 1:
         raise ValueError(f"degree-bounded formula requires max_degree <= k-1 "
                          f"(got degree {max_degree} with k={k})")
-    return k * sum(comb(k - 1, j) for j in range(1, max_degree + 1))
+    total, term = 0, 1
+    for j in range(max_degree):  # C(k-1, j+1) = C(k-1, j) (k-1-j) / (j+1), exactly
+        term = term * (k - 1 - j) // (j + 1)
+        total += term
+    return k * total
 
 
 def class_order_bound(k: int, kind: str) -> int:

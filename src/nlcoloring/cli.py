@@ -270,8 +270,7 @@ def _cmd_sweep(args) -> int:
 
     try:
         options = solver.SolveOptions(time_budget=_budget(args))
-        report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options,
-                                         parallel=args.parallel)
+        report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options)
     except (ValueError, sweeps.SweepBudgetExhausted) as exc:
         raise CliError(str(exc))
     if args.report:
@@ -350,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjecture", required=True, choices=["delta", "diameter"])
     p.add_argument("--max-n", type=int, dest="max_n", required=True)
     p.add_argument("--report", help="write the full per-instance report here")
-    p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--parallel", action="store_true",
-                   help="solve the instances in worker processes (same report)")
+    p.add_argument("--budget", type=float,
+                   help="wall-clock budget in seconds per instance")
 
     p = sub.add_parser("export", help="convert graph formats")
     p.add_argument("--input", required=True, help="graph file, '-' for stdin")

@@ -26,8 +26,9 @@ class Graph:
 
     Vertices are 0..n-1.  Edges are stored as a frozenset of (u, v) pairs
     with u < v; an adjacency table (tuple of sorted neighbor tuples) is
-    precomputed.  Instances pickle, so they can be sent to worker
-    processes; unpickling rebuilds and re-validates the graph.
+    precomputed.  ``__reduce__`` rebuilds and re-validates the graph from
+    its order and edges; without it ``pickle.loads`` and ``copy.deepcopy``
+    would fail, because an instance refuses attribute assignment.
     """
 
     __slots__ = ("n", "edges", "adj")

@@ -18,9 +18,7 @@ limit.  The search is deliberately simple
 and fully exhaustive: it is the independent check the constructions are
 measured against, so completeness beats speed.  It is also sequential and
 deterministic: the same graph and options always give the same witness and
-node count.  The only parallelism is one level up, where a sweep may solve
-its independent instances in worker processes
-(``conjecture_sweep(..., parallel=True)``).
+node count.
 """
 
 from __future__ import annotations
@@ -270,7 +268,9 @@ def exists_nl_coloring(g: Graph, k: int,
 
     Complete search; the witness (when one exists) uses exactly the colors
     1..k' for some k' <= k and is deterministic.  Raises nothing on negative
-    instances -- the False answer is the exhausted-search certificate.
+    instances -- the False answer is the exhausted-search certificate.  Raises
+    ``TimeoutError`` when ``options.time_budget`` (or ``budget``) runs out
+    before the search has an answer, and ``ValueError`` when k < 1.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -13,7 +13,7 @@ fields it measures on a solved instance.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .bounds import chi_closed_form
 from .graphs import FamilySpec, Graph, degree_stats, diameter
@@ -87,31 +87,6 @@ class SweepBudgetExhausted(RuntimeError):
     """The solver gave up on a sweep instance, so the sweep has no verdict."""
 
 
-def _exact_values(graphs: Iterable[Graph], options: SolveOptions | None,
-                  parallel: bool) -> Iterator[tuple[Graph, int]]:
-    """Each graph with its exact value, in input order.
-
-    With ``parallel`` the independent instances are solved in spawned worker
-    processes; ``map`` keeps input order, so the report is the same.  The
-    pool is imported here because a module-level import slows every ``nlc``
-    start-up.
-    """
-    if not parallel:
-        solved = ((g, chi_nl_exact(g, options)) for g in graphs)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        graphs = list(graphs)
-        with ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(chi_nl_exact, graphs, [options] * len(graphs)))
-        solved = zip(graphs, results)
-    for g, result in solved:
-        if result.chi is None:
-            raise SweepBudgetExhausted("solver gave up inside the sweep; raise the budget")
-        yield g, result.chi
-
-
 def _delta_fields(tree: Graph, chi: int) -> dict:
     delta = degree_stats(tree).max_degree
     return {"delta": delta, "verdict": delta <= (chi - 1) ** 2}
@@ -123,16 +98,17 @@ def _diameter_fields(g: Graph, chi: int) -> dict:
     return {"diameter": d, "pathValue": floor, "verdict": chi >= floor}
 
 
-def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None,
-                     parallel: bool = False) -> dict:
+def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None) -> dict:
     """Exhaustively test one of the two conjectures on every instance of
     order at most max_n.
 
     Returns a JSON-ready report with one record per instance (canonical
     edge string, order, exact value, the measured quantity, and the
     verdict) plus the aggregate; any violating instance lands in
-    "counterexamples".  ``parallel`` solves the instances in worker
-    processes and gives the same report.
+    "counterexamples".  The instances are solved one after another, each by
+    its own ``chi_nl_exact`` call, so ``options.time_budget`` is a budget per
+    instance, not for the whole sweep.  Raises ``SweepBudgetExhausted`` when
+    the solver gives up on an instance.
     """
     if which == DELTA_CONJECTURE:
         if not 1 <= max_n <= TREE_ENUM_CAP:
@@ -146,9 +122,13 @@ def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None
         fields = _diameter_fields
     else:
         raise ValueError(f"unknown conjecture {which!r}")
-    instances = [{"canonical": ";".join(f"{u}-{v}" for u, v in g.sorted_edges()),
-                  "n": g.n, "chi": chi, **fields(g, chi)}
-                 for g, chi in _exact_values(graphs, options, parallel)]
+    instances = []
+    for g in graphs:
+        chi = chi_nl_exact(g, options).chi
+        if chi is None:
+            raise SweepBudgetExhausted("solver gave up inside the sweep; raise the budget")
+        instances.append({"canonical": ";".join(f"{u}-{v}" for u, v in g.sorted_edges()),
+                          "n": g.n, "chi": chi, **fields(g, chi)})
     counterexamples = [record for record in instances if not record["verdict"]]
     report = {"conjecture": which, "maxN": max_n, "instances": instances,
               "counterexamples": counterexamples}

@@ -204,8 +204,8 @@ def test_criterion_8_property_suites():
             if n == ell(k) - 1:
                 continue
             one_paired_cycle_coloring(k, n)  # raises on any failed insertion
-    # (c) cone law on a 30-graph corpus; (d), parallel equality, is checked
-    # on whole sweeps in test_sweeps.py and test_cli.py
+    # (c) cone law on a 30-graph corpus; (d), parallel equality, is retired
+    # together with the process-pool sweep it checked
     corpus = _cone_law_corpus()
     assert len(corpus) == 30
     for g in corpus:

@@ -46,6 +46,10 @@ def test_max_order_degree_bounded():
         max_order(5, 5)
     with pytest.raises(ValueError):
         max_order(5, 0)
+    # the running product of binomials matches math.comb for every cap
+    for k in range(2, 41):
+        for delta in range(1, k):
+            assert max_order(k, delta) == k * sum(comb(k - 1, j) for j in range(1, delta + 1))
 
 
 def test_class_order_bounds():

@@ -185,12 +185,15 @@ def test_budget_flag_overrides_env(monkeypatch, tmp_path, capsys):
     assert (payload["chi"], payload["status"]) == (4, "Exact")
 
 
-def test_chi_has_no_parallel_flag(tmp_path):
-    # --parallel belongs to sweep only; a single exact search is sequential
+@pytest.mark.parametrize("command", ["chi", "sweep"])
+def test_no_parallel_flag(command, tmp_path):
+    # exact searches and sweeps both run sequentially; the flag is a usage error
     graph_file = tmp_path / "p3.json"
     graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    argv = {"chi": ["chi", "--graph", str(graph_file), "--exact"],
+            "sweep": ["sweep", "--conjecture", "delta", "--max-n", "4"]}[command]
     with pytest.raises(SystemExit) as excinfo:
-        main(["chi", "--graph", str(graph_file), "--exact", "--parallel"])
+        main(argv + ["--parallel"])
     assert excinfo.value.code == 2
 
 
@@ -208,10 +211,16 @@ def test_bounds_rejects_large_delta(capsys):
 
 
 def test_bounds_k_up_to_the_cap_prints(capsys):
-    code, out, err = run(capsys, "bounds", "--k", str(cli.BOUNDS_MAX_K))
+    k = cli.BOUNDS_MAX_K
+    code, out, err = run(capsys, "bounds", "--k", str(k))
     assert code == 0, err
     general = json.loads(out)["generalMaxOrder"]
-    assert general == cli.BOUNDS_MAX_K * (2 ** (cli.BOUNDS_MAX_K - 1) - 1)
+    assert general == k * (2 ** (k - 1) - 1)
+    # the largest degree cap sums C(k-1, j) over 1 <= j <= k-1, which is
+    # 2^(k-1) - 1, so the degree-bounded order equals the general one
+    code, out, err = run(capsys, "bounds", "--k", str(k), "--delta", str(k - 1))
+    assert code == 0, err
+    assert json.loads(out)["degreeBoundedMaxOrder"] == general
 
 
 @pytest.mark.parametrize("k", [cli.BOUNDS_MAX_K + 1, 10 ** 8], ids=["cap+1", "1e8"])
@@ -337,17 +346,6 @@ def test_sweep_out_of_budget_is_a_usage_error(capsys):
                          "--budget", "1e-6")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_sweep_parallel_report_is_byte_identical(tmp_path, capsys):
-    written = []
-    for extra in ([], ["--parallel"]):
-        report_file = tmp_path / f"delta{len(extra)}.json"
-        code, _, _ = run(capsys, "sweep", "--conjecture", "delta", "--max-n", "8",
-                         "--report", str(report_file), *extra)
-        assert code == 0
-        written.append(report_file.read_bytes())
-    assert written[0] == written[1]
 
 
 def test_sweep_internal_fault_is_not_a_usage_error(monkeypatch, capsys):

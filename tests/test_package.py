@@ -148,7 +148,7 @@ def test_records_refuse_attribute_assignment():
 
 
 def test_records_survive_pickling():
-    # spawned --parallel sweep workers receive and return these
+    # records are named tuples, so callers can store or send them with pickle
     records = [SolveOptions(max_k=5, time_budget=1.5), FamilySpec.double_star(2, 3),
                Coloring(2, (1, 2, 1)), chi_nl_exact(cycle_coloring(7).graph)]
     for record in records:

@@ -29,6 +29,13 @@ def test_exists_examples():
         exists_nl_coloring(family_graph(FamilySpec.path(2)), 0)
 
 
+def test_exists_raises_timeout_when_the_budget_runs_out():
+    # refuting k = 4 on C23 takes over a million nodes, far past 0.01 s
+    g = family_graph(FamilySpec.cycle(23))
+    with pytest.raises(TimeoutError):
+        exists_nl_coloring(g, 4, SolveOptions(time_budget=0.01))
+
+
 def test_exact_examples():
     assert chi_nl_exact(family_graph(FamilySpec.cycle(8))).chi == 4
     assert chi_nl_exact(family_graph(FamilySpec.wheel(9))).chi == 5

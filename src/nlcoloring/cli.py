@@ -8,8 +8,9 @@ conjecture violated), 2 usage or input errors, 3 internal fault (the
 traceback goes to stderr).
 
 Each subcommand imports the modules it runs when it runs, so a process
-loads only those: ``--version`` loads none of them and only ``sweep``
-loads networkx.
+loads only those: ``--version`` loads none of them.  No subcommand loads
+networkx; the sweeps generate their trees and decode their atlas graphs
+themselves.
 """
 
 from __future__ import annotations

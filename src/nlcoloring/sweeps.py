@@ -1,18 +1,18 @@
 """Exhaustive instance enumeration and conjecture sweeps.
 
-Two supplies of instances, both from networkx: all non-isomorphic trees of
-a given order up to 12 (``nonisomorphic_trees``), and all non-isomorphic
-connected graphs of order at most 7 (the graph atlas, with the known class
-counts asserted).  One sweep loop tests either conjecture on them: the
-tree degree conjecture max_degree <= (chi-1)^2 on the trees, and the
-diameter conjecture chi(G) >= chi(P_{diam+1}) on the connected graphs.
-Each conjecture supplies only its range check, its instance stream and the
-fields it measures on a solved instance.
+Two supplies of instances: all non-isomorphic trees of a given order up to
+12, from the free-tree generator of Wright, Richmond, Odlyzko and McKay
+ported here, and all non-isomorphic connected graphs of order at most 7,
+decoded from the graph6 table of the graph atlas in ``_atlas.py`` (with
+the known class counts asserted).  One sweep loop tests either conjecture
+on them: the tree degree conjecture max_degree <= (chi-1)^2 on the trees,
+and the diameter conjecture chi(G) >= chi(P_{diam+1}) on the connected
+graphs.  Each conjecture supplies only its range check, its instance
+stream and the fields it measures on a solved instance.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .bounds import chi_closed_form
@@ -23,57 +23,116 @@ TREE_ENUM_CAP = 12
 CONNECTED_ENUM_CAP = 7
 
 # connected graphs on 1..7 vertices up to isomorphism; used to validate the
-# atlas slice before trusting it
+# atlas table before trusting it
 _CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Every isomorphism class of trees on n vertices, exactly once.
 
-    For n >= 2 the trees come from ``networkx.nonisomorphic_trees`` (the
-    constant-time free-tree generator of Wright, Richmond, Odlyzko and
-    McKay); networkx is imported here because a module-level import slows
-    every ``nlc`` start-up.
+    The constant-time free-tree generator of Wright, Richmond, Odlyzko and
+    McKay (SIAM J. Comput. 15, 1986) over level sequences: a rooted tree is
+    the list of its vertices' depths in preorder, and the trees come in the
+    order, and with the labels, of ``networkx.nonisomorphic_trees``, which
+    the tests compare against.
     """
     if not 1 <= n <= TREE_ENUM_CAP:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_ENUM_CAP}")
     if n == 1:
         yield Graph(1, [])
         return
-    import networkx as nx
+    # the path rooted at its centre
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        levels = _next_free_tree(levels)
+        yield Graph(n, _level_edges(levels))
+        levels = _next_rooted_tree(levels)
 
-    for t in nx.nonisomorphic_trees(n):
-        yield Graph(n, list(t.edges()))
+
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """The rooted tree after ``levels`` in the order of Beyer and Hedetniemi
+    (SIAM J. Comput. 9, 1980), or None after the last; ``p`` is the position
+    to advance, by default the last vertex deeper than 1."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    result = list(levels)
+    for i in range(p, len(result)):
+        result[i] = result[i - p + q]
+    return result
+
+
+def _next_free_tree(levels: list[int]) -> list[int]:
+    """``levels`` if it is the canonical rooting of its free tree, else the
+    next rooted tree that can be: the root's first subtree ("left") must be
+    no higher than the rest, no larger at equal height, and not
+    lexicographically after it at equal size."""
+    left, rest = _split(levels)
+    left_height, rest_height = max(left), max(rest)
+    if rest_height > left_height or (
+            rest_height == left_height and (len(left), left) <= (len(rest), rest)):
+        return levels
+    p = len(left)
+    result = _next_rooted_tree(levels, p)
+    if levels[p] > 2:
+        height = max(_split(result)[0])
+        result[-(height + 1):] = range(1, height + 2)
+    return result
+
+
+def _split(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, re-rooted, and the tree without it."""
+    try:
+        m = levels.index(1, 2)
+    except ValueError:
+        m = len(levels)
+    return [d - 1 for d in levels[1:m]], [0] + levels[m:]
+
+
+def _level_edges(levels: list[int]) -> list[tuple[int, int]]:
+    """The edges of the rooted tree ``levels``: each vertex hangs from the
+    latest earlier vertex one level up."""
+    latest = [0] * len(levels)
+    edges = []
+    for v in range(1, len(levels)):
+        depth = levels[v]
+        edges.append((latest[depth - 1], v))
+        latest[depth] = v
+    return edges
 
 
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n <= 7 vertices up to isomorphism.
 
-    Backed by the networkx graph atlas; the slice is validated against the
-    known class counts before use.
+    Decoded, in atlas order, from the graph6 table in ``_atlas.py``; the
+    count is checked against the known class count before use.
     """
     if not 1 <= n <= CONNECTED_ENUM_CAP:
         raise ValueError(f"connected-graph enumeration supports 1 <= n <= {CONNECTED_ENUM_CAP}")
-    return [g for g in _atlas_connected() if g.n == n]
+    from ._atlas import GRAPH6
+
+    order = chr(63 + n)
+    graphs = [_from_graph6(line) for line in GRAPH6.split() if line[0] == order]
+    if len(graphs) != _CONNECTED_COUNTS[n]:
+        raise RuntimeError(f"atlas table has {len(graphs)} connected graphs of order {n}, "
+                           f"not {_CONNECTED_COUNTS[n]}")
+    return graphs
 
 
-@lru_cache(maxsize=1)
-def _atlas_connected() -> tuple[Graph, ...]:
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
-
-    out = []
-    counts = {k: 0 for k in _CONNECTED_COUNTS}
-    for ag in graph_atlas_g():
-        n = ag.number_of_nodes()
-        if n < 1 or not nx.is_connected(ag):
-            continue
-        relabel = {v: i for i, v in enumerate(sorted(ag.nodes()))}
-        out.append(Graph(n, [(relabel[u], relabel[v]) for u, v in ag.edges()]))
-        counts[n] += 1
-    if counts != _CONNECTED_COUNTS:
-        raise RuntimeError(f"atlas slice has unexpected connected-graph counts: {counts}")
-    return tuple(out)
+def _from_graph6(line: str) -> Graph:
+    """Decode one graph6 line of order at most 62: the order as one
+    character, then the upper triangle of the adjacency matrix column by
+    column, six bits to a character, each character offset by 63."""
+    n = ord(line[0]) - 63
+    bits = [(ord(c) - 63) >> shift & 1 for c in line[1:] for shift in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +171,7 @@ def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None
     """
     if which == DELTA_CONJECTURE:
         if not 1 <= max_n <= TREE_ENUM_CAP:
-            raise ValueError(f"delta sweep supports max_n up to {TREE_ENUM_CAP}")
+            raise ValueError(f"delta sweep supports 1 <= max_n <= {TREE_ENUM_CAP}")
         graphs = (t for n in range(1, max_n + 1) for t in enumerate_trees(n))
         fields = _delta_fields
     elif which == DIAMETER_CONJECTURE:

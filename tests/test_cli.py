@@ -348,6 +348,15 @@ def test_sweep_out_of_budget_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("conjecture,max_n,message", [
+    ("delta", "0", "delta sweep supports 1 <= max_n <= 12"),
+    ("diameter", "1", "diameter sweep supports 2 <= max_n <= 7"),
+], ids=["delta-0", "diameter-1"])
+def test_sweep_order_out_of_range_is_a_usage_error(conjecture, max_n, message, capsys):
+    code, out, err = run(capsys, "sweep", "--conjecture", conjecture, "--max-n", max_n)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     def fault(g, options=None):
         raise RuntimeError("search produced an invalid witness")

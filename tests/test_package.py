@@ -91,13 +91,16 @@ def _graph_and_certificate(tmp_path) -> tuple[str, str]:
     return str(graph), str(cert)
 
 
-@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "color"])
+@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "color",
+                                     "sweep delta", "sweep diameter"])
 def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     graph, cert = _graph_and_certificate(tmp_path)
     argv = {"--version": ["--version"],
             "verify": ["verify", "--graph", graph, "--certificate", cert],
             "chi --exact": ["chi", "--graph", graph, "--exact"],
-            "color": ["color", "--family", "cycle", "--n", "9"]}[command]
+            "color": ["color", "--family", "cycle", "--n", "9"],
+            "sweep delta": ["sweep", "--conjecture", "delta", "--max-n", "4"],
+            "sweep diameter": ["sweep", "--conjecture", "diameter", "--max-n", "4"]}[command]
     loaded = _loaded(tmp_path, *argv)
     ours = {m for m in loaded if m.startswith("nlcoloring.")}
     assert not loaded & {"dataclasses", "inspect", "networkx"}
@@ -108,14 +111,13 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     elif command == "chi --exact":
         assert "nlcoloring.solver" in ours
         assert not ours & {"nlcoloring.construct", "nlcoloring.sweeps"}
-    else:
+    elif command == "color":
         assert "nlcoloring.construct" in ours
         assert not ours & {"nlcoloring.solver", "nlcoloring.sweeps"}
-
-
-def test_sweep_imports_networkx(tmp_path):
-    loaded = _loaded(tmp_path, "sweep", "--conjecture", "delta", "--max-n", "4")
-    assert {"networkx", "nlcoloring.sweeps"} <= loaded
+    else:
+        # the trees and the atlas table are the package's own, not networkx's
+        assert "nlcoloring.sweeps" in ours
+        assert ("nlcoloring._atlas" in ours) == (command == "sweep diameter")
 
 
 @pytest.mark.parametrize("make,message", [

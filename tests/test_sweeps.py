@@ -1,4 +1,5 @@
-"""Tree enumeration against independent oracles, plus small sweep runs."""
+"""Tree enumeration and the atlas table against independent oracles and the
+networkx reference, plus sweep runs."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import json
 
 import networkx as nx
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from nlcoloring import (
+    Graph,
     classify,
     conjecture_sweep,
     connected_graphs,
@@ -41,6 +44,29 @@ def test_enumerated_trees_pairwise_nonisomorphic():
         for i in range(len(trees)):
             for j in range(i + 1, len(trees)):
                 assert not nx.is_isomorphic(trees[i], trees[j]), (n, i, j)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_trees_match_networkx_in_order(n):
+    # same trees, same labels, same order: every sweep instance and report
+    # stays what it was when networkx generated the trees
+    ours = [t.sorted_edges() for t in enumerate_trees(n)]
+    reference = [Graph(n, t.edges()).sorted_edges() for t in nx.nonisomorphic_trees(n)]
+    assert ours == reference
+
+
+def test_atlas_table_matches_networkx_in_order():
+    # the graph6 table in nlcoloring/_atlas.py is the connected slice of the
+    # atlas, vertices in sorted order; its docstring gives the one-line
+    # recipe that regenerates it
+    reference = []
+    for g in graph_atlas_g()[1:]:  # [0] is the graph without vertices
+        if nx.is_connected(g):
+            label = {v: i for i, v in enumerate(sorted(g))}
+            reference.append(Graph(len(g), [(label[u], label[v]) for u, v in g.edges()]))
+    ours = [g for n in range(1, 8) for g in connected_graphs(n)]
+    assert [(g.n, g.sorted_edges()) for g in ours] == \
+        [(g.n, g.sorted_edges()) for g in reference]
 
 
 def test_enumeration_rejects_out_of_range():
@@ -85,6 +111,9 @@ def test_delta_sweep_summary_at_the_enumeration_cap():
 @pytest.mark.parametrize("which,max_n,digest", [
     ("delta", 10, "339928d27c70723462722fb3e7904aa1135ccb42bc91dc7d07aaf1d8c022c3c5"),
     ("diameter", 6, "318597e5d7df8fea8498ebc7f2c4ad624594fb77c55fdc86e0238bc152aeb345"),
+    # the enumeration caps, recorded when networkx generated the instances
+    ("delta", 12, "d17165b6a2783f81ba4be074aa317fbb0918beaa4b00eac00cabc69452939eee"),
+    ("diameter", 7, "b70979e25c4a7068556b0508beba3462030776dba2cbd42f81170c620b106e9e"),
 ])
 def test_sweep_reports_match_pinned_digest(which, max_n, digest):
     # every exact value in the report, as `nlc sweep --report` writes it; a

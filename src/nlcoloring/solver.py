@@ -10,15 +10,18 @@ higher color).  The order is breadth-first from the highest-degree vertex,
 lowest index on ties, and visits each vertex's neighbours by descending
 degree, then index; so every vertex after the first has a colored
 neighbour, and signatures close soon after their vertex is colored.  The
-per-depth work is scheduled once per graph, signatures and the colors a
-vertex may not take are color bitmasks, each class keeps headroom counters
-for its capacity, and the search is one loop over the depth with its state
-in per-depth lists (see ``_search``), so it has no recursion and no depth
-limit.  The search is deliberately simple
-and fully exhaustive: it is the independent check the constructions are
-measured against, so completeness beats speed.  It is also sequential and
-deterministic: the same graph and options always give the same witness and
-node count.
+per-depth work is scheduled once per graph, and colors, signatures and
+color sets are bitmasks.  Properness and capacity depend only on the
+colors already placed, so each depth decides them once, when the search
+enters it, as a mask of candidate colors (each class keeps headroom
+counters for its capacity, and each counter slot a mask of the classes
+with no room left in it); only the signature test runs per color.  The
+search is one loop over the depth with its state in per-depth lists (see
+``_search``), so it has no recursion and no depth limit.  The search is
+deliberately simple and fully exhaustive: it is the independent check the
+constructions are measured against, so completeness beats speed.  It is
+also sequential and deterministic: the same graph and options always give
+the same witness and node count.
 """
 
 from __future__ import annotations
@@ -135,16 +138,27 @@ def _search(g: Graph, k: int, budget: _Budget,
     colored (the signature check), and ``twin[d]``, the twin of ``order[d]``
     last before it in the order (the twin check).  ``span[d]``, the
     capacity counters ``order[d]`` counts against, depends on k and is set
-    up here.  A signature is the OR of ``bits`` over a neighbourhood, where
-    ``bits[v] = 1 << color`` and 0 while v is uncolored.  One loop then
-    walks the depths.  Per depth it keeps the colors its earlier neighbours
-    hold (``forbidden``, set when the depth is entered), the color last
-    tried (which starts at the color of ``twin[d]`` when the depth is
-    entered, so that a twin takes a higher color than the twin before it),
-    the highest color allowed (one above the highest used at the depths
-    before, at most k, which breaks the symmetry between unused colors) and
-    the (table, signature) entries added.  Each color tried is one node,
-    failures included, and the nodes are added to ``budget.nodes``.
+    up here.  Colors are bits: ``bits[v] = 1 << color``, 0 while v is
+    uncolored, and a signature is the OR of ``bits`` over a neighbourhood.
+
+    One loop then walks the depths.  When it enters a depth it decides
+    properness and capacity for every color at once, as the candidate mask
+    ``cands[d]``: the colors up to the highest allowed (one above the
+    highest used at the depths before, at most k, which breaks the symmetry
+    between unused colors), minus ``forbidden``, the colors its earlier
+    neighbours hold, minus ``full``, the classes with no room left for its
+    span.  The mask holds for the whole stay at the depth, because
+    everything deeper is undone before the depth tries its next color.  The
+    color last tried starts at the color of ``twin[d]`` (so that a twin
+    takes a higher color than the twin before it), and the next color tried
+    is the lowest candidate above it.  Only the signatures are tested per
+    color: a color whose signatures clash costs them and the rollback of
+    its (table, signature) entries, and only a color that passes books its
+    capacity and goes deeper.  Each color up to the highest allowed is one
+    node when the search passes over it, whether the candidate mask or a
+    signature clash rejected it, and the nodes are added to
+    ``budget.nodes``; the deadline is checked each time the count crosses a
+    multiple of ``CHECK_EVERY``.
 
     The two symmetry prunes keep the search complete, and they leave its
     first answer unchanged: each only drops colorings that are not the
@@ -171,71 +185,92 @@ def _search(g: Graph, k: int, budget: _Budget,
     # color-degree ceiling min(deg, k-1) is at most D.  room[c][D-1] is what
     # class c has left of that.  A vertex of ceiling D counts against slot
     # D-1 and every slot above it (its span, which runs to the end of the
-    # list), and the class is full for it when one of them is 0.  A slot of
-    # capacity n or more never blocks a vertex (at most n - 1 others share
-    # its class), so the list stops before it.
+    # list), and the class is full for it when one of them is 0.  Bit c of
+    # zero[i] is set while room[c][i] is 0, so the classes full for a vertex
+    # are the OR of zero over its span.  A slot of capacity n or more never
+    # blocks a vertex (at most n - 1 others share its class), so the list
+    # stops before it.
     sums = accumulate(comb(k - 1, d) for d in range(1, k))
     capacity = list(takewhile(lambda c: c < n, sums))
     span = [range(max(1, min(g.degree(v), k - 1)) - 1, len(capacity)) for v in order]
     room = [capacity[:] for _ in range(k + 1)]
+    zero = [0] * len(capacity)
     tables: list[set[int]] = [set() for _ in range(k + 1)]
     colors = [0] * (n + 1)
     bits = [0] * n
-    forbidden = [0] * n
+    cands = [0b10] * n  # depth 0 may take color 1 only; deeper ones are set on entry
     tried = [0] * n
     limit = [1] * n
     added: list[list[tuple[set[int], int]]] = [[] for _ in range(n)]
     nodes = 0
+    next_check = CHECK_EVERY
     depth = 0
     try:
         while depth >= 0:
             v = order[depth]
-            if colors[v]:  # undo the color tried last at this depth
-                for table, sig in added[depth]:
+            entries = added[depth]
+            color = colors[v]
+            if color:  # undo the color that led deeper
+                for table, sig in entries:
                     table.remove(sig)
-                added[depth].clear()
-                left = room[colors[v]]
+                entries.clear()
+                left = room[color]
+                bit = bits[v]
                 for i in span[depth]:
+                    if not left[i]:
+                        zero[i] ^= bit
                     left[i] += 1
+            last = tried[depth]
+            rest = cands[depth] >> (last + 1) << (last + 1)
+            closing = final_at[depth]
+            while rest:  # the lowest candidate whose signatures are all new
+                bit = rest & -rest
+                rest ^= bit
+                color = bit.bit_length() - 1
+                colors[v] = color
+                bits[v] = bit
+                for w in closing:
+                    sig = 0
+                    for u in adj[w]:
+                        sig |= bits[u]
+                    table = tables[colors[w]]
+                    if sig in table:
+                        break
+                    table.add(sig)
+                    entries.append((table, sig))
+                else:
+                    break  # every signature is new: keep this color
+                for table, sig in entries:  # a signature clashes: roll back
+                    table.remove(sig)
+                entries.clear()
+            else:  # no candidate left: pass over the colors up to the limit
+                color = limit[depth]
                 colors[v] = bits[v] = 0
-            color = tried[depth] + 1
-            if color > limit[depth]:
+            nodes += color - last
+            tried[depth] = color
+            if nodes >= next_check:
+                budget.check()
+                next_check = nodes - nodes % CHECK_EVERY + CHECK_EVERY
+            if not colors[v]:
                 depth -= 1
                 continue
-            tried[depth] = color
-            nodes += 1
-            if nodes % CHECK_EVERY == 0:
-                budget.check()
-            bit = 1 << color
-            if forbidden[depth] & bit:  # not proper
-                continue
             left = room[color]
-            slots = span[depth]
-            if 0 in left[slots.start:]:  # class full
-                continue
-            for i in slots:
+            for i in span[depth]:
                 left[i] -= 1
-            colors[v] = color
-            bits[v] = bit
-            for w in final_at[depth]:
-                sig = 0
-                for u in adj[w]:
-                    sig |= bits[u]
-                table = tables[colors[w]]
-                if sig in table:
-                    break
-                table.add(sig)
-                added[depth].append((table, sig))
-            else:
-                if depth + 1 == n:
-                    return tuple(colors[:n])
-                depth += 1
-                limit[depth] = min(k, max(limit[depth - 1], color + 1))
-                tried[depth] = colors[twin[depth]]
-                mask = 0
-                for u in earlier[depth]:
-                    mask |= bits[u]
-                forbidden[depth] = mask
+                if not left[i]:
+                    zero[i] |= bit
+            if depth + 1 == n:
+                return tuple(colors[:n])
+            depth += 1
+            top = limit[depth] = min(k, max(limit[depth - 1], color + 1))
+            tried[depth] = colors[twin[depth]]
+            forbidden = 0
+            for u in earlier[depth]:
+                forbidden |= bits[u]
+            full = 0
+            for i in span[depth]:
+                full |= zero[i]
+            cands[depth] = ((2 << top) - 2) & ~(forbidden | full)
         return None
     finally:
         budget.nodes += nodes

@@ -106,6 +106,38 @@ def test_search_order_is_connected(universe, n):
             assert set(g.adj[order[d]]) & set(order[:d]), (g.sorted_edges(), order)
 
 
+def _least_in_search_order(g: Graph, k: int) -> tuple[int, ...]:
+    """Colors (indexed by vertex) of the NL-coloring with k colors that is
+    lexicographically least when read in ``_search_order``.  Among the
+    colorings of one partition, the least names the blocks 1, 2, ... in the
+    order the search meets them; the answer is the least of these over the
+    partitions that are NL-colorings."""
+    order = _search_order(g)
+    best = None
+    for c in _partition_colorings(g, k):
+        if is_nl_coloring(g, c).ok:
+            names: dict[int, int] = {}
+            seq = tuple(names.setdefault(c.colors[v], len(names) + 1) for v in order)
+            best = seq if best is None else min(best, seq)
+    colors = [0] * g.n
+    for v, color in zip(order, best):
+        colors[v] = color
+    return tuple(colors)
+
+
+@pytest.mark.parametrize("universe,n", [
+    *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 7)),
+    *(pytest.param(enumerate_trees, n, id=str(n)) for n in (7, 8)),
+])
+def test_witness_is_least_in_search_order(universe, n):
+    # the symmetry prunes may only drop colorings that are not the least
+    # of their class, so the first answer must be the least NL-coloring
+    for g in universe(n):
+        result = chi_nl_exact(g)
+        assert result.witness.colors == _least_in_search_order(g, result.chi), \
+            g.sorted_edges()
+
+
 def _spider(legs: tuple[int, ...]) -> Graph:
     """A centre (vertex 0) with one path of each given length hanging off it."""
     edges, n = [], 1

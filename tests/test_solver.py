@@ -11,12 +11,13 @@ from nlcoloring import (
     chi_closed_form,
     chi_lower_bound,
     chi_nl_exact,
+    connected_graphs,
     enumerate_trees,
     exists_nl_coloring,
     family_graph,
     is_nl_coloring,
 )
-from nlcoloring.solver import CHECK_EVERY
+from nlcoloring.solver import CHECK_EVERY, _Budget
 
 
 def test_exists_examples():
@@ -150,6 +151,31 @@ def test_node_total_over_small_trees_is_pinned():
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(1, 12) for g in enumerate_trees(n))
     assert total == 18_995
+
+
+def test_node_total_over_small_connected_graphs_is_pinned():
+    # the diameter sweep's universe, every connected graph of order 2 to 7,
+    # where dense graphs make the properness and capacity prunes fire
+    total = sum(chi_nl_exact(g).nodes_explored
+                for n in range(2, 8) for g in connected_graphs(n))
+    assert total == 37_026
+
+
+@pytest.mark.parametrize("spec,nodes", [
+    (FamilySpec.wheel(12), 251), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 117),
+], ids=["W12", "C12", "F9"])
+def test_attempts_share_one_node_count(spec, nodes):
+    # one exists_nl_coloring per k from the lower bound up, on one budget,
+    # is the same search as chi_nl_exact: the per-k replay of the benchmark
+    # depends on that
+    g = family_graph(spec)
+    result = chi_nl_exact(g)
+    budget = _Budget(None)
+    found = [exists_nl_coloring(g, k, budget=budget)
+             for k in range(chi_lower_bound(g), result.chi + 1)]
+    assert [ok for ok, _ in found] == [False] * (len(found) - 1) + [True]
+    assert found[-1][1] == result.witness
+    assert budget.nodes == result.nodes_explored == nodes
 
 
 def test_universal_vertex_law_small():

@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(("BoundsReport", "a1", "a2", "bounds_report", "chi_closed_form",
-                     "chi_lower_bound", "class_order_bound", "ell", "max_order",
-                     "tree_max_degree"), "bounds"),
+    **dict.fromkeys(("a1", "a2", "bounds_report", "chi_closed_form", "chi_lower_bound",
+                     "class_order_bound", "ell", "max_order", "tree_max_degree"), "bounds"),
     **dict.fromkeys(("Coloring", "NLVerdict", "color_degree", "extremal_audit",
                      "is_1_paired", "is_nl_coloring", "neighbor_signature"), "coloring"),
     **dict.fromkeys(("ColoredGraph", "ConstructionError", "base_small_coloring",

@@ -10,8 +10,6 @@ instances).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .graphs import FamilySpec, Graph, degree_stats, is_tree, twin_classes
 
 
@@ -77,48 +75,23 @@ def tree_max_degree(k: int) -> int:
     return (k - 1) ** 2 + (k - 1) // 2
 
 
-class BoundsReport(NamedTuple):
-    """All applicable order bounds for a color count k (and optional degree cap)."""
-
-    k: int
-    general_max_order: int
-    degree_bounded_max_order: int | None
-    unicyclic_max_order: int
-    tree_max_order: int
-    tree_max_degree: int
-    ell: int
-    a1: int
-    a2: int
-
-    def to_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "generalMaxOrder": self.general_max_order,
-            "unicyclicMaxOrder": self.unicyclic_max_order,
-            "treeMaxOrder": self.tree_max_order,
-            "treeMaxDegree": self.tree_max_degree,
-            "ell": self.ell,
-            "a1": self.a1,
-            "a2": self.a2,
-        }
-        if self.degree_bounded_max_order is not None:
-            out["degreeBoundedMaxOrder"] = self.degree_bounded_max_order
-        return out
-
-
-def bounds_report(k: int, max_degree: int | None = None) -> BoundsReport:
+def bounds_report(k: int, max_degree: int | None = None) -> dict:
+    """Every applicable order bound for a color count k, keyed as ``nlc bounds``
+    prints them; ``degreeBoundedMaxOrder`` only when a degree cap is given."""
     _require_k(k, 3)
-    return BoundsReport(
-        k=k,
-        general_max_order=max_order(k),
-        degree_bounded_max_order=None if max_degree is None else max_order(k, max_degree),
-        unicyclic_max_order=class_order_bound(k, "unicyclic"),
-        tree_max_order=class_order_bound(k, "tree"),
-        tree_max_degree=tree_max_degree(k),
-        ell=ell(k),
-        a1=a1(k),
-        a2=a2(k),
-    )
+    out = {
+        "k": k,
+        "generalMaxOrder": max_order(k),
+        "unicyclicMaxOrder": class_order_bound(k, "unicyclic"),
+        "treeMaxOrder": class_order_bound(k, "tree"),
+        "treeMaxDegree": tree_max_degree(k),
+        "ell": ell(k),
+        "a1": a1(k),
+        "a2": a2(k),
+    }
+    if max_degree is not None:
+        out["degreeBoundedMaxOrder"] = max_order(k, max_degree)
+    return out
 
 
 def chi_lower_bound(g: Graph, twins: list[list[int]] | None = None) -> int:
@@ -164,10 +137,15 @@ def bracket(n: int) -> int:
     """The unique k >= 4 with ell(k-1) < n <= ell(k); defined for n >= 10."""
     if n < 10:
         raise ValueError("bracket lookup applies to orders of at least 10")
-    k = 4
-    while ell(k) < n:
-        k += 1
-    return k
+    # ell(k) >= k^3 / 3 > n at k = 2^(n.bit_length() // 3 + 2), so bisect below it
+    lo, hi = 4, 2 ** (n.bit_length() // 3 + 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ell(mid) < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def chi_closed_form(spec: FamilySpec) -> int:

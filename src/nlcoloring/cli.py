@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: gen, color, verify, chi, bounds, sweep, export.  Output is
-JSON on stdout with stable key order; identical invocations produce
-byte-identical payloads.  Exit codes: 0 success, 1 computation succeeded
-with a negative verdict (failed verification, infeasible within caps,
-conjecture violated), 2 usage or input errors, 3 internal fault (the
-traceback goes to stderr).
+Subcommands: gen, color, verify, chi, bounds, sweep, export.  Each prints
+one JSON document on stdout with stable key order (``export`` prints the
+format it is asked for); identical invocations produce byte-identical
+payloads.  ``chi --exact`` and ``sweep`` take a time budget from
+``--budget`` alone.  Exit codes: 0 success, 1 computation succeeded with a
+negative verdict (failed verification, infeasible within caps, conjecture
+violated), 2 usage or input errors, 3 internal fault (the traceback goes
+to stderr).
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads only those: ``--version`` loads none of them.  No subcommand loads
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 from . import __version__
@@ -41,12 +43,8 @@ class CliError(Exception):
     """Input or usage problem; message goes to stderr, exit code 2."""
 
 
-def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        for key, value in payload.items():
-            print(f"{key}: {json.dumps(value)}")
-    else:
-        print(json.dumps(payload, indent=2))
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _read_text(path: str) -> str:
@@ -120,8 +118,9 @@ def _colored_graph_for(spec: FamilySpec) -> ColoredGraph:
         return construct.cone_coloring(construct.cycle_coloring(spec.args[0] - 1))
     if fam == "comb":
         m = spec.args[0]
-        k = next((k for k in range(5, m) if k * (k - 1) == m), None)
-        if k is None:
+        root = math.isqrt(4 * m + 1)  # m = k(k-1) exactly when 4m + 1 = (2k-1)^2
+        k = (root + 1) // 2
+        if root * root != 4 * m + 1 or k < 5:
             raise CliError(f"comb coloring is available for spine sizes k(k-1) with "
                            f"k >= 5; {m} is not of that form")
         return construct.comb_coloring(k)
@@ -156,7 +155,7 @@ def _cmd_gen(args) -> int:
         g = family_graph(spec)
     except ValueError as exc:
         raise CliError(str(exc))
-    _emit(formats.graph_to_dict(g), args.pretty)
+    _emit(formats.graph_to_dict(g))
     return EXIT_OK
 
 
@@ -178,7 +177,7 @@ def _cmd_color(args) -> int:
         raise CliError(str(exc))
     if args.dot:
         _write_text(args.dot, formats.graph_to_dot(cg.graph, cg.coloring))
-    _emit(write_certificate(cg), args.pretty)
+    _emit(write_certificate(cg))
     return EXIT_OK
 
 
@@ -198,21 +197,8 @@ def _cmd_verify(args) -> int:
     if not verdict.ok:
         payload["reason"] = verdict.reason
         payload["witness"] = list(verdict.witness)
-    _emit(payload, args.pretty)
+    _emit(payload)
     return EXIT_OK if verdict.ok else EXIT_NEGATIVE
-
-
-def _budget(args) -> float | None:
-    """Seconds from --budget, else from NLC_BUDGET_SECS, else no budget."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("NLC_BUDGET_SECS")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"NLC_BUDGET_SECS must be a number, got {raw!r}")
 
 
 def _cmd_chi(args) -> int:
@@ -228,20 +214,20 @@ def _cmd_chi(args) -> int:
             value = bounds.chi_closed_form(spec)
         except ValueError as exc:
             raise CliError(str(exc))
-        _emit({"chi": value}, args.pretty)
+        _emit({"chi": value})
         return EXIT_OK
     g = read_graph(args.graph)
     if not args.exact:
-        _emit({"chiLowerBound": bounds.chi_lower_bound(g)}, args.pretty)
+        _emit({"chiLowerBound": bounds.chi_lower_bound(g)})
         return EXIT_OK
     from . import solver
 
     try:  # SolveOptions rejects a cap below 1 and a negative or nan budget
-        options = solver.SolveOptions(max_k=args.max_k, time_budget=_budget(args))
+        options = solver.SolveOptions(max_k=args.max_k, time_budget=args.budget)
     except ValueError as exc:
         raise CliError(str(exc))
     result = solver.chi_nl_exact(g, options)
-    _emit(result.to_dict(), args.pretty)
+    _emit(result.to_dict())
     return EXIT_OK if result.status == solver.EXACT else EXIT_NEGATIVE
 
 
@@ -252,17 +238,10 @@ def _cmd_bounds(args) -> int:
         raise CliError(f"--k must be at most {BOUNDS_MAX_K}: above it generalMaxOrder "
                        f"k(2^(k-1) - 1) has too many digits to print")
     try:
-        report = bounds.bounds_report(args.k, args.delta)
+        payload = bounds.bounds_report(args.k, args.delta)
     except ValueError as exc:
         raise CliError(str(exc))
-    payload = report.to_dict()
-    if args.graph_class:
-        payload["classBound"] = {
-            "general": report.general_max_order,
-            "tree": report.tree_max_order,
-            "unicyclic": report.unicyclic_max_order,
-        }[args.graph_class]
-    _emit(payload, args.pretty)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -270,14 +249,14 @@ def _cmd_sweep(args) -> int:
     from . import solver, sweeps
 
     try:
-        options = solver.SolveOptions(time_budget=_budget(args))
+        options = solver.SolveOptions(time_budget=args.budget)
         report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options)
     except (ValueError, sweeps.SweepBudgetExhausted) as exc:
         raise CliError(str(exc))
     if args.report:
         _write_text(args.report, json.dumps(report, indent=2) + "\n")
     summary = {key: report[key] for key in report if key != "instances"}
-    _emit(summary, args.pretty)
+    _emit(summary)
     return EXIT_OK if report["holds"] else EXIT_NEGATIVE
 
 
@@ -315,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Neighbor-locating colorings of "
                                                  "pseudotrees: build, verify, bound, solve.")
     parser.add_argument("--version", action="version", version=f"nlc {__version__}")
-    parser.add_argument("--pretty", action="store_true",
-                        help="key: value lines instead of a JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a family graph as JSON")
@@ -342,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True,
                    help=f"color count, 3 to {BOUNDS_MAX_K}")
     p.add_argument("--delta", type=int, help="degree cap (at most k-1)")
-    p.add_argument("--class", dest="graph_class",
-                   choices=["tree", "unicyclic", "general"],
-                   help="highlight one class bound")
 
     p = sub.add_parser("sweep", help="exhaustively test a conjecture")
     p.add_argument("--conjecture", required=True, choices=["delta", "diameter"])

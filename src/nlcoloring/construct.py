@@ -504,12 +504,11 @@ def caterpillar_extremal(k: int) -> ColoredGraph:
 
     Surgery on the extremal unicyclic graph: drop the spine vertex colored
     k-1 in group 2 together with its leaf (bridging its spine neighbors),
-    likewise the spine vertex colored 2 in group k-1; then cut the edge
-    between a degree-2 vertex colored 2 and a degree-3 vertex colored k-1
-    and hang a leaf colored k-1 off the former and a leaf colored 2 off the
-    latter.  The cut candidates are tried in lexicographic order and the
-    first one whose result verifies (including the four tabulated modified
-    signatures) is kept.
+    likewise the spine vertex colored 2 in group k-1; then cut the splice
+    edge between the ring vertex colored 2 (degree 2 after the cut) and the
+    spine head colored k-1 (degree 3), and hang a leaf colored k-1 off the
+    former and a leaf colored 2 off the latter.  The result is verified,
+    including the four tabulated modified signatures.
     """
     if k < 6:
         raise ValueError("the extremal caterpillar construction needs at least 6 colors")
@@ -532,44 +531,28 @@ def caterpillar_extremal(k: int) -> ColoredGraph:
         edges.add((min(a, b), max(a, b)))
         del colors[v], colors[leaf_of(v)]
 
-    x = spine_id(2, k - 1)
-    y = spine_id(k - 1, 2)
-    drop_with_leaf(x)
-    drop_with_leaf(y)
+    drop_with_leaf(spine_id(2, k - 1))
+    drop_with_leaf(spine_id(k - 1, 2))
 
-    degree: dict[int, int] = {v: 0 for v in colors}
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    directed = [pair for a, b in edges for pair in ((a, b), (b, a))]
-    candidates = sorted(
-        (u, v) for u, v in directed
-        if degree[u] == 2 and colors[u] == 2 and degree[v] == 3 and colors[v] == k - 1
-    )
-    watched = {spine_id(r, l): expected
-               for (r, l), expected in _splice_signature_table(k).items()}
-    for u, v in candidates:
-        cut_edges = set(edges)
-        cut_edges.discard((min(u, v), max(u, v)))
-        survivors = sorted(colors)
-        relabel = {old: new for new, old in enumerate(survivors)}
-        new_u_leaf, new_v_leaf = len(survivors), len(survivors) + 1
-        final_edges = [(relabel[a], relabel[b]) for a, b in cut_edges]
-        final_edges += [(relabel[u], new_u_leaf), (relabel[v], new_v_leaf)]
-        final_colors = tuple(colors[old] for old in survivors) + (k - 1, 2)
-        try:
-            graph = Graph(len(survivors) + 2, final_edges)
-            cg = _certified(graph, Coloring(k, final_colors),
-                            base.provenance + (f"leaf surgery(cut={u}-{v})",))
-        except (ConstructionError, ValueError):
-            continue
-        ok = all(
-            frozenset(neighbor_signature(graph, cg.coloring, relabel[w])) == expected
-            for w, expected in watched.items()
-        )
-        if ok:
-            return cg
-    raise ConstructionError("no cut edge yields a verified caterpillar")
+    head = ring_n  # comb spine vertex 0, colored k-1; its ring neighbor is colored 2
+    ring_end = next(w for w in base.graph.adj[head] if w < ring_n)
+    edges.remove((ring_end, head))
+    survivors = sorted(colors)
+    relabel = {old: new for new, old in enumerate(survivors)}
+    final_edges = [(relabel[a], relabel[b]) for a, b in edges]
+    final_edges += [(relabel[ring_end], len(survivors)), (relabel[head], len(survivors) + 1)]
+    final_colors = tuple(colors[old] for old in survivors) + (k - 1, 2)
+    graph = Graph(len(survivors) + 2, final_edges)
+    cg = _certified(graph, Coloring(k, final_colors),
+                    base.provenance + (f"leaf surgery(cut={ring_end}-{head})",))
+    for (r, l), expected in _splice_signature_table(k).items():
+        actual = frozenset(neighbor_signature(graph, cg.coloring, relabel[spine_id(r, l)]))
+        if actual != expected:
+            raise ConstructionError(
+                f"caterpillar signature mismatch at group {r}, color {l}: "
+                f"built {sorted(actual)}, expected {sorted(expected)}"
+            )
+    return cg
 
 
 # ---------------------------------------------------------------------------

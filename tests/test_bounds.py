@@ -68,11 +68,11 @@ def test_tree_max_degree_floors_half_integers():
 
 def test_bounds_report_shape():
     report = bounds_report(5, 2)
-    assert report.tree_max_order == report.unicyclic_max_order - 2
-    assert report.ell == report.a1 + report.a2
-    data = report.to_dict()
-    assert data["degreeBoundedMaxOrder"] == 50
-    assert "degreeBoundedMaxOrder" not in bounds_report(5).to_dict()
+    assert report["treeMaxOrder"] == report["unicyclicMaxOrder"] - 2
+    assert report["ell"] == report["a1"] + report["a2"]
+    assert report["degreeBoundedMaxOrder"] == 50
+    assert list(report)[-1] == "degreeBoundedMaxOrder"
+    assert "degreeBoundedMaxOrder" not in bounds_report(5)
 
 
 @given(st.integers(3, 12))
@@ -131,6 +131,26 @@ def test_bracket_is_total_and_monotone():
         assert ell(k - 1) < n <= ell(k)
         assert k >= prev
         prev = k
+
+
+def _bracket_by_walk(n):
+    k = 4
+    while ell(k) < n:
+        k += 1
+    return k
+
+
+def test_bracket_agrees_with_the_walk_at_every_step():
+    for k in range(4, 301):
+        for n in (ell(k) - 1, ell(k), ell(k) + 1):
+            assert bracket(n) == _bracket_by_walk(n)
+
+
+def test_bracket_of_a_3000_digit_order():
+    n = 10 ** 2999 + 7
+    k = bracket(n)
+    assert ell(k - 1) < n <= ell(k)
+    assert chi_closed_form(FamilySpec.cycle(n)) == k
 
 
 def test_cycle_path_relationship():

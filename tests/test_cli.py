@@ -140,24 +140,15 @@ def test_graph_with_too_few_edges_is_rejected_cheaply(text, name, tmp_path, caps
     assert err.startswith("error: ") and "not connected" in err
 
 
-@pytest.mark.parametrize("flag,env", [
-    ("nan", None), ("-1", None), (None, "nan"), (None, "-1"), (None, "abc"),
-], ids=["flag-nan", "flag-negative", "env-nan", "env-negative", "env-not-a-number"])
+@pytest.mark.parametrize("flag", ["nan", "-1"], ids=["flag-nan", "flag-negative"])
 @pytest.mark.parametrize("command", ["chi", "sweep"])
-def test_budget_must_be_a_number_of_seconds(command, flag, env, monkeypatch,
-                                            tmp_path, capsys):
+def test_budget_must_be_a_number_of_seconds(command, flag, tmp_path, capsys):
     # nan would never expire and a negative budget would act as 0
     graph_file = tmp_path / "p3.json"
     graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
     argv = {"chi": ["chi", "--graph", str(graph_file), "--exact"],
             "sweep": ["sweep", "--conjecture", "delta", "--max-n", "4"]}[command]
-    if flag is not None:
-        argv.append(f"--budget={flag}")
-    if env is None:
-        monkeypatch.delenv("NLC_BUDGET_SECS", raising=False)
-    else:
-        monkeypatch.setenv("NLC_BUDGET_SECS", env)
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, f"--budget={flag}")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err.lower() and err.count("\n") == 1
 
@@ -169,20 +160,11 @@ def _cycle_file(tmp_path, n):
     return str(graph_file)
 
 
-def test_env_budget_zero_times_out(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("NLC_BUDGET_SECS", "0")
+def test_budget_zero_times_out(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "chi", "--graph", _cycle_file(tmp_path, 23),
-                                "--exact")
+                                "--exact", "--budget", "0")
     assert code == 1
     assert (payload["chi"], payload["status"]) == (None, "TimedOut")
-
-
-def test_budget_flag_overrides_env(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("NLC_BUDGET_SECS", "0")
-    code, payload, _ = run_json(capsys, "chi", "--graph", _cycle_file(tmp_path, 8),
-                                "--exact", "--budget", "600")
-    assert code == 0
-    assert (payload["chi"], payload["status"]) == (4, "Exact")
 
 
 @pytest.mark.parametrize("command", ["chi", "sweep"])
@@ -197,12 +179,26 @@ def test_no_parallel_flag(command, tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pretty", "chi", "--family", "path", "--n", "10"],
+    ["bounds", "--k", "6", "--class", "tree"],
+], ids=["pretty", "bounds-class"])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    # each result has one output format, and every class bound is in the payload
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_bounds_payload(capsys):
-    code, payload, _ = run_json(capsys, "bounds", "--k", "6", "--class", "tree")
+    code, payload, _ = run_json(capsys, "bounds", "--k", "6")
     assert code == 0
+    assert list(payload) == ["k", "generalMaxOrder", "unicyclicMaxOrder", "treeMaxOrder",
+                             "treeMaxDegree", "ell", "a1", "a2"]
     assert payload["generalMaxOrder"] == 186
     assert payload["ell"] == 90
-    assert payload["classBound"] == 118
+    assert payload["treeMaxOrder"] == 118
 
 
 def test_bounds_rejects_large_delta(capsys):
@@ -326,10 +322,19 @@ def test_color_rejects_cycle_graph_input(tmp_path, capsys):
 
 
 def test_color_comb_requires_constructible_size(capsys):
-    code, _, err = run(capsys, "color", "--family", "comb", "--m", "7")
-    assert code == 2 and "k(k-1)" in err
+    # k(k-1) for k = 3 and 4, the neighbours of 20, and sizes that a scan over
+    # k up to m would take seconds or forever to reject
+    for m in (6, 7, 12, 19, 21, 10**8 + 1, 10**300 + 1):
+        code, out, err = run(capsys, "color", "--family", "comb", "--m", str(m))
+        assert code == 2 and out == "" and "k(k-1)" in err
     code, payload, _ = run_json(capsys, "color", "--family", "comb", "--m", "20")
     assert code == 0 and payload["certificate"]["k"] == 5
+
+
+def test_color_comb_spine_size_maps_back_to_k(monkeypatch):
+    monkeypatch.setattr(nlcoloring.construct, "comb_coloring", lambda k: k)
+    for k in range(5, 201):
+        assert cli._colored_graph_for(nlcoloring.FamilySpec.comb(k * (k - 1))) == k
 
 
 def test_sweep_writes_report(tmp_path, capsys):
@@ -456,11 +461,6 @@ def test_cold_large_color_then_verify(family, tmp_path):
                              capture_output=True, text=True, env=env, timeout=300)
     assert checked.returncode == 0, checked.stderr
     assert json.loads(checked.stdout) == {"ok": True}
-
-
-def test_pretty_output_is_line_based(capsys):
-    code, out, _ = run(capsys, "--pretty", "chi", "--family", "path", "--n", "10")
-    assert code == 0 and out == "chi: 4\n"
 
 
 def test_usage_error_exit_code():

@@ -6,12 +6,15 @@ color-degree ceilings, signature clashes among vertices whose whole
 neighborhood is colored, color-symmetry breaking (of the unused colors a
 vertex may take only the lowest), and twin order (of two twins, vertices
 with equal open or closed neighbourhoods, the later in the order takes the
-higher color).  The order is breadth-first from the highest-degree vertex,
-lowest index on ties, and visits each vertex's neighbours by descending
-degree, then index; so every vertex after the first has a colored
-neighbour, and signatures close soon after their vertex is colored.  The
-per-depth work is scheduled once per graph, and colors, signatures and
-color sets are bitmasks.  Properness and capacity depend only on the
+higher color).  Past ``CHECK_EVERY`` nodes, a memo of the states found to
+fail, keyed by all that the rest of the search can see, backs the search
+off from any of them it meets again (B. M. Smith, CP 2005).  The order is
+breadth-first from the highest-degree vertex, lowest index on ties, and
+visits each vertex's neighbours by descending degree, then index; so every
+vertex after the first has a colored neighbour, and signatures close soon
+after their vertex is colored.  The per-depth work is scheduled once per
+graph, and colors, signatures, color sets and the (color, signature) pairs
+in use are bitmasks.  Properness and capacity depend only on the
 colors already placed, so each depth decides them once, when the search
 enters it, as a mask of candidate colors (each class keeps headroom
 counters for its capacity, and each counter slot a mask of the classes
@@ -96,7 +99,7 @@ class _OutOfTime(TimeoutError):
     pass
 
 
-CHECK_EVERY = 4096  # nodes between two deadline checks
+CHECK_EVERY = 4096  # nodes between two deadline checks; the first switches the memo on
 
 
 _Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int]]
@@ -152,13 +155,14 @@ def _search(g: Graph, k: int, budget: _Budget,
     color last tried starts at the color of ``twin[d]`` (so that a twin
     takes a higher color than the twin before it), and the next color tried
     is the lowest candidate above it.  Only the signatures are tested per
-    color: a color whose signatures clash costs them and the rollback of
-    its (table, signature) entries, and only a color that passes books its
-    capacity and goes deeper.  Each color up to the highest allowed is one
-    node when the search passes over it, whether the candidate mask or a
-    signature clash rejected it, and the nodes are added to
-    ``budget.nodes``; the deadline is checked each time the count crosses a
-    multiple of ``CHECK_EVERY``.
+    color: each (signature, color) pair has a bit of ``used`` (``slot``
+    numbers the pairs as the search meets them), so a clash is an AND, and
+    undoing a depth restores ``base[d]``, ``used`` as the depth found it.
+    Only a color that passes books its capacity and goes deeper.  Each color
+    up to the highest allowed is one node when the search passes over it,
+    whether the candidate mask or a signature clash rejected it, and the
+    nodes are added to ``budget.nodes``; the deadline is checked each time
+    the count crosses a multiple of ``CHECK_EVERY``.
 
     The two symmetry prunes keep the search complete, and they leave its
     first answer unchanged: each only drops colorings that are not the
@@ -178,6 +182,23 @@ def _search(g: Graph, k: int, budget: _Budget,
     has both a false and a true twin (``twin_classes``), so the twins form
     disjoint classes and the chain of one pointer per depth orders each
     class completely.
+
+    Past ``CHECK_EVERY`` nodes of this call, entering depth d keys the state
+    by d, ``limit[d]``, ``used`` and the (signature so far, color) pair of
+    each vertex in ``front[d]``: the vertices that a depth before d touched
+    (colored them or a neighbour) and that a depth from d on reads (``read``:
+    closes their signature, or checks them as a twin).  The key fixes every
+    valid completion: an uncolored vertex's properness reads its signature
+    so far, a signature still open ends as that plus colors of the
+    completion, a new pair must miss ``used``, ``limit[d]`` fixes which
+    colors may open, and twin order reads colors in the front.  ``room`` is
+    left out: capacity holds in every NL-coloring, so its prune cuts only
+    states with no valid completion.  A depth entered with a key in
+    ``failed`` backs off passing over no color; otherwise its key joins
+    ``failed`` at once, as the search only comes back above the depth once
+    its subtree holds no solution (a witness ends the call, and by induction
+    the hits below it skipped none).  So a hit skips only subtrees without
+    a solution, and the first witness is unchanged.
     """
     order, earlier, final_at, twin = schedule or _schedule(g)
     n, adj = g.n, g.adj
@@ -195,25 +216,25 @@ def _search(g: Graph, k: int, budget: _Budget,
     span = [range(max(1, min(g.degree(v), k - 1)) - 1, len(capacity)) for v in order]
     room = [capacity[:] for _ in range(k + 1)]
     zero = [0] * len(capacity)
-    tables: list[set[int]] = [set() for _ in range(k + 1)]
+    slot: dict[int, int] = {}  # (signature, color bit) -> its bit in used
+    used = 0
+    base = [0] * n  # used on entry to each depth
     colors = [0] * (n + 1)
     bits = [0] * n
     cands = [0b10] * n  # depth 0 may take color 1 only; deeper ones are set on entry
     tried = [0] * n
     limit = [1] * n
-    added: list[list[tuple[set[int], int]]] = [[] for _ in range(n)]
+    front = failed = None  # the memo, once it is on
+    width = 2 * k + 2  # bits of a (signature, color) pair
     nodes = 0
     next_check = CHECK_EVERY
     depth = 0
     try:
         while depth >= 0:
             v = order[depth]
-            entries = added[depth]
             color = colors[v]
             if color:  # undo the color that led deeper
-                for table, sig in entries:
-                    table.remove(sig)
-                entries.clear()
+                used = base[depth]
                 left = room[color]
                 bit = bits[v]
                 for i in span[depth]:
@@ -229,20 +250,19 @@ def _search(g: Graph, k: int, budget: _Budget,
                 color = bit.bit_length() - 1
                 colors[v] = color
                 bits[v] = bit
+                now = used
                 for w in closing:
                     sig = 0
                     for u in adj[w]:
                         sig |= bits[u]
-                    table = tables[colors[w]]
-                    if sig in table:
+                    pair = sig << k + 1 | bits[w]  # a new pair takes the next bit
+                    b = slot.get(pair) or slot.setdefault(pair, 1 << len(slot))
+                    if now & b:
                         break
-                    table.add(sig)
-                    entries.append((table, sig))
+                    now |= b
                 else:
+                    used = now
                     break  # every signature is new: keep this color
-                for table, sig in entries:  # a signature clashes: roll back
-                    table.remove(sig)
-                entries.clear()
             else:  # no candidate left: pass over the colors up to the limit
                 color = limit[depth]
                 colors[v] = bits[v] = 0
@@ -251,6 +271,19 @@ def _search(g: Graph, k: int, budget: _Budget,
             if nodes >= next_check:
                 budget.check()
                 next_check = nodes - nodes % CHECK_EVERY + CHECK_EVERY
+                if failed is None:  # switch the memo on
+                    touch, read = [n] * (n + 1), [0] * (n + 1)
+                    for d, u in enumerate(order):
+                        read[twin[d]] = d
+                        for w in final_at[d]:
+                            read[w] = d
+                        for w in (u, *adj[u]):
+                            touch[w] = min(touch[w], d)
+                    front = [[] for _ in range(n)]
+                    for w in range(n):
+                        for d in range(touch[w] + 1, read[w] + 1):
+                            front[d].append(w)
+                    failed = set()
             if not colors[v]:
                 depth -= 1
                 continue
@@ -262,6 +295,7 @@ def _search(g: Graph, k: int, budget: _Budget,
             if depth + 1 == n:
                 return tuple(colors[:n])
             depth += 1
+            base[depth] = used
             top = limit[depth] = min(k, max(limit[depth - 1], color + 1))
             tried[depth] = colors[twin[depth]]
             forbidden = 0
@@ -271,6 +305,17 @@ def _search(g: Graph, k: int, budget: _Budget,
             for i in span[depth]:
                 full |= zero[i]
             cands[depth] = ((2 << top) - 2) & ~(forbidden | full)
+            if failed is not None:  # the memo: is this state a known dead end?
+                key = used << width | top
+                for w in front[depth]:
+                    sig = 0
+                    for u in adj[w]:
+                        sig |= bits[u]
+                    key = key << width | sig << k + 1 | bits[w]
+                key = key * n + depth
+                if key in failed:  # back off as if exhausted, passing no color
+                    tried[depth] = top
+                failed.add(key)  # it has failed by the time the search is back
         return None
     finally:
         budget.nodes += nodes

@@ -26,6 +26,7 @@ from nlcoloring import (
     family_graph,
     is_nl_coloring,
 )
+from nlcoloring import solver
 from nlcoloring.solver import _search_order
 
 
@@ -125,13 +126,43 @@ def _least_in_search_order(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-@pytest.mark.parametrize("universe,n", [
+# every connected graph up to order 6 and every tree of order 7 and 8
+WITNESS_UNIVERSES = [
     *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 7)),
     *(pytest.param(enumerate_trees, n, id=str(n)) for n in (7, 8)),
-])
+]
+
+
+@pytest.mark.parametrize("universe,n", WITNESS_UNIVERSES)
 def test_witness_is_least_in_search_order(universe, n):
     # the symmetry prunes may only drop colorings that are not the least
     # of their class, so the first answer must be the least NL-coloring
+    for g in universe(n):
+        result = chi_nl_exact(g)
+        assert result.witness.colors == _least_in_search_order(g, result.chi), \
+            g.sorted_edges()
+
+
+@pytest.fixture
+def memo_from_the_first_node(monkeypatch):
+    # a search switches its memo of failed states on once it passes
+    # CHECK_EVERY nodes, which no search above reaches (they stop below
+    # 700 nodes); at 1 the memo is on from the first node of every search
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+
+
+@pytest.mark.parametrize("universe,n", UNIVERSES)
+@pytest.mark.usefixtures("memo_from_the_first_node")
+def test_memo_keeps_the_oracle_values(universe, n):
+    for g in universe(n):
+        _check_against_oracle(g)
+
+
+@pytest.mark.parametrize("universe,n", WITNESS_UNIVERSES)
+@pytest.mark.usefixtures("memo_from_the_first_node")
+def test_memo_keeps_the_least_witness(universe, n):
+    # a hit may only skip subtrees without a solution, so the first answer
+    # stays the least NL-coloring in search order
     for g in universe(n):
         result = chi_nl_exact(g)
         assert result.witness.colors == _least_in_search_order(g, result.chi), \
@@ -184,6 +215,13 @@ TWIN_RICH = [
 
 @pytest.mark.parametrize("g", TWIN_RICH)
 def test_solver_matches_oracle_on_twin_rich_graphs(g):
+    _check_against_oracle(g)
+
+
+@pytest.mark.parametrize("g", TWIN_RICH)
+@pytest.mark.usefixtures("memo_from_the_first_node")
+def test_memo_keeps_the_oracle_values_on_twin_rich_graphs(g):
+    # the twin order reads colors that the memo's key must hold
     _check_against_oracle(g)
 
 

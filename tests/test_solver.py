@@ -17,6 +17,7 @@ from nlcoloring import (
     family_graph,
     is_nl_coloring,
 )
+from nlcoloring import solver
 from nlcoloring.solver import CHECK_EVERY, _Budget
 
 
@@ -31,7 +32,7 @@ def test_exists_examples():
 
 
 def test_exists_raises_timeout_when_the_budget_runs_out():
-    # refuting k = 4 on C23 takes over a million nodes, far past 0.01 s
+    # refuting k = 4 on C23 takes over 269,000 nodes, far past 0.01 s
     g = family_graph(FamilySpec.cycle(23))
     with pytest.raises(TimeoutError):
         exists_nl_coloring(g, 4, SolveOptions(time_budget=0.01))
@@ -124,7 +125,7 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
 
 
 @pytest.mark.parametrize("g,chi,nodes,colors", [
-    (family_graph(FamilySpec.cycle(23)), 5, 1_336_994,  # refutes k = 4 exhaustively
+    (family_graph(FamilySpec.cycle(23)), 5, 269_170,  # refutes k = 4 exhaustively
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 251,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
@@ -163,11 +164,13 @@ def test_node_total_over_small_connected_graphs_is_pinned():
 
 @pytest.mark.parametrize("spec,nodes", [
     (FamilySpec.wheel(12), 251), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 117),
-], ids=["W12", "C12", "F9"])
+    (FamilySpec.cycle(23), 269_170),
+], ids=["W12", "C12", "F9", "C23"])
 def test_attempts_share_one_node_count(spec, nodes):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
     # is the same search as chi_nl_exact: the per-k replay of the benchmark
-    # depends on that
+    # depends on that.  C23 is the one search here past CHECK_EVERY nodes,
+    # where the memo of failed states is on
     g = family_graph(spec)
     result = chi_nl_exact(g)
     budget = _Budget(None)
@@ -176,6 +179,21 @@ def test_attempts_share_one_node_count(spec, nodes):
     assert [ok for ok, _ in found] == [False] * (len(found) - 1) + [True]
     assert found[-1][1] == result.witness
     assert budget.nodes == result.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("spec", [
+    *(FamilySpec.cycle(n) for n in range(3, 41)),
+    *(FamilySpec.path(n) for n in range(2, 31)),
+    *(FamilySpec.fan(n) for n in range(4, 31)),
+    *(FamilySpec.wheel(n) for n in range(4, 31)),
+], ids=lambda spec: spec.label())
+def test_memo_keeps_the_closed_forms(spec, monkeypatch):
+    # with the memo on from the first node (it switches on once a search
+    # passes CHECK_EVERY nodes), the paper's values still come out
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+    g = family_graph(spec)
+    result = chi_nl_exact(g)
+    assert (result.chi, result.status) == (chi_closed_form(spec), "Exact")
 
 
 def test_universal_vertex_law_small():

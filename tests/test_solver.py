@@ -16,6 +16,7 @@ from nlcoloring import (
     exists_nl_coloring,
     family_graph,
     is_nl_coloring,
+    twin_classes,
 )
 from nlcoloring import solver
 from nlcoloring.solver import CHECK_EVERY, _Budget
@@ -32,7 +33,7 @@ def test_exists_examples():
 
 
 def test_exists_raises_timeout_when_the_budget_runs_out():
-    # refuting k = 4 on C23 takes over 269,000 nodes, far past 0.01 s
+    # refuting k = 4 on C23 takes over 53,000 nodes, far past 0.01 s
     g = family_graph(FamilySpec.cycle(23))
     with pytest.raises(TimeoutError):
         exists_nl_coloring(g, 4, SolveOptions(time_budget=0.01))
@@ -125,15 +126,20 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
 
 
 @pytest.mark.parametrize("g,chi,nodes,colors", [
-    (family_graph(FamilySpec.cycle(23)), 5, 269_170,  # refutes k = 4 exhaustively
+    (family_graph(FamilySpec.cycle(23)), 5, 53_494,  # refutes k = 4 exhaustively
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 251,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
+    (family_graph(FamilySpec.path(24)), 4, 20_315,
+     [3, 1, 2, 1, 2, 3, 1, 4, 1, 2, 4, 1, 4, 3, 2, 3, 2, 4, 2, 4, 3, 4, 3, 1]),
+    (family_graph(FamilySpec.fan(30)), 6, 68_155,
+     [6, 2, 3, 2, 3, 4, 2, 3, 5, 2, 3, 6, 2, 4, 2, 4, 5, 2, 4, 6, 2, 5, 2, 5, 6, 3, 4, 3,
+      5, 1]),
     (ANCHOR_TREE_20, 4, 111,
      [1, 1, 3, 1, 3, 3, 2, 1, 2, 2, 1, 3, 2, 4, 4, 2, 4, 2, 3, 4]),
     (ANCHOR_UNICYCLIC_20, 4, 457,
      [3, 1, 1, 2, 4, 4, 3, 2, 1, 2, 1, 4, 3, 1, 2, 2, 3, 4, 2, 3]),
-], ids=["C23", "W12", "anchor-tree-20", "anchor-unicyclic-20"])
+], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20"])
 def test_node_counts_are_pinned(g, chi, nodes, colors):
     # a change to the search order or the prunes shows here; lower the pin
     # when a change makes the search smaller.  The witnesses are pinned too,
@@ -164,7 +170,7 @@ def test_node_total_over_small_connected_graphs_is_pinned():
 
 @pytest.mark.parametrize("spec,nodes", [
     (FamilySpec.wheel(12), 251), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 117),
-    (FamilySpec.cycle(23), 269_170),
+    (FamilySpec.cycle(23), 53_494),
 ], ids=["W12", "C12", "F9", "C23"])
 def test_attempts_share_one_node_count(spec, nodes):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
@@ -194,6 +200,61 @@ def test_memo_keeps_the_closed_forms(spec, monkeypatch):
     g = family_graph(spec)
     result = chi_nl_exact(g)
     assert (result.chi, result.status) == (chi_closed_form(spec), "Exact")
+
+
+# every connected graph up to order 6: stars, complete and complete
+# bipartite graphs among them, so twin classes of every kind
+SMALL_GRAPHS = [pytest.param(g, id=f"atlas-{n}-{i}")
+                for n in range(1, 7) for i, g in enumerate(connected_graphs(n))]
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS)
+def test_memo_schedule_reads_the_twins(g):
+    # the memo's front holds each vertex from the first depth after one
+    # that touches it (colors it or a neighbour) to the last that reads it:
+    # where its signature closes, or where its next twin checks its color.
+    # Exact depths are those a twin class straddles: a member is colored
+    # before the depth and a later one is not
+    order, _, final_at, twin = solver._schedule(g)
+    front, exact = solver._memo_schedule(g, order, final_at, twin)
+    pos = {v: d for d, v in enumerate(order)}
+    checked_at, spans = {}, []
+    for members in twin_classes(g):
+        members = sorted(members, key=pos.__getitem__)
+        checked_at.update((u, pos[w]) for u, w in zip(members, members[1:]))
+        spans.append((pos[members[0]], pos[members[-1]]))
+    reach = {w: [pos[u] for u in (w, *g.adj[w])] for w in range(g.n)}
+    for d in range(g.n):
+        assert set(front[d]) == {
+            w for w in range(g.n)
+            if min(reach[w]) < d <= max(max(reach[w]), checked_at.get(w, 0))}, d
+        assert exact[d] == any(first < d <= last for first, last in spans), d
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS)
+def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
+    # twin order compares color values, so where a twin class straddles the
+    # depth the memo keys the state without renaming its colors: each group
+    # there holds one front key, and its class is that key.  Elsewhere the
+    # class is the renamed key
+    memos = []
+
+    class Spy(solver._Memo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(solver, "_Memo", Spy)
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+    chi_nl_exact(g)
+    order, _, final_at, twin = solver._schedule(g)
+    _, exact = solver._memo_schedule(g, order, final_at, twin)
+    for memo in memos:
+        for (front_key, _, depth), (shape, _) in memo.groups.items():
+            if exact[depth]:
+                assert shape is memo.shapes[front_key], (depth, g.sorted_edges())
+            elif shape is not None:  # a group with one front key
+                assert front_key == shape[0], (depth, g.sorted_edges())
 
 
 def test_universal_vertex_law_small():

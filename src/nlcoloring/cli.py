@@ -206,6 +206,8 @@ def _cmd_chi(args) -> int:
 
     if (args.family is None) == (args.graph is None):
         raise CliError("chi needs exactly one of --family or --graph")
+    if not args.exact and (args.max_k is not None or args.budget is not None):
+        raise CliError("--max-k and --budget cap the exact solver; they need --exact")
     if args.family is not None:
         if args.exact:
             raise CliError("--exact applies to --graph input; family values are closed-form")

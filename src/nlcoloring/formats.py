@@ -49,6 +49,8 @@ def _decode(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise FormatError("JSON nested too deeply to decode")
 
 
 def graph_from_json(text: str) -> Graph:

@@ -1,39 +1,35 @@
 """Exact search oracle for the neighbor-locating chromatic number.
 
 Complete backtracking over vertex color assignments in a fixed order
-with five prunes: properness, per-class capacity derived from the
-color-degree ceilings, signature clashes among vertices whose whole
-neighborhood is colored, color-symmetry breaking (of the unused colors a
-vertex may take only the lowest), and twin order (of two twins, vertices
-with equal open or closed neighbourhoods, the later in the order takes the
-higher color).  Past ``CHECK_EVERY`` nodes, a memo of the states found to
-fail, keyed by all that the rest of the search can see up to a renaming
-of the colors in use, backs the search off from any of them it meets
-again (failed-state caching, B. M. Smith, CP 2005; up to a symmetry, as in
-dominance detection, Fahle, Schamberger and Sellmann, CP 2001).  The order is
-breadth-first from the highest-degree vertex, lowest index on ties, and
-visits each vertex's neighbours by descending degree, then index; so every
-vertex after the first has a colored neighbour, and signatures close soon
-after their vertex is colored.  The per-depth work is scheduled once per
-graph, and colors, signatures, color sets and the (color, signature) pairs
-in use are bitmasks.  Properness and capacity depend only on the
-colors already placed, so each depth decides them once, when the search
-enters it, as a mask of candidate colors (each class keeps headroom
-counters for its capacity, and each counter slot a mask of the classes
-with no room left in it); only the signature test runs per color.  The
-search is one loop over the depth with its state in per-depth lists (see
-``_search``), so it has no recursion and no depth limit.  The search is
-deliberately simple and fully exhaustive: it is the independent check the
-constructions are measured against, so completeness beats speed.  It is
-also sequential and deterministic: the same graph and options always give
-the same witness and node count.
+with four prunes: properness, signature clashes among vertices whose
+whole neighborhood is colored, color-symmetry breaking (of the unused
+colors a vertex may take only the lowest), and twin order (of two twins,
+vertices with equal open or closed neighbourhoods, the later in the order
+takes the higher color).  Past ``CHECK_EVERY`` nodes, a memo of the
+states found to fail, keyed by all that the rest of the search can see up
+to a renaming of the colors in use, backs the search off from any of them
+it meets again (failed-state caching, B. M. Smith, CP 2005; up to a
+symmetry, as in dominance detection, Fahle, Schamberger and Sellmann, CP
+2001).  The order is breadth-first from the highest-degree vertex, lowest
+index on ties, and visits each vertex's neighbours by descending degree,
+then index; so every vertex after the first has a colored neighbour, and
+signatures close soon after their vertex is colored.  The per-depth work
+is scheduled once per graph, and colors, signatures, color sets and the
+(color, signature) pairs in use are bitmasks.  Properness depends only on
+the colors already placed, so each depth decides it once, when the search
+enters it, as a mask of candidate colors; only the signature test runs
+per color.  The search is one loop over the depth with its state in
+per-depth lists (see ``_search``), so it has no recursion and no depth
+limit.  The search is deliberately simple and fully exhaustive: it is the
+independent check the constructions are measured against, so completeness
+beats speed.  It is also sequential and deterministic: the same graph and
+options always give the same witness and node count.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import accumulate, islice, takewhile
-from math import comb
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .bounds import chi_lower_bound
@@ -73,13 +69,12 @@ class SolveResult(NamedTuple):
     nodes_explored: int
 
     def to_dict(self) -> dict:
+        from .formats import certificate_to_dict  # here, so sweeps never load formats
+
         out: dict = {"chi": self.chi, "status": self.status,
                      "nodesExplored": self.nodes_explored}
         if self.witness is not None:
-            out["certificate"] = {
-                "n": self.witness.n, "k": self.witness.k,
-                "colors": list(self.witness.colors),
-            }
+            out["certificate"] = certificate_to_dict(self.witness)
         return out
 
 
@@ -345,30 +340,28 @@ def _search(g: Graph, k: int, budget: _Budget,
     ``order[d]`` colored before it (the properness check), ``final_at[d]``,
     the vertices whose closed neighbourhood is complete once ``order[d]`` is
     colored (the signature check), and ``twin[d]``, the twin of ``order[d]``
-    last before it in the order (the twin check).  ``span[d]``, the
-    capacity counters ``order[d]`` counts against, depends on k and is set
-    up here.  Colors are bits: ``bits[v] = 1 << color``, 0 while v is
-    uncolored, and a signature is the OR of ``bits`` over a neighbourhood.
+    last before it in the order (the twin check).  Colors are bits:
+    ``bits[v] = 1 << color``, 0 while v is uncolored, and a signature is
+    the OR of ``bits`` over a neighbourhood.
 
     One loop then walks the depths.  When it enters a depth it decides
-    properness and capacity for every color at once, as the candidate mask
-    ``cands[d]``: the colors up to the highest allowed (one above the
-    highest used at the depths before, at most k, which breaks the symmetry
-    between unused colors), minus ``forbidden``, the colors its earlier
-    neighbours hold, minus ``full``, the classes with no room left for its
-    span.  The mask holds for the whole stay at the depth, because
-    everything deeper is undone before the depth tries its next color.  The
+    properness for every color at once, as the candidate mask ``cands[d]``:
+    the colors up to the highest allowed (one above the highest used at the
+    depths before, at most k, which breaks the symmetry between unused
+    colors), minus ``forbidden``, the colors its earlier neighbours hold.
+    The mask holds for the whole stay at the depth, because everything
+    deeper is undone before the depth tries its next color.  The
     color last tried starts at the color of ``twin[d]`` (so that a twin
     takes a higher color than the twin before it), and the next color tried
     is the lowest candidate above it.  Only the signatures are tested per
     color: each (signature, color) pair has a bit of ``used`` (``slot``
     numbers the pairs as the search meets them), so a clash is an AND, and
     undoing a depth restores ``base[d]``, ``used`` as the depth found it.
-    Only a color that passes books its capacity and goes deeper.  Each color
-    up to the highest allowed is one node when the search passes over it,
-    whether the candidate mask or a signature clash rejected it, and the
-    nodes are added to ``budget.nodes``; the deadline is checked each time
-    the count crosses a multiple of ``CHECK_EVERY``.
+    Only a color that passes goes deeper.  Each color up to the highest
+    allowed is one node when the search passes over it, whether the
+    candidate mask or a signature clash rejected it, and the nodes are
+    added to ``budget.nodes``; the deadline is checked each time the count
+    crosses a multiple of ``CHECK_EVERY``.
 
     The two symmetry prunes keep the search complete, and they leave its
     first answer unchanged: each only drops colorings that are not the
@@ -398,21 +391,19 @@ def _search(g: Graph, k: int, budget: _Budget,
     reads its signature so far, a signature still open ends as that plus
     colors of the completion, a new pair must miss ``used``, ``limit[d]``
     fixes which colors may open, and twin order reads colors in the front.
-    ``room`` is left out: capacity holds in every NL-coloring, so its prune
-    cuts only states with no valid completion.  A depth entered with a key
-    already met backs off passing over no color; otherwise its key is
-    remembered at once, as the search only comes back above the depth once
-    its subtree holds no solution (a witness ends the call, and by
-    induction the hits below it skipped none).
+    A depth entered with a key already met backs off passing over no color;
+    otherwise its key is remembered at once, as the search only comes back
+    above the depth once its subtree holds no solution (a witness ends the
+    call, and by induction the hits below it skipped none).
 
     The memo compares keys up to renaming the colors in use, 1..m: each
     shows in the key, as a colored vertex is in the front or its pair is in
     ``used``.  ``_Memo`` renames them in order of first appearance in the
     front and keeps the colors above m, so two states whose renamed keys
     agree are one renaming π of 1..m apart.  π maps an NL-coloring to an
-    NL-coloring, keeps signatures distinct and capacity (which every
-    NL-coloring meets), fixes the colors above m and so the limit rule,
-    and maps the pairs of ``used`` onto those of the other state.  So π carries a valid completion c of the later state to an
+    NL-coloring, keeps signatures distinct, fixes the colors above m and so
+    the limit rule, and maps the pairs of ``used`` onto those of the other
+    state.  So π carries a valid completion c of the later state to an
     NL-coloring that extends the earlier one, except that twin order may
     fail for two uncolored twins, whose colors π may swap in value.  Take
     the least coloring, in search order, of its orbit under permutations
@@ -428,20 +419,6 @@ def _search(g: Graph, k: int, budget: _Budget,
     """
     order, earlier, final_at, twin = schedule or _schedule(g)
     n, adj = g.n, g.adj
-    # capacity: a class may hold at most sum_{j<=D} C(k-1, j) vertices whose
-    # color-degree ceiling min(deg, k-1) is at most D.  room[c][D-1] is what
-    # class c has left of that.  A vertex of ceiling D counts against slot
-    # D-1 and every slot above it (its span, which runs to the end of the
-    # list), and the class is full for it when one of them is 0.  Bit c of
-    # zero[i] is set while room[c][i] is 0, so the classes full for a vertex
-    # are the OR of zero over its span.  A slot of capacity n or more never
-    # blocks a vertex (at most n - 1 others share its class), so the list
-    # stops before it.
-    sums = accumulate(comb(k - 1, d) for d in range(1, k))
-    capacity = list(takewhile(lambda c: c < n, sums))
-    span = [range(max(1, min(g.degree(v), k - 1)) - 1, len(capacity)) for v in order]
-    room = [capacity[:] for _ in range(k + 1)]
-    zero = [0] * len(capacity)
     slot: dict[int, int] = {}  # (signature, color bit) -> its bit in used
     used = 0
     base = [0] * n  # used on entry to each depth
@@ -458,15 +435,8 @@ def _search(g: Graph, k: int, budget: _Budget,
     try:
         while depth >= 0:
             v = order[depth]
-            color = colors[v]
-            if color:  # undo the color that led deeper
+            if colors[v]:  # undo the color that led deeper
                 used = base[depth]
-                left = room[color]
-                bit = bits[v]
-                for i in span[depth]:
-                    if not left[i]:
-                        zero[i] ^= bit
-                    left[i] += 1
             last = tried[depth]
             rest = cands[depth] >> (last + 1) << (last + 1)
             closing = final_at[depth]
@@ -504,11 +474,6 @@ def _search(g: Graph, k: int, budget: _Budget,
             if not colors[v]:
                 depth -= 1
                 continue
-            left = room[color]
-            for i in span[depth]:
-                left[i] -= 1
-                if not left[i]:
-                    zero[i] |= bit
             if depth + 1 == n:
                 return tuple(colors[:n])
             depth += 1
@@ -518,10 +483,7 @@ def _search(g: Graph, k: int, budget: _Budget,
             forbidden = 0
             for u in earlier[depth]:
                 forbidden |= bits[u]
-            full = 0
-            for i in span[depth]:
-                full |= zero[i]
-            cands[depth] = ((2 << top) - 2) & ~(forbidden | full)
+            cands[depth] = ((2 << top) - 2) & ~forbidden
             if memo is not None:  # the memo: is this state a known dead end?
                 key = 0
                 for w in front[depth]:

@@ -242,6 +242,38 @@ def test_file_that_is_not_utf8_is_a_usage_error(argv, tmp_path, capsys):
     assert f"cannot read {bad}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chi", "--graph", "{deep}"],
+    ["verify", "--graph", "{good}", "--certificate", "{deep}"],
+    ["export", "--input", "{deep}", "--to", "dot"],
+], ids=["graph", "certificate", "export-input"])
+def test_deeply_nested_json_is_a_usage_error(argv, tmp_path, capsys):
+    # nesting past the decoder's recursion limit is bad input, not a fault
+    good = tmp_path / "p3.json"
+    good.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": ' + "[" * 100_000)
+    code, out, err = run(capsys, *(a.format(good=good, deep=deep) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cycle", "--n", "23", "--max-k", "2"],
+    ["--family", "cycle", "--n", "23", "--budget", "0"],
+    ["--graph", "{p3}", "--max-k", "1"],
+    ["--graph", "{p3}", "--budget", "5"],
+], ids=["family-max-k", "family-budget", "graph-max-k", "graph-budget"])
+def test_chi_caps_without_exact_are_usage_errors(argv, tmp_path, capsys):
+    # without --exact no solver runs, so a cap would be dropped in silence
+    p3 = tmp_path / "p3.json"
+    p3.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, err = run(capsys, "chi", *(a.format(p3=p3) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--exact" in err and err.count("\n") == 1
+
+
 def test_export_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--family", "comb", "--m", "4")
     graph_file = tmp_path / "comb.json"

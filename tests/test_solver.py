@@ -33,10 +33,11 @@ def test_exists_examples():
 
 
 def test_exists_raises_timeout_when_the_budget_runs_out():
-    # refuting k = 4 on C23 takes over 53,000 nodes, far past 0.01 s
-    g = family_graph(FamilySpec.cycle(23))
+    # k = 5 on the comb of spine 20 gets no answer in 7 million nodes
+    # (20 s), so the budget runs out on any host
+    g = family_graph(FamilySpec.comb(20))
     with pytest.raises(TimeoutError):
-        exists_nl_coloring(g, 4, SolveOptions(time_budget=0.01))
+        exists_nl_coloring(g, 5, SolveOptions(time_budget=0.01))
 
 
 def test_exact_examples():
@@ -86,8 +87,11 @@ def test_cap_of_one_color_is_accepted():
 
 def test_timed_out_inside_the_search():
     # time_budget=0.0 trips the check before the search starts; this one
-    # trips the check that the search makes every CHECK_EVERY nodes
-    g = family_graph(FamilySpec.cycle(23))
+    # trips the check that the search makes every CHECK_EVERY nodes.  The
+    # comb of spine 20 has lower bound 5, and k = 5 gets no answer in
+    # 7 million nodes (20 s), so the budget runs out on any host
+    g = family_graph(FamilySpec.comb(20))
+    assert chi_lower_bound(g) == 5
     result = chi_nl_exact(g, SolveOptions(time_budget=0.05))
     assert result.status == "TimedOut"
     assert result.chi is None
@@ -126,11 +130,11 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
 
 
 @pytest.mark.parametrize("g,chi,nodes,colors", [
-    (family_graph(FamilySpec.cycle(23)), 5, 53_494,  # refutes k = 4 exhaustively
+    (family_graph(FamilySpec.cycle(23)), 5, 53_674,  # refutes k = 4 exhaustively
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 251,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
-    (family_graph(FamilySpec.path(24)), 4, 20_315,
+    (family_graph(FamilySpec.path(24)), 4, 20_375,
      [3, 1, 2, 1, 2, 3, 1, 4, 1, 2, 4, 1, 4, 3, 2, 3, 2, 4, 2, 4, 3, 4, 3, 1]),
     (family_graph(FamilySpec.fan(30)), 6, 68_155,
      [6, 2, 3, 2, 3, 4, 2, 3, 5, 2, 3, 6, 2, 4, 2, 4, 5, 2, 4, 6, 2, 5, 2, 5, 6, 3, 4, 3,
@@ -157,20 +161,20 @@ def test_node_total_over_small_trees_is_pinned():
     # decides how soon signatures close; lower the pin when it shrinks
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(1, 12) for g in enumerate_trees(n))
-    assert total == 18_995
+    assert total == 19_155
 
 
 def test_node_total_over_small_connected_graphs_is_pinned():
     # the diameter sweep's universe, every connected graph of order 2 to 7,
-    # where dense graphs make the properness and capacity prunes fire
+    # where dense graphs make the properness prune fire
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(2, 8) for g in connected_graphs(n))
-    assert total == 37_026
+    assert total == 37_059
 
 
 @pytest.mark.parametrize("spec,nodes", [
     (FamilySpec.wheel(12), 251), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 117),
-    (FamilySpec.cycle(23), 53_494),
+    (FamilySpec.cycle(23), 53_674),
 ], ids=["W12", "C12", "F9", "C23"])
 def test_attempts_share_one_node_count(spec, nodes):
     # one exists_nl_coloring per k from the lower bound up, on one budget,

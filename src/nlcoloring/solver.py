@@ -115,7 +115,7 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     final_at: list[list[int]] = [[] for _ in range(n)]
     for w in range(n):
         final_at[max([pos[w]] + [pos[u] for u in adj[w]])].append(w)
-    twin = [n] * n  # n: no earlier twin, and colors[n] stays 0
+    twin = [n] * n  # n: no earlier twin, and bits[n] stays 0
     for members in twin_classes(g) if twins is None else twins:
         members = sorted(members, key=pos.__getitem__)
         for u, w in zip(members, members[1:]):
@@ -163,46 +163,42 @@ class _Memo:
     its limit and ``used``.  ``shapes`` maps a front key to its shape
     (renamed, names): ``names`` lists the front's colors in order of first
     appearance, and ``renamed`` is the key with the i-th of them renamed i
-    (``shape``).  ``groups`` maps a class (the renamed key, or the key
-    itself at an exact depth, with the limit and the depth) to the states
-    met in it.  While one shape fills a group, the group is ``[shape, set
-    of used]`` and compares ``used`` as it is (``_search`` does that
-    inline); the states of an exact depth never leave that form.  Only
-    when a second shape lands in a group does ``renamed_hit`` rename
-    ``used``.  It first splits the group by how many pairs of ``used``
-    hold the color renamed 1, which costs one AND and is unchanged by
-    renaming, and renames ``used`` only for states that agree on it: on
-    P_3000 ``used`` holds about 1,500 pairs, and no two states of a class
-    agree."""
+    (``shape``); ``_renamed`` renames ``used`` the same way.  ``groups``
+    maps a class (the renamed key, or the key itself at an exact depth,
+    with the limit and the depth) to the states met in it.  While one shape
+    fills a group, the group is ``[shape, set of used]`` and compares
+    ``used`` as it is (``_search`` does that inline); the states of an
+    exact depth never leave that form.  Only when a second shape lands in a
+    group does ``renamed_hit`` rename ``used``.  It first splits the group
+    by how many pairs of ``used`` hold the color renamed 1, which costs one
+    AND and is unchanged by renaming, and renames ``used`` only for states
+    that agree on it: on P_3000 ``used`` holds about 1,500 pairs, and no
+    two states of a class agree.  A renamed ``used`` is a set of bits of
+    the search's ``slot`` too, so a renamed pair that the search has not
+    met takes the next bit there."""
 
     __slots__ = ("k", "slot", "shapes", "groups", "renamings", "colors_of", "pairs",
-                 "by_color", "renamed_slot")
+                 "by_color")
 
     def __init__(self, k: int, slot: dict[int, int]):
         self.k, self.slot = k, slot
-        self.shapes: dict[int, list] = {}
+        self.shapes: dict[int, tuple] = {}
         self.groups: dict[tuple[int, int, int], list] = {}
         self.renamings: dict[tuple[int, ...], tuple] = {}  # names -> (to, sigs, table)
         self.colors_of: dict[int, list[int]] = {}  # signature -> its colors
-        self.pairs: list[int] = []  # the pair of each bit of used, as far as read
-        self.by_color = [0] * (k + 1)  # the bits of used whose pair has color c
-        self.renamed_slot: dict[int, int] = {}  # renamed pair -> its bit
+        self.pairs: list[int] = []  # the pair of each bit of slot, as far as read
+        self.by_color = [0] * (k + 1)  # the bits of slot whose pair has color c
 
-    def shape(self, key: int) -> list:
-        """The shape [renamed, names, None] of a front key, filed in
-        ``shapes``; ``_renaming`` fills the last item.
+    def shape(self, key: int) -> tuple:
+        """The shape (renamed, names) of a front key, filed in ``shapes``.
         ``names`` lists the colors of the front's vertices, then the colors
         of their signatures so far, each at its first appearance.  No front
         pair is 0 (a front vertex is colored or has a colored neighbour),
         so the key unpacks without its length."""
         k, colors_of = self.k, self.colors_of
         width, low = 2 * k + 2, (1 << k + 1) - 1
-        front = []
-        rest = key
-        while rest:
-            front.append(rest & (1 << width) - 1)
-            rest >>= width
-        front.reverse()
+        front = [key >> width * i & (1 << width) - 1
+                 for i in reversed(range(-(-key.bit_length() // width)))]
         to = [0] * (k + 1)
         names = []
         for pair in front:
@@ -229,39 +225,28 @@ class _Memo:
             color = pair & low
             renamed = (renamed << width | renamed_sig << k + 1
                        | (1 << to[color.bit_length() - 1] if color else 0))
-        shape = self.shapes[key] = [renamed, tuple(names), None]
+        shape = self.shapes[key] = (renamed, tuple(names))
         return shape
 
-    def _renaming(self, shape: list) -> tuple:
-        """(to, sigs, table) for a shape, kept in ``shape[2]``: ``to[c]``
-        renames color c, the i-th name to i and the other colors in
-        increasing order after them.  Only the colors in use appear in a
-        state, and they are 1..m, so ``to`` maps them onto 1..m and keeps
-        every color above m.  ``sigs`` and ``table`` remember renamed
-        signatures and bytes of ``used``; shapes with the same names share
-        them."""
-        names = shape[1]
+    def _renamed(self, used: int, shape: tuple) -> int:
+        """``used`` with every pair renamed as the shape's key is.
+
+        The renaming of a shape's names is (to, sigs, table), filed in
+        ``renamings`` on first use and shared by the shapes with the same
+        names: ``to[c]`` renames color c, the i-th name to i and the other
+        colors in increasing order after them.  Only the colors in use
+        appear in a state, and they are 1..m, so ``to`` maps them onto 1..m
+        and keeps every color above m.  ``sigs`` and ``table`` remember
+        renamed signatures and bytes of ``used``, so a byte is renamed once
+        per renaming.  ``pairs`` holds every pair of ``used``."""
+        k, pairs, slot, names = self.k, self.pairs, self.slot, shape[1]
         renaming = self.renamings.get(names)
         if renaming is None:
-            to = [0] * (self.k + 1)
-            for i, c in enumerate(names):
-                to[c] = i + 1
-            named = len(names)
-            for c in range(1, self.k + 1):
-                if not to[c]:
-                    named += 1
-                    to[c] = named
+            to = [0] * (k + 1)
+            for i, c in enumerate((*names, *(c for c in range(1, k + 1) if c not in names)), 1):
+                to[c] = i
             renaming = self.renamings[names] = (to, {}, {})
-        shape[2] = renaming
-        return renaming
-
-    def _renamed(self, used: int, shape: list) -> int:
-        """``used`` with every pair renamed by the shape's renaming, as
-        bits of ``renamed_slot``; a byte of ``used`` is renamed once per
-        renaming.  ``pairs`` holds every pair of ``used``."""
-        renaming = shape[2] or self._renaming(shape)
         to, sigs, table = renaming
-        k, pairs, renamed_slot = self.k, self.pairs, self.renamed_slot
         low = (1 << k + 1) - 1
         out = offset = 0
         while used:
@@ -276,22 +261,18 @@ class _Memo:
                         pair = pairs[(offset >> 8) + bit.bit_length() - 1]
                         sig = pair >> k + 1
                         renamed_sig = sigs.get(sig)
-                        if renamed_sig is None:
-                            renamed_sig = 0
-                            for c in range(1, k + 1):
-                                if sig >> c & 1:
-                                    renamed_sig |= 1 << to[c] + k + 1
-                            sigs[sig] = renamed_sig
+                        if renamed_sig is None:  # distinct bits, so the sum is their OR
+                            renamed_sig = sigs[sig] = sum(1 << to[c] + k + 1
+                                                          for c in range(1, k + 1) if sig >> c & 1)
                         pair = renamed_sig | 1 << to[(pair & low).bit_length() - 1]
-                        renamed |= (renamed_slot.get(pair)
-                                    or renamed_slot.setdefault(pair, 1 << len(renamed_slot)))
+                        renamed |= slot.get(pair) or slot.setdefault(pair, 1 << len(slot))
                     table[offset | byte] = renamed
                 out |= renamed
             used >>= 8
             offset += 8 << 8
         return out
 
-    def renamed_hit(self, group: list, shape: list, used: int) -> bool:
+    def renamed_hit(self, group: list, shape: tuple, used: int) -> bool:
         """Whether the state (shape, used) is in ``group`` up to renaming,
         adding it if not.  A group is ``[shape, set of used]`` while one
         shape fills it, and ``[None, contents]`` once two have: a class's
@@ -340,9 +321,10 @@ def _search(g: Graph, k: int, budget: _Budget,
     ``order[d]`` colored before it (the properness check), ``final_at[d]``,
     the vertices whose closed neighbourhood is complete once ``order[d]`` is
     colored (the signature check), and ``twin[d]``, the twin of ``order[d]``
-    last before it in the order (the twin check).  Colors are bits:
-    ``bits[v] = 1 << color``, 0 while v is uncolored, and a signature is
-    the OR of ``bits`` over a neighbourhood.
+    last before it in the order (the twin check), or n where it has none.
+    Colors are bits, and ``bits`` is the search's only record of them:
+    ``bits[v] = 1 << color``, 0 while v is uncolored and always at v = n,
+    and a signature is the OR of ``bits`` over a neighbourhood.
 
     One loop then walks the depths.  When it enters a depth it decides
     properness for every color at once, as the candidate mask ``cands[d]``:
@@ -350,18 +332,19 @@ def _search(g: Graph, k: int, budget: _Budget,
     depths before, at most k, which breaks the symmetry between unused
     colors), minus ``forbidden``, the colors its earlier neighbours hold.
     The mask holds for the whole stay at the depth, because everything
-    deeper is undone before the depth tries its next color.  The
-    color last tried starts at the color of ``twin[d]`` (so that a twin
-    takes a higher color than the twin before it), and the next color tried
+    deeper is undone before the depth tries its next color.  The color last
+    tried starts at the color of ``twin[d]`` (so that a twin takes a higher
+    color than the twin before it), read from its bit b as ``(b >> 1)``'s
+    bit length, which is 0 where there is no twin, and the next color tried
     is the lowest candidate above it.  Only the signatures are tested per
     color: each (signature, color) pair has a bit of ``used`` (``slot``
-    numbers the pairs as the search meets them), so a clash is an AND, and
-    undoing a depth restores ``base[d]``, ``used`` as the depth found it.
-    Only a color that passes goes deeper.  Each color up to the highest
-    allowed is one node when the search passes over it, whether the
-    candidate mask or a signature clash rejected it, and the nodes are
-    added to ``budget.nodes``; the deadline is checked each time the count
-    crosses a multiple of ``CHECK_EVERY``.
+    numbers the pairs as the search or the memo's renaming meets them), so
+    a clash is an AND, and undoing a depth restores ``base[d]``, ``used``
+    as the depth found it.  Only a color that passes goes deeper.  Each
+    color up to the highest allowed is one node when the search passes over
+    it, whether the candidate mask or a signature clash rejected it, and
+    the nodes are added to ``budget.nodes``; the deadline is checked each
+    time the count crosses a multiple of ``CHECK_EVERY``.
 
     The two symmetry prunes keep the search complete, and they leave its
     first answer unchanged: each only drops colorings that are not the
@@ -422,8 +405,7 @@ def _search(g: Graph, k: int, budget: _Budget,
     slot: dict[int, int] = {}  # (signature, color bit) -> its bit in used
     used = 0
     base = [0] * n  # used on entry to each depth
-    colors = [0] * (n + 1)
-    bits = [0] * n
+    bits = [0] * (n + 1)  # bits[n] stays 0: the color of no twin
     cands = [0b10] * n  # depth 0 may take color 1 only; deeper ones are set on entry
     tried = [0] * n
     limit = [1] * n
@@ -435,7 +417,7 @@ def _search(g: Graph, k: int, budget: _Budget,
     try:
         while depth >= 0:
             v = order[depth]
-            if colors[v]:  # undo the color that led deeper
+            if bits[v]:  # undo the color that led deeper
                 used = base[depth]
             last = tried[depth]
             rest = cands[depth] >> (last + 1) << (last + 1)
@@ -444,7 +426,6 @@ def _search(g: Graph, k: int, budget: _Budget,
                 bit = rest & -rest
                 rest ^= bit
                 color = bit.bit_length() - 1
-                colors[v] = color
                 bits[v] = bit
                 now = used
                 for w in closing:
@@ -461,7 +442,7 @@ def _search(g: Graph, k: int, budget: _Budget,
                     break  # every signature is new: keep this color
             else:  # no candidate left: pass over the colors up to the limit
                 color = limit[depth]
-                colors[v] = bits[v] = 0
+                bits[v] = 0
             nodes += color - last
             tried[depth] = color
             if nodes >= next_check:
@@ -471,15 +452,15 @@ def _search(g: Graph, k: int, budget: _Budget,
                     front, exact = _memo_schedule(g, order, final_at, twin)
                     memo = _Memo(k, slot)
                     shapes, groups = memo.shapes, memo.groups
-            if not colors[v]:
+            if not bits[v]:
                 depth -= 1
                 continue
             if depth + 1 == n:
-                return tuple(colors[:n])
+                return tuple(bit.bit_length() - 1 for bit in bits[:n])
             depth += 1
             base[depth] = used
             top = limit[depth] = min(k, max(limit[depth - 1], color + 1))
-            tried[depth] = colors[twin[depth]]
+            tried[depth] = (bits[twin[depth]] >> 1).bit_length()  # 0: no twin
             forbidden = 0
             for u in earlier[depth]:
                 forbidden |= bits[u]
@@ -513,15 +494,12 @@ def _search_order(g: Graph) -> list[int]:
     ties, visiting each vertex's neighbours by descending degree, then
     index.  The graph is connected, so every vertex after the first has a
     neighbour before it."""
-    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    rank = [0] * g.n
-    for r, v in enumerate(by_degree):
-        rank[v] = r
-    order = [by_degree[0]]
+    by_degree = [(-len(near), v) for v, near in enumerate(g.adj)].__getitem__  # v's sort key
+    order = [min(range(g.n), key=by_degree)]
     seen = [False] * g.n
     seen[order[0]] = True
     for v in order:  # grows while it is walked
-        for u in sorted(g.adj[v], key=rank.__getitem__):
+        for u in sorted(g.adj[v], key=by_degree):
             if not seen[u]:
                 seen[u] = True
                 order.append(u)
@@ -537,10 +515,13 @@ def exists_nl_coloring(g: Graph, k: int,
     1..k' for some k' <= k and is deterministic.  Raises nothing on negative
     instances -- the False answer is the exhausted-search certificate.  Raises
     ``TimeoutError`` when ``options.time_budget`` (or ``budget``) runs out
-    before the search has an answer, and ``ValueError`` when k < 1.
+    before the search has an answer, and ``ValueError`` when k < 1 or
+    ``options.max_k`` is set: k is already the cap.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if options is not None and options.max_k is not None:
+        raise ValueError("exists_nl_coloring takes no max_k: k is the cap")
     budget = budget or _Budget((options or SolveOptions()).time_budget)
     budget.check()
     found = _search(g, k, budget)

@@ -167,8 +167,11 @@ def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None
     "counterexamples".  The instances are solved one after another, each by
     its own ``chi_nl_exact`` call, so ``options.time_budget`` is a budget per
     instance, not for the whole sweep.  Raises ``SweepBudgetExhausted`` when
-    the solver gives up on an instance.
+    the solver gives up on an instance, and ``ValueError`` for an
+    ``options.max_k``: a sweep needs every exact value, so it takes no cap.
     """
+    if options is not None and options.max_k is not None:
+        raise ValueError("conjecture_sweep takes no max_k: a sweep needs every exact value")
     if which == DELTA_CONJECTURE:
         if not 1 <= max_n <= TREE_ENUM_CAP:
             raise ValueError(f"delta sweep supports 1 <= max_n <= {TREE_ENUM_CAP}")

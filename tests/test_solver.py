@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from nlcoloring import (
@@ -30,6 +32,12 @@ def test_exists_examples():
     assert exists_nl_coloring(family_graph(FamilySpec.star(5)), 4)[0] is False
     with pytest.raises(ValueError):
         exists_nl_coloring(family_graph(FamilySpec.path(2)), 0)
+
+
+def test_exists_refuses_a_color_cap():
+    # k is already the cap, so a second one would be dropped or contradict it
+    with pytest.raises(ValueError, match="max_k"):
+        exists_nl_coloring(family_graph(FamilySpec.cycle(7)), 5, SolveOptions(max_k=2))
 
 
 def test_exists_raises_timeout_when_the_budget_runs_out():
@@ -98,14 +106,25 @@ def test_timed_out_inside_the_search():
     assert result.nodes_explored >= CHECK_EVERY
 
 
-@pytest.mark.parametrize("spec", [FamilySpec.path(1100), FamilySpec.cycle(1100)],
-                         ids=["P1100", "C1100"])
-def test_deep_instances_match_closed_form(spec):
+@pytest.mark.parametrize("spec,chi,nodes,digest", [
+    (FamilySpec.path(1100), 14, 8_254,
+     "a0bce12b6ba123e08e8fde79a330c88a2045b363b257004acd72baa5d0baeb06"),
+    # the one pinned search whose memo renames a large used (821 pairs)
+    (FamilySpec.cycle(1100), 14, 7_915,
+     "42d073e5f75022f573551bc35254f09a0ef33614066ea6002d791388d80fb040"),
+    (FamilySpec.path(3000), 19, 29_959,
+     "1f83a0c53f7344da4851445b5204d4a73d04c78c55229344c526f1302657731f"),
+], ids=["P1100", "C1100", "P3000"])
+def test_deep_instances_match_closed_form(spec, chi, nodes, digest):
     # past ell(13) = 1014 the closed forms need orders above 1000, so the
-    # search depth must not be bounded by the interpreter's recursion limit
+    # search depth must not be bounded by the interpreter's recursion limit.
+    # The node counts and the witnesses (a sha256 of the colors joined by
+    # commas) are pinned like the small searches below
     result = chi_nl_exact(family_graph(spec))
-    assert (result.chi, result.status) == (14, "Exact")
+    assert (result.chi, result.status, result.nodes_explored) == (chi, "Exact", nodes)
     assert result.chi == chi_closed_form(spec)
+    colors = ",".join(map(str, result.witness.colors))
+    assert hashlib.sha256(colors.encode()).hexdigest() == digest
 
 
 def test_sequential_witness_is_deterministic():

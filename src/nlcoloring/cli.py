@@ -9,18 +9,20 @@ negative verdict (failed verification, infeasible within caps, conjecture
 violated), 2 usage or input errors, 3 internal fault (the traceback goes
 to stderr).
 
-Each subcommand imports the modules it runs when it runs, so a process
-loads only those: ``--version`` loads none of them.  No subcommand loads
-networkx; the sweeps generate their trees and decode their atlas graphs
-themselves.
+The parser is one table, ``_COMMANDS``, read by getopt, so no command
+imports argparse.  Each subcommand imports the modules it runs when it
+runs, so a process loads only those: ``--version`` loads none of them.
+No subcommand loads networkx; the sweeps generate their trees and decode
+their atlas graphs themselves.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -280,79 +282,102 @@ def _cmd_export(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", help="path|cycle|fan|wheel|comb|star|double-star|"
-                                         "unicyclic|caterpillar")
-    parser.add_argument("--n", type=int, help="order (path/cycle/fan/wheel/star)")
-    parser.add_argument("--m", type=int, help="spine size (comb)")
-    parser.add_argument("--r", type=int, help="first center leaf count (double-star)")
-    parser.add_argument("--s", type=int, help="second center leaf count (double-star)")
-    parser.add_argument("--k", type=int, help="color count (unicyclic/caterpillar)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nlc",
-                                     description="Neighbor-locating colorings of "
-                                                 "pseudotrees: build, verify, bound, solve.")
-    parser.add_argument("--version", action="version", version=f"nlc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a family graph as JSON")
-    _add_family_arguments(p)
-
-    p = sub.add_parser("color", help="construct a verified coloring")
-    _add_family_arguments(p)
-    p.add_argument("--graph", help="graph file (trees only), '-' for stdin")
-    p.add_argument("--dot", help="also write a DOT rendering here")
-
-    p = sub.add_parser("verify", help="check a certificate against a graph")
-    p.add_argument("--graph", required=True, help="graph file, '-' for stdin")
-    p.add_argument("--certificate", required=True, help="certificate JSON file")
-
-    p = sub.add_parser("chi", help="closed-form (family) or exact (graph) value")
-    _add_family_arguments(p)
-    p.add_argument("--graph", help="graph file, '-' for stdin")
-    p.add_argument("--exact", action="store_true", help="run the exact solver")
-    p.add_argument("--max-k", type=int, dest="max_k", help="cap on the color count")
-    p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-
-    p = sub.add_parser("bounds", help="print the bounds report for a color count")
-    p.add_argument("--k", type=int, required=True,
-                   help=f"color count, 3 to {BOUNDS_MAX_K}")
-    p.add_argument("--delta", type=int, help="degree cap (at most k-1)")
-
-    p = sub.add_parser("sweep", help="exhaustively test a conjecture")
-    p.add_argument("--conjecture", required=True, choices=["delta", "diameter"])
-    p.add_argument("--max-n", type=int, dest="max_n", required=True)
-    p.add_argument("--report", help="write the full per-instance report here")
-    p.add_argument("--budget", type=float,
-                   help="wall-clock budget in seconds per instance")
-
-    p = sub.add_parser("export", help="convert graph formats")
-    p.add_argument("--input", required=True, help="graph file, '-' for stdin")
-    p.add_argument("--to", required=True, choices=["json", "edgelist", "dot"])
-    p.add_argument("--out", help="output file (default stdout)")
-
-    return parser
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "color": _cmd_color,
-    "verify": _cmd_verify,
-    "chi": _cmd_chi,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "export": _cmd_export,
+# command -> (handler, help line, options); option -> (type, required, help),
+# where the type is str, int, float, bool (a flag) or a tuple of choices.  The
+# None command holds the options that come before a command.
+_FAMILY = {
+    "family": (str, False, "path|cycle|fan|wheel|comb|star|double-star|unicyclic|caterpillar"),
+    "n": (int, False, "order (path/cycle/fan/wheel/star)"), "m": (int, False, "spine size (comb)"),
+    "r": (int, False, "leaves of the first center (double-star)"),
+    "s": (int, False, "leaves of the second center (double-star)"),
+    "k": (int, False, "color count (unicyclic/caterpillar)")}
+_COMMANDS = {
+    None: (None, "Neighbor-locating colorings of pseudotrees: build, verify, bound, solve.",
+           {"version": (bool, False, "print the version and exit")}),
+    "gen": (_cmd_gen, "emit a family graph as JSON", _FAMILY),
+    "color": (_cmd_color, "construct a verified coloring", {
+        **_FAMILY, "graph": (str, False, "graph file (trees only), '-' for stdin"),
+        "dot": (str, False, "also write a DOT rendering here")}),
+    "verify": (_cmd_verify, "check a certificate against a graph", {
+        "graph": (str, True, "graph file, '-' for stdin"),
+        "certificate": (str, True, "certificate JSON file")}),
+    "chi": (_cmd_chi, "closed-form (family) or exact (graph) value", {
+        **_FAMILY, "graph": (str, False, "graph file, '-' for stdin"),
+        "exact": (bool, False, "run the exact solver"),
+        "max-k": (int, False, "cap on the color count"),
+        "budget": (float, False, "wall-clock budget in seconds")}),
+    "bounds": (_cmd_bounds, "print the bounds report for a color count", {
+        "k": (int, True, f"color count, 3 to {BOUNDS_MAX_K}"),
+        "delta": (int, False, "degree cap (at most k-1)")}),
+    "sweep": (_cmd_sweep, "exhaustively test a conjecture", {
+        "conjecture": (("delta", "diameter"), True, "the conjecture"),
+        "max-n": (int, True, "largest order tested"),
+        "report": (str, False, "write the full per-instance report here"),
+        "budget": (float, False, "wall-clock budget in seconds per instance")}),
+    "export": (_cmd_export, "convert graph formats", {
+        "input": (str, True, "graph file, '-' for stdin"),
+        "to": (("json", "edgelist", "dot"), True, "output format"),
+        "out": (str, False, "output file (default stdout)")}),
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _help(command: str | None) -> str:
+    _, about, options = _COMMANDS[command]
+    rows = [(f"--{name} " + ("|".join(kind) if isinstance(kind, tuple) else
+                            name.upper() * (kind is not bool)), text + " (required)" * required)
+            for name, (kind, required, text) in options.items()]
+    rows += [(name, _COMMANDS[name][1]) for name in _COMMANDS if name and command is None]
+    return "\n".join([f"usage: nlc {command or 'COMMAND'} [OPTIONS]", "", about, ""] +
+                      [f"  {left:<30}{text}" for left, text in rows])
+
+
+def _usage(command: str | None, message: str) -> SystemExit:
+    print(f"nlc{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its options, split by getopt as ``_COMMANDS`` lists them;
+    a usage error prints to stderr and raises ``SystemExit(2)``, as argparse did."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    options = _COMMANDS[command][2]
     try:
-        return _HANDLERS[args.command](args)
+        opts, rest = getopt.getopt(argv[command is not None:], "h", ["help"] + [
+            name + "=" * (kind is not bool) for name, (kind, _, _) in options.items()])
+    except getopt.GetoptError as exc:
+        raise _usage(command, str(exc))
+    values = {name: False if kind is bool else None for name, (kind, _, _) in options.items()}
+    for opt, value in opts:
+        name = opt.lstrip("-")
+        if name in ("h", "help", "version"):
+            print(f"nlc {__version__}" if name == "version" else _help(command))
+            raise SystemExit(EXIT_OK)
+        kind = options[name][0]
+        if kind is bool:
+            value = True
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise _usage(command, f"--{name} must be one of {', '.join(kind)}, not {value!r}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _usage(command, f"--{name} needs {kind.__name__} values, not {value!r}")
+        values[name] = value
+    if command is None:
+        raise _usage(None, f"unknown command {rest[0]!r}" if rest else "a command is required")
+    if rest:
+        raise _usage(command, f"unrecognized arguments: {' '.join(rest)}")
+    for name, (_, required, _) in options.items():
+        if required and values[name] is None:
+            raise _usage(command, f"--{name} is required")
+    return SimpleNamespace(command=command, **{n.replace("-", "_"): v for n, v in values.items()})
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -515,13 +515,16 @@ def exists_nl_coloring(g: Graph, k: int,
     1..k' for some k' <= k and is deterministic.  Raises nothing on negative
     instances -- the False answer is the exhausted-search certificate.  Raises
     ``TimeoutError`` when ``options.time_budget`` (or ``budget``) runs out
-    before the search has an answer, and ``ValueError`` when k < 1 or
-    ``options.max_k`` is set: k is already the cap.
+    before the search has an answer, and ``ValueError`` when k < 1, when
+    ``options.max_k`` is set (k is already the cap) or when
+    ``options.time_budget`` and ``budget`` are both given.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if options is not None and options.max_k is not None:
         raise ValueError("exists_nl_coloring takes no max_k: k is the cap")
+    if options is not None and options.time_budget is not None and budget is not None:
+        raise ValueError("exists_nl_coloring takes a time_budget or a budget, not both")
     budget = budget or _Budget((options or SolveOptions()).time_budget)
     budget.check()
     found = _search(g, k, budget)

@@ -499,3 +499,57 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_version_prints_the_version(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == f"nlc {nlcoloring.__version__}\n" == "nlc 0.1.0\n"
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("gen", "color", "verify", "chi", "bounds", "sweep", "export"):
+        assert command in out
+
+
+def test_command_help_names_each_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chi", "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for option in ("--family", "--n", "--m", "--r", "--s", "--k", "--graph", "--exact",
+                   "--max-k", "--budget"):
+        assert option in out
+
+
+@pytest.mark.parametrize("graph_args", [["--graph", "{g}"], ["--graph={g}"]],
+                         ids=["separate", "equals"])
+def test_option_prefixes_and_inline_values(graph_args, tmp_path, capsys):
+    code, payload, _ = run_json(capsys, "color", "--family", "cycle", "--n", "9")
+    graph_file = tmp_path / "g.json"
+    cert_file = tmp_path / "c.json"
+    graph_file.write_text(json.dumps(payload["graph"]))
+    cert_file.write_text(json.dumps(payload["certificate"]))
+    argv = [a.format(g=graph_file) for a in graph_args]
+    code, verdict, _ = run_json(capsys, "verify", *argv, "--cert", str(cert_file))
+    assert code == 0 and verdict == {"ok": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "cycle", "--n", "x"],
+    ["bounds"],
+    ["sweep", "--conjecture", "girth", "--max-n", "4"],
+    ["chi", "--family", "cycle", "--n", "5", "stray"],
+    [],
+], ids=["bad-int", "missing-required", "bad-choice", "positional", "no-arguments"])
+def test_parser_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err

@@ -103,7 +103,7 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
             "sweep diameter": ["sweep", "--conjecture", "diameter", "--max-n", "4"]}[command]
     loaded = _loaded(tmp_path, *argv)
     ours = {m for m in loaded if m.startswith("nlcoloring.")}
-    assert not loaded & {"dataclasses", "inspect", "networkx"}
+    assert not loaded & {"argparse", "dataclasses", "inspect", "networkx"}
     if command == "--version":
         assert not ours
     elif command == "verify":

@@ -40,6 +40,13 @@ def test_exists_refuses_a_color_cap():
         exists_nl_coloring(family_graph(FamilySpec.cycle(7)), 5, SolveOptions(max_k=2))
 
 
+def test_exists_refuses_two_budgets():
+    # one of them would be dropped, and the search would run past the other
+    with pytest.raises(ValueError, match="time_budget"):
+        exists_nl_coloring(family_graph(FamilySpec.comb(12)), 4,
+                           SolveOptions(time_budget=0.001), budget=_Budget(None))
+
+
 def test_exists_raises_timeout_when_the_budget_runs_out():
     # k = 5 on the comb of spine 20 gets no answer in 7 million nodes
     # (20 s), so the budget runs out on any host

@@ -1,4 +1,5 @@
-"""Hand-made mutations of the solver that the tests must kill.
+"""Hand-made mutations of the solver, the lower bound and the CLI parser
+that the tests must kill.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -87,6 +88,17 @@ MUTATIONS = [
         ("twin_bound = min(max(map(len, twins), default=1) + 1, g.n)",
          "twin_bound = min(max(map(len, twins), default=1) + 2, g.n)"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    # the command-line parser: a missing required option, an option value
+    # left a string, and a value outside its choices must each stay usage errors
+    Mutation("cli without the required check", "cli.py", (
+        ("if required and values[name] is None:", "if False:"),
+    ), ("tests/test_cli.py",)),
+    Mutation("cli without the type conversion", "cli.py", (
+        ("value = kind(value)", "value = value"),
+    ), ("tests/test_cli.py",)),
+    Mutation("cli without the choices check", "cli.py", (
+        ("if value not in kind:", "if False:"),
+    ), ("tests/test_cli.py",)),
 ]
 
 

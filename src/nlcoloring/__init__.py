@@ -28,8 +28,7 @@ _EXPORTS = {
     **dict.fromkeys(("DegreeStats", "FamilySpec", "Graph", "GraphError", "classify",
                      "degree_stats", "diameter", "distances", "family_graph", "is_tree",
                      "twin_classes"), "graphs"),
-    **dict.fromkeys(("SolveOptions", "SolveResult", "chi_nl_exact", "exists_nl_coloring"),
-                    "solver"),
+    **dict.fromkeys(("SolveResult", "chi_nl_exact", "exists_nl_coloring"), "solver"),
     **dict.fromkeys(("conjecture_sweep", "connected_graphs", "enumerate_trees"), "sweeps"),
 }
 _MODULES = ("bounds", "cli", "coloring", "construct", "formats", "graphs", "solver", "sweeps")

@@ -85,20 +85,28 @@ def read_graph(path: str):
         raise CliError(f"{path}: {exc}")
 
 
+def _refuse_params(args, owner: str, taken: tuple[str, ...] = ()) -> None:
+    """A family parameter given to an owner (a family or ``--graph``) that
+    does not take it is a usage error, not dropped in silence."""
+    extra = [f"--{name}" for name in _FAMILY
+             if name != "family" and name not in taken and getattr(args, name) is not None]
+    if extra:
+        raise CliError(f"{owner} takes no {' or '.join(extra)}")
+
+
 def _family_spec(args) -> FamilySpec:
     from .graphs import FAMILIES, FamilySpec
 
-    if args.family is None:
+    fam = args.family
+    if fam is None:
         raise CliError(f"{args.command} needs --family")
-    fam = args.family.lower().replace("_", "-")
-    if fam == "doublestar":
-        fam = "double-star"
     if fam not in FAMILIES:
-        raise CliError(f"unknown family {args.family!r}")
+        raise CliError(f"unknown family {fam!r}")
     params = FAMILIES[fam][0]
     values = tuple(getattr(args, name) for name in params)
     if None in values:
         raise CliError(f"{fam} needs {' and '.join('--' + name for name in params)}")
+    _refuse_params(args, fam, params)
     try:
         return FamilySpec(fam, values)
     except ValueError as exc:
@@ -171,6 +179,7 @@ def _cmd_color(args) -> int:
         if args.family is not None:
             cg = _colored_graph_for(_family_spec(args))
         else:
+            _refuse_params(args, "--graph")
             g = read_graph(args.graph)
             if not is_tree(g):
                 raise CliError("only tree input is supported for --graph coloring")
@@ -220,17 +229,17 @@ def _cmd_chi(args) -> int:
             raise CliError(str(exc))
         _emit({"chi": value})
         return EXIT_OK
+    _refuse_params(args, "--graph")
     g = read_graph(args.graph)
     if not args.exact:
         _emit({"chiLowerBound": bounds.chi_lower_bound(g)})
         return EXIT_OK
     from . import solver
 
-    try:  # SolveOptions rejects a cap below 1 and a negative or nan budget
-        options = solver.SolveOptions(max_k=args.max_k, time_budget=args.budget)
+    try:  # a cap below 1 or a negative or nan budget
+        result = solver.chi_nl_exact(g, max_k=args.max_k, time_budget=args.budget)
     except ValueError as exc:
         raise CliError(str(exc))
-    result = solver.chi_nl_exact(g, options)
     _emit(result.to_dict())
     return EXIT_OK if result.status == solver.EXACT else EXIT_NEGATIVE
 
@@ -250,11 +259,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from . import solver, sweeps
+    from . import sweeps
 
     try:
-        options = solver.SolveOptions(time_budget=args.budget)
-        report = sweeps.conjecture_sweep(args.conjecture, args.max_n, options)
+        report = sweeps.conjecture_sweep(args.conjecture, args.max_n, time_budget=args.budget)
     except (ValueError, sweeps.SweepBudgetExhausted) as exc:
         raise CliError(str(exc))
     if args.report:

@@ -23,7 +23,7 @@ per-depth lists (see ``_search``), so it has no recursion and no depth
 limit.  The search is deliberately simple and fully exhaustive: it is the
 independent check the constructions are measured against, so completeness
 beats speed.  It is also sequential and deterministic: the same graph and
-options always give the same witness and node count.
+color cap always give the same witness and node count.
 """
 
 from __future__ import annotations
@@ -35,26 +35,6 @@ from typing import NamedTuple
 from .bounds import chi_lower_bound
 from .coloring import Coloring, is_nl_coloring
 from .graphs import Graph, twin_classes
-
-
-class _SolveOptions(NamedTuple):
-    max_k: int | None
-    time_budget: float | None
-
-
-class SolveOptions(_SolveOptions):
-    """Caps on one solve: the largest color count tried (at least 1) and a
-    wall-clock budget in seconds (at least 0); None means no cap."""
-
-    __slots__ = ()
-
-    def __new__(cls, max_k: int | None = None, time_budget: float | None = None):
-        if max_k is not None and max_k < 1:
-            raise ValueError(f"max_k must be at least 1, got {max_k}")
-        if time_budget is not None and not time_budget >= 0:  # also rejects nan
-            raise ValueError(f"time budget must be a number of seconds >= 0, "
-                             f"got {time_budget}")
-        return super().__new__(cls, max_k, time_budget)
 
 
 EXACT = "Exact"
@@ -84,6 +64,8 @@ class _Budget:
     __slots__ = ("deadline", "nodes")
 
     def __init__(self, seconds: float | None):
+        if seconds is not None and not seconds >= 0:  # also rejects nan
+            raise ValueError(f"time budget must be a number of seconds >= 0, got {seconds}")
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.nodes = 0
 
@@ -506,26 +488,21 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
-def exists_nl_coloring(g: Graph, k: int,
-                       options: SolveOptions | None = None,
+def exists_nl_coloring(g: Graph, k: int, *,
                        budget: _Budget | None = None) -> tuple[bool, Coloring | None]:
     """Decide whether some NL-coloring with at most k colors exists.
 
     Complete search; the witness (when one exists) uses exactly the colors
     1..k' for some k' <= k and is deterministic.  Raises nothing on negative
     instances -- the False answer is the exhausted-search certificate.  Raises
-    ``TimeoutError`` when ``options.time_budget`` (or ``budget``) runs out
-    before the search has an answer, and ``ValueError`` when k < 1, when
-    ``options.max_k`` is set (k is already the cap) or when
-    ``options.time_budget`` and ``budget`` are both given.
+    ``TimeoutError`` when ``budget`` runs out before the search has an
+    answer, and ``ValueError`` when k < 1.  For a decision within a time
+    budget, ``chi_nl_exact(g, max_k=k, time_budget=t)`` is Exact exactly when
+    a coloring with at most k colors exists.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if options is not None and options.max_k is not None:
-        raise ValueError("exists_nl_coloring takes no max_k: k is the cap")
-    if options is not None and options.time_budget is not None and budget is not None:
-        raise ValueError("exists_nl_coloring takes a time_budget or a budget, not both")
-    budget = budget or _Budget((options or SolveOptions()).time_budget)
+    budget = budget or _Budget(None)
     budget.check()
     found = _search(g, k, budget)
     if found is None:
@@ -533,28 +510,36 @@ def exists_nl_coloring(g: Graph, k: int,
     return True, Coloring(max(found), found)
 
 
-def chi_nl_exact(g: Graph, options: SolveOptions | None = None) -> SolveResult:
+def chi_nl_exact(g: Graph, *, max_k: int | None = None,
+                 time_budget: float | None = None) -> SolveResult:
     """Exact NL-chromatic number by iterating k upward from the lower bound.
 
     The Exact status carries a verified witness with exactly chi colors and
     the implicit infeasibility certificate for chi-1 (the exhausted search).
-    A max-k cap or time budget yields CappedOut / TimedOut with whatever was
-    learned.  The twin classes are found once, for the lower bound and the
-    search schedule, and the one schedule serves every k tried.
+    ``max_k`` caps the color count (at least 1) and ``time_budget`` is a
+    wall-clock budget in seconds (at least 0); None means no cap, and a
+    value out of range raises ``ValueError`` before any work.  A cap or
+    budget that stops the solve yields CappedOut / TimedOut with whatever
+    was learned.  The twin classes are found once, for the lower bound and
+    the search schedule, and the one schedule serves every k tried.
     """
-    opts = options or SolveOptions()
-    budget = _Budget(opts.time_budget)
+    if max_k is not None and max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    budget = _Budget(time_budget)
     twins = twin_classes(g)
     lower = chi_lower_bound(g, twins)
     schedule = _schedule(g, twins)
-    top = g.n if opts.max_k is None else min(opts.max_k, g.n)
+    top = g.n if max_k is None else min(max_k, g.n)
     k = lower
     try:
         while k <= top:
             budget.check()
             found = _search(g, k, budget, schedule)
             if found is not None:
-                witness = Coloring(max(found), found)
+                try:  # a skipped color is a fault, not the ValueError of a cap out of range
+                    witness = Coloring(max(found), found)
+                except ValueError as exc:
+                    raise RuntimeError(f"search produced an invalid witness: {exc}") from None
                 verdict = is_nl_coloring(g, witness)
                 if not verdict.ok:  # cross-check against the independent verifier
                     raise RuntimeError(f"search produced an invalid witness: {verdict}")

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .bounds import chi_closed_form
 from .graphs import FamilySpec, Graph, degree_stats, diameter
-from .solver import SolveOptions, chi_nl_exact
+from .solver import chi_nl_exact
 
 TREE_ENUM_CAP = 12
 CONNECTED_ENUM_CAP = 7
@@ -157,7 +157,7 @@ def _diameter_fields(g: Graph, chi: int) -> dict:
     return {"diameter": d, "pathValue": floor, "verdict": chi >= floor}
 
 
-def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None) -> dict:
+def conjecture_sweep(which: str, max_n: int, *, time_budget: float | None = None) -> dict:
     """Exhaustively test one of the two conjectures on every instance of
     order at most max_n.
 
@@ -165,13 +165,11 @@ def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None
     edge string, order, exact value, the measured quantity, and the
     verdict) plus the aggregate; any violating instance lands in
     "counterexamples".  The instances are solved one after another, each by
-    its own ``chi_nl_exact`` call, so ``options.time_budget`` is a budget per
-    instance, not for the whole sweep.  Raises ``SweepBudgetExhausted`` when
-    the solver gives up on an instance, and ``ValueError`` for an
-    ``options.max_k``: a sweep needs every exact value, so it takes no cap.
+    its own ``chi_nl_exact`` call, so ``time_budget`` is a budget in seconds
+    per instance, not for the whole sweep.  Raises ``SweepBudgetExhausted``
+    when the solver gives up on an instance, and ``ValueError`` for an unknown
+    conjecture, an order out of range or a negative or nan budget.
     """
-    if options is not None and options.max_k is not None:
-        raise ValueError("conjecture_sweep takes no max_k: a sweep needs every exact value")
     if which == DELTA_CONJECTURE:
         if not 1 <= max_n <= TREE_ENUM_CAP:
             raise ValueError(f"delta sweep supports 1 <= max_n <= {TREE_ENUM_CAP}")
@@ -186,7 +184,7 @@ def conjecture_sweep(which: str, max_n: int, options: SolveOptions | None = None
         raise ValueError(f"unknown conjecture {which!r}")
     instances = []
     for g in graphs:
-        chi = chi_nl_exact(g, options).chi
+        chi = chi_nl_exact(g, time_budget=time_budget).chi
         if chi is None:
             raise SweepBudgetExhausted("solver gave up inside the sweep; raise the budget")
         instances.append({"canonical": ";".join(f"{u}-{v}" for u, v in g.sorted_edges()),

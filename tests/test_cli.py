@@ -34,8 +34,28 @@ def test_gen_cycle(capsys):
 
 
 def test_gen_bad_family(capsys):
-    code, _, err = run(capsys, "gen", "--family", "hypercube", "--n", "3")
-    assert code == 2 and "error" in err
+    # only the names of FAMILIES: no other case, underscore or run-together spelling
+    for family in ("hypercube", "Cycle", "double_star", "doublestar"):
+        code, _, err = run(capsys, "gen", "--family", family, "--n", "3", "--r", "1", "--s", "3")
+        assert code == 2 and f"error: unknown family {family!r}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--family", "cycle", "--n", "5", "--k", "3"], "cycle takes no --k"),
+    (["color", "--family", "double-star", "--r", "1", "--s", "3", "--n", "5", "--m", "4"],
+     "double-star takes no --n or --m"),
+    (["chi", "--family", "comb", "--m", "6", "--n", "7"], "comb takes no --n"),
+    (["chi", "--graph", "{p3}", "--n", "7"], "--graph takes no --n"),
+    (["chi", "--graph", "{p3}", "--exact", "--k", "4"], "--graph takes no --k"),
+    (["color", "--graph", "{p3}", "--r", "1", "--s", "2"], "--graph takes no --r or --s"),
+], ids=["gen", "color", "chi", "graph-chi", "graph-chi-exact", "graph-color"])
+def test_family_parameters_not_taken_are_usage_errors(argv, message, tmp_path, capsys):
+    # a parameter that the family does not take, or any with --graph (the
+    # file fixes the graph), would be dropped in silence
+    p3 = tmp_path / "p3.json"
+    p3.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, err = run(capsys, *(a.format(p3=p3) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_gen_without_family_is_a_usage_error(capsys):
@@ -395,7 +415,7 @@ def test_sweep_order_out_of_range_is_a_usage_error(conjecture, max_n, message, c
 
 
 def test_sweep_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
-    def fault(g, options=None):
+    def fault(g, *, time_budget=None):
         raise RuntimeError("search produced an invalid witness")
 
     monkeypatch.setattr(nlcoloring.sweeps, "chi_nl_exact", fault)
@@ -411,6 +431,21 @@ def test_chi_exact_internal_fault_exits_3(monkeypatch, tmp_path, capsys):
     graph_file = tmp_path / "p3.json"
     graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
     code, out, err = run(capsys, "chi", "--graph", str(graph_file), "--exact")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "invalid witness" in err
+
+
+@pytest.mark.parametrize("command", ["chi", "sweep"])
+def test_witness_that_skips_a_color_exits_3(command, monkeypatch, tmp_path, capsys):
+    # the Coloring record refuses colors 1 and 3 without 2 with a ValueError,
+    # which must stay a fault (3), not the usage error of a cap out of range
+    monkeypatch.setattr(nlcoloring.solver, "_search",
+                        lambda g, k, budget, schedule=None: (1, 3, 1)[:g.n])
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    argv = {"chi": ["chi", "--graph", str(graph_file), "--exact"],
+            "sweep": ["sweep", "--conjecture", "delta", "--max-n", "4"]}[command]
+    code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert "Traceback" in err and "invalid witness" in err
 

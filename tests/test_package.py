@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nlcoloring
-from nlcoloring import Coloring, FamilySpec, SolveOptions, chi_nl_exact, cycle_coloring
+from nlcoloring import Coloring, FamilySpec, chi_nl_exact, cycle_coloring
 
 SRC = str(Path(nlcoloring.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=SRC)
@@ -29,13 +29,13 @@ cone_coloring cycle_coloring generic_tree_coloring one_paired_cycle_coloring
 path_coloring unicyclic_extremal
 DegreeStats FamilySpec Graph GraphError classify degree_stats diameter distances
 family_graph is_tree twin_classes
-SolveOptions SolveResult chi_nl_exact exists_nl_coloring
+SolveResult chi_nl_exact exists_nl_coloring
 conjecture_sweep connected_graphs enumerate_trees
 """.split()
 
 
 def test_every_export_resolves_in_a_fresh_interpreter():
-    assert len(EXPORTS) == 45
+    assert len(EXPORTS) == 44
     code = ("import nlcoloring, sys, json\n"
             f"names = {EXPORTS!r}\n"
             "missing = [n for n in names if not hasattr(nlcoloring, n)]\n"
@@ -121,8 +121,9 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda: SolveOptions(max_k=0), "max_k must be at least 1, got 0"),
-    (lambda: SolveOptions(time_budget=float("nan")),
+    # the solver's caps are no record: chi_nl_exact checks them where it reads them
+    (lambda: chi_nl_exact(cycle_coloring(6).graph, max_k=0), "max_k must be at least 1, got 0"),
+    (lambda: chi_nl_exact(cycle_coloring(6).graph, time_budget=float("nan")),
      "time budget must be a number of seconds >= 0, got nan"),
     (lambda: FamilySpec("cycle", (2,)), "parameters \\(2,\\) out of range for family 'cycle'"),
     (lambda: FamilySpec("hypercube", (3,)), "unknown family 'hypercube'"),
@@ -137,7 +138,7 @@ def test_validating_records_reject_bad_values(make, message):
 
 def test_records_refuse_attribute_assignment():
     cg = cycle_coloring(6)
-    records = [SolveOptions(), FamilySpec.cycle(6), Coloring(2, (1, 2)), cg,
+    records = [FamilySpec.cycle(6), Coloring(2, (1, 2)), cg,
                chi_nl_exact(cg.graph),
                nlcoloring.is_nl_coloring(cg.graph, cg.coloring),
                nlcoloring.extremal_audit(cg.graph, cg.coloring)[0]]
@@ -151,7 +152,7 @@ def test_records_refuse_attribute_assignment():
 
 def test_records_survive_pickling():
     # records are named tuples, so callers can store or send them with pickle
-    records = [SolveOptions(max_k=5, time_budget=1.5), FamilySpec.double_star(2, 3),
+    records = [FamilySpec.double_star(2, 3),
                Coloring(2, (1, 2, 1)), chi_nl_exact(cycle_coloring(7).graph)]
     for record in records:
         back = pickle.loads(pickle.dumps(record))

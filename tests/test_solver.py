@@ -9,10 +9,10 @@ import pytest
 from nlcoloring import (
     FamilySpec,
     Graph,
-    SolveOptions,
     chi_closed_form,
     chi_lower_bound,
     chi_nl_exact,
+    conjecture_sweep,
     connected_graphs,
     enumerate_trees,
     exists_nl_coloring,
@@ -34,25 +34,12 @@ def test_exists_examples():
         exists_nl_coloring(family_graph(FamilySpec.path(2)), 0)
 
 
-def test_exists_refuses_a_color_cap():
-    # k is already the cap, so a second one would be dropped or contradict it
-    with pytest.raises(ValueError, match="max_k"):
-        exists_nl_coloring(family_graph(FamilySpec.cycle(7)), 5, SolveOptions(max_k=2))
-
-
-def test_exists_refuses_two_budgets():
-    # one of them would be dropped, and the search would run past the other
-    with pytest.raises(ValueError, match="time_budget"):
-        exists_nl_coloring(family_graph(FamilySpec.comb(12)), 4,
-                           SolveOptions(time_budget=0.001), budget=_Budget(None))
-
-
 def test_exists_raises_timeout_when_the_budget_runs_out():
     # k = 5 on the comb of spine 20 gets no answer in 7 million nodes
     # (20 s), so the budget runs out on any host
     g = family_graph(FamilySpec.comb(20))
     with pytest.raises(TimeoutError):
-        exists_nl_coloring(g, 5, SolveOptions(time_budget=0.01))
+        exists_nl_coloring(g, 5, budget=_Budget(0.01))
 
 
 def test_exact_examples():
@@ -73,30 +60,41 @@ def test_exact_result_invariants():
 
 def test_capped_out():
     g = family_graph(FamilySpec.star(6))  # value 6
-    result = chi_nl_exact(g, SolveOptions(max_k=4))
+    result = chi_nl_exact(g, max_k=4)
     assert result.status == "CappedOut"
     assert result.chi is None and result.witness is None
 
 
 def test_timed_out():
     g = family_graph(FamilySpec.cycle(40))
-    result = chi_nl_exact(g, SolveOptions(time_budget=0.0))
+    result = chi_nl_exact(g, time_budget=0.0)
     assert result.status == "TimedOut"
     assert result.chi is None
 
 
-@pytest.mark.parametrize("options", [
-    {"max_k": 0}, {"max_k": -3}, {"time_budget": float("nan")}, {"time_budget": -1.0},
-], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative"])
-def test_options_out_of_range_are_rejected(options):
+@pytest.mark.parametrize("solve,match", [
+    (lambda g: chi_nl_exact(g, max_k=0), "max_k"),
+    (lambda g: chi_nl_exact(g, max_k=-3), "max_k"),
+    (lambda g: chi_nl_exact(g, time_budget=float("nan")), "budget"),
+    (lambda g: chi_nl_exact(g, time_budget=-1.0), "budget"),
+    (lambda g: conjecture_sweep("delta", 4, time_budget=float("nan")), "budget"),
+    (lambda g: conjecture_sweep("diameter", 4, time_budget=-1.0), "budget"),
+], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative",
+        "sweep-budget-nan", "sweep-budget-negative"])
+def test_options_out_of_range_are_rejected(solve, match, monkeypatch):
     # nan would never expire, a negative budget would time out at once, and
-    # no graph can meet a cap below one color
-    with pytest.raises(ValueError, match="max_k" if "max_k" in options else "budget"):
-        SolveOptions(**options)
+    # no graph can meet a cap below one color.  Each is refused before any
+    # search: a search that starts fails the test
+    def no_search(*args):
+        raise AssertionError("searched with a cap or budget out of range")
+
+    monkeypatch.setattr(solver, "_search", no_search)
+    with pytest.raises(ValueError, match=match):
+        solve(family_graph(FamilySpec.cycle(7)))
 
 
 def test_cap_of_one_color_is_accepted():
-    result = chi_nl_exact(family_graph(FamilySpec.path(2)), SolveOptions(max_k=1))
+    result = chi_nl_exact(family_graph(FamilySpec.path(2)), max_k=1)
     assert result.status == "CappedOut"
 
 
@@ -107,7 +105,7 @@ def test_timed_out_inside_the_search():
     # 7 million nodes (20 s), so the budget runs out on any host
     g = family_graph(FamilySpec.comb(20))
     assert chi_lower_bound(g) == 5
-    result = chi_nl_exact(g, SolveOptions(time_budget=0.05))
+    result = chi_nl_exact(g, time_budget=0.05)
     assert result.status == "TimedOut"
     assert result.chi is None
     assert result.nodes_explored >= CHECK_EVERY
@@ -236,6 +234,16 @@ def test_memo_keeps_the_closed_forms(spec, monkeypatch):
 # bipartite graphs among them, so twin classes of every kind
 SMALL_GRAPHS = [pytest.param(g, id=f"atlas-{n}-{i}")
                 for n in range(1, 7) for i, g in enumerate(connected_graphs(n))]
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS)
+def test_a_color_cap_decides_as_exists_does(g):
+    # exists_nl_coloring takes no time budget; chi_nl_exact with the cap k
+    # is the same decision, and Exact exactly when k colors suffice
+    chi = chi_nl_exact(g).chi
+    for k in (chi - 1, chi):
+        if k >= 1:
+            assert (chi_nl_exact(g, max_k=k).status == "Exact") == exists_nl_coloring(g, k)[0]
 
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS)

@@ -12,7 +12,6 @@ from networkx.generators.atlas import graph_atlas_g
 
 from nlcoloring import (
     Graph,
-    SolveOptions,
     classify,
     conjecture_sweep,
     connected_graphs,
@@ -121,13 +120,6 @@ def test_sweep_reports_match_pinned_digest(which, max_n, digest):
     # prune that cuts a coloring it must not shows here as a moved chi
     text = json.dumps(conjecture_sweep(which, max_n), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_sweep_refuses_a_color_cap():
-    # a cap would stop the sweep at the first instance that needs more
-    # colors, with an error that blames the time budget
-    with pytest.raises(ValueError, match="max_k"):
-        conjecture_sweep("delta", 6, SolveOptions(max_k=2))
 
 
 def test_diameter_sweep_small():

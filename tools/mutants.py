@@ -88,6 +88,14 @@ MUTATIONS = [
         ("twin_bound = min(max(map(len, twins), default=1) + 1, g.n)",
          "twin_bound = min(max(map(len, twins), default=1) + 2, g.n)"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    # the solver's caps: a negative or nan time budget and a color cap below
+    # one must stay errors, in the library and as nlc usage errors
+    Mutation("budget without its seconds check", "solver.py", (
+        ("if seconds is not None and not seconds >= 0:", "if False:"),
+    ), ("tests/test_solver.py", "tests/test_cli.py")),
+    Mutation("chi_nl_exact without its max_k check", "solver.py", (
+        ("if max_k is not None and max_k < 1:", "if False:"),
+    ), ("tests/test_solver.py", "tests/test_cli.py")),
     # the command-line parser: a missing required option, an option value
     # left a string, and a value outside its choices must each stay usage errors
     Mutation("cli without the required check", "cli.py", (

@@ -7,16 +7,16 @@ the 1-paired cycle pipeline built from them, path colorings by edge deletion,
 the universal-vertex lift, the comb coloring, the extremal unicyclic graph
 and caterpillar, and the generic coloring of trees of order at least 5.
 
-The pipeline runs its chain of insertions in one loop over a plain color
-list, without recursion or caching; each insertion checks only its own
-preconditions.  Every constructor verifies its own output once before
-returning; a failure raises ConstructionError instead of shipping a bad
-coloring.
+The pipeline runs its chain of insertions in one loop over a byte color
+list, without recursion or caching, and finds each insertion edge with
+bytearray.find; each insertion checks only its own preconditions.  Every
+constructor verifies its own output once before returning; a failure raises
+ConstructionError instead of shipping a bad coloring.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import MutableSequence, Sequence
 from itertools import combinations
 from typing import NamedTuple
 
@@ -112,7 +112,7 @@ def _seq_color_degree(seq: Sequence[int], p: int) -> int:
     return 1 if seq[p - 1] == seq[(p + 1) % m] else 2
 
 
-def _op1(seq: list[int], p: int, h: int) -> str:
+def _op1(seq: MutableSequence[int], p: int, h: int) -> str:
     """OP1: insert one vertex colored h on edge p.
 
     The endpoints must carry distinct colors i, j and both have
@@ -130,7 +130,7 @@ def _op1(seq: list[int], p: int, h: int) -> str:
     return f"op1(h={h},edge={p})"
 
 
-def _op2(seq: list[int], p: int) -> str:
+def _op2(seq: MutableSequence[int], p: int) -> str:
     """OP2: insert two adjacent vertices colored j, i on edge p, whose
     endpoints carry distinct colors i, j and both have color-degree 2.
 
@@ -151,26 +151,38 @@ def _op2(seq: list[int], p: int) -> str:
 # ---------------------------------------------------------------------------
 # the 1-paired cycle pipeline
 
-def _find_cd_pair_edge(seq: Sequence[int], pair: tuple[int, int], cd: int) -> int:
-    """Lowest edge position whose endpoints have the given colors and color-degree."""
+def _find_cd_pair_edge(seq: bytearray, pair: tuple[int, int], cd: int) -> int:
+    """Lowest edge position whose endpoints have the given colors and color-degree.
+
+    Edges 0..m-2 are found with bytearray.find, once per orientation of the
+    pair, checking color-degrees at the hits only; the closing edge m-1 is
+    checked when no lower edge qualifies.
+    """
     m = len(seq)
     i, j = pair
-    for p in range(m):
-        q = (p + 1) % m
-        if (((seq[p] == i and seq[q] == j) or (seq[p] == j and seq[q] == i))
-                and _seq_color_degree(seq, p) == cd
-                and _seq_color_degree(seq, q) == cd):
-            return p
+    best = m - 1
+    for run in (bytes((i, j)), bytes((j, i))):
+        p = seq.find(run, 0, best + 1)  # only hits p < best: the run ends by position best
+        while p != -1:
+            if _seq_color_degree(seq, p) == cd and _seq_color_degree(seq, p + 1) == cd:
+                best = p
+                break
+            p = seq.find(run, p + 1, best + 1)
+    if best < m - 1:
+        return best
+    if ({seq[-1], seq[0]} == {i, j}
+            and _seq_color_degree(seq, m - 1) == cd and _seq_color_degree(seq, 0) == cd):
+        return m - 1
     raise ConstructionError(f"no eligible edge for color pair {pair} at color-degree {cd}")
 
 
 def _designated_vertex(seq: Sequence[int]) -> int:
-    """The unique vertex colored 2 whose two neighbors are colored 1 and 3."""
-    m = len(seq)
-    for p in range(m):
-        if seq[p] == 2 and {seq[p - 1], seq[(p + 1) % m]} == {1, 3}:
-            return p
-    raise ConstructionError("no vertex colored 2 with neighbor colors {1,3}")
+    """The lowest vertex colored 2 whose two neighbors are colored 1 and 3."""
+    ring = bytes(seq[-1:]) + bytes(seq) + bytes(seq[:1])  # vertex p is ring[p + 1]
+    hits = [p for p in (ring.find(bytes((1, 2, 3))), ring.find(bytes((3, 2, 1)))) if p != -1]
+    if not hits:
+        raise ConstructionError("no vertex colored 2 with neighbor colors {1,3}")
+    return min(hits)
 
 
 def _lex_pairs(top: int) -> list[tuple[int, int]]:
@@ -191,11 +203,15 @@ def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]
     lays down the run 1,2,1,2,3,2,3 needed at full order.  Every level below
     k runs to its full order ell(k'); level k stops at n.
 
-    The insertions edit one color list in place and check only their own
-    preconditions: callers check that (k, n) is reachable and certify what
-    they build from the sequence.
+    The insertions edit one byte color list in place and check only their
+    own preconditions: callers check that (k, n) is reachable and certify
+    what they build from the sequence.  A color is one byte, so k is at most
+    255 and n at most ell(255); larger k raise ValueError before any work.
     """
-    seq = list(_CYCLE_BASES[9])
+    if k > 255:
+        raise ValueError(f"{k} colors do not fit the pipeline's one-byte colors; it builds "
+                         f"cycles and paths of order at most ell(255) = {ell(255)}")
+    seq = bytearray(_CYCLE_BASES[9])
     trace = [f"base({FamilySpec.cycle(9).label()})"]
     for level in range(4, k + 1):
         target = n if level == k else ell(level)

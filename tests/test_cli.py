@@ -383,6 +383,15 @@ def test_color_comb_requires_constructible_size(capsys):
     assert code == 0 and payload["certificate"]["k"] == 5
 
 
+def test_color_past_one_byte_colors_is_a_usage_error(capsys):
+    # the cycle pipeline holds a color in one byte: cycles and paths of order
+    # up to ell(255) = 8258175, fans and wheels one larger
+    for family in ("cycle", "path", "wheel", "fan"):
+        n = 8258176 if family in ("cycle", "path") else 8258177
+        code, out, err = run(capsys, "color", "--family", family, "--n", str(n))
+        assert (code, out) == (2, "") and "ell(255) = 8258175" in err
+
+
 def test_color_comb_spine_size_maps_back_to_k(monkeypatch):
     monkeypatch.setattr(nlcoloring.construct, "comb_coloring", lambda k: k)
     for k in range(5, 201):

@@ -6,7 +6,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlcoloring import (
@@ -36,11 +36,16 @@ from nlcoloring import (
     path_coloring,
     unicyclic_extremal,
 )
+from nlcoloring import construct
+from nlcoloring.bounds import bracket
 from nlcoloring.construct import (
     _comb_spine_index,
+    _designated_vertex,
+    _find_cd_pair_edge,
     _first_distance4_pair,
     _op1,
     _op2,
+    _pipeline_sequence,
     _seq_color_degree,
     _splice_signature_table,
     comb_signature_table,
@@ -222,6 +227,101 @@ def test_op2_phase_increases_cd1_by_two_per_step():
     counts = [_cd_count(one_paired_cycle_coloring(4, n), 1)
               for n in range(a2(4), ell(4) + 1, 2)]
     assert counts == [0, 2, 4, 6, 8, 10, 12]
+
+
+# -- the pipeline's scans, against the linear scans they replaced ---------------
+
+def _linear_cd_pair_edge(seq, pair, cd):
+    """Lowest edge p whose endpoints have the colors of pair and both
+    color-degree cd, or None: the scan from position 0 of the list."""
+    m = len(seq)
+    i, j = pair
+    for p in range(m):
+        q = (p + 1) % m
+        if (((seq[p] == i and seq[q] == j) or (seq[p] == j and seq[q] == i))
+                and _seq_color_degree(seq, p) == cd
+                and _seq_color_degree(seq, q) == cd):
+            return p
+    return None
+
+
+def _linear_designated_vertex(seq):
+    m = len(seq)
+    return next((p for p in range(m)
+                 if seq[p] == 2 and {seq[p - 1], seq[(p + 1) % m]} == {1, 3}), None)
+
+
+def test_pair_edge_scan_agrees_on_every_pipeline_query(monkeypatch):
+    queries = {}
+    find = construct._find_cd_pair_edge
+
+    def recorded(seq, pair, cd):
+        queries[bytes(seq), pair, cd] = p = find(seq, pair, cd)
+        return p
+
+    monkeypatch.setattr(construct, "_find_cd_pair_edge", recorded)
+    for n in range(10, 401):
+        k = bracket(n)
+        if n != ell(k) - 1:  # the builds of that order run the pipeline to ell(k)-2 or ell(k)
+            _pipeline_sequence(k, n)
+    assert {cd for _, _, cd in queries} == {1, 2} and len(queries) > 300
+    for (seq, pair, cd), p in queries.items():
+        assert p == _linear_cd_pair_edge(seq, pair, cd), (seq, pair, cd)
+
+
+@given(st.lists(st.integers(1, 4), min_size=3, max_size=30),
+       st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 4)]), st.sampled_from([1, 2]))
+# only the closing edge 3 joins colors 1 and 2 at color-degree 2
+@example([1, 3, 4, 2], (1, 2), 2)
+# every edge joining 1 and 2 has color-degree-1 endpoints: no eligible edge
+@example([1, 2, 1, 2], (1, 2), 2)
+# edge 1 fails at its second endpoint only; edge 5 is the answer
+@example([3, 1, 2, 1, 4, 1, 2, 3], (1, 2), 2)
+# the orientation (2, 1) at edge 1 comes before (1, 2) at edge 4
+@example([3, 2, 1, 4, 1, 2, 3, 4], (1, 2), 2)
+@settings(deadline=None, max_examples=300)
+def test_pair_edge_scan_agrees_on_drawn_color_lists(colors, pair, cd):
+    expected = _linear_cd_pair_edge(colors, pair, cd)
+    if expected is None:
+        with pytest.raises(ConstructionError, match="no eligible edge"):
+            _find_cd_pair_edge(bytearray(colors), pair, cd)
+    else:
+        assert _find_cd_pair_edge(bytearray(colors), pair, cd) == expected
+
+
+@given(st.lists(st.integers(1, 3), min_size=3, max_size=30))
+@example([2, 3, 1, 1])  # vertex 0, between the last and the second
+@example([3, 1, 1, 2])  # the last vertex, between the one before and the first
+@settings(deadline=None, max_examples=200)
+def test_designated_vertex_agrees_on_drawn_color_lists(colors):
+    expected = _linear_designated_vertex(colors)
+    for seq in (colors, bytearray(colors), tuple(colors)):
+        if expected is None:
+            with pytest.raises(ConstructionError, match="no vertex colored 2"):
+                _designated_vertex(seq)
+        else:
+            assert _designated_vertex(seq) == expected
+
+
+class _Inserted(Exception):
+    pass
+
+
+def test_orders_past_one_byte_colors_are_refused_before_any_insertion(monkeypatch):
+    # ell(255) = 8,258,175 is the largest order whose colors fit in a byte;
+    # no insertion may run before the refusal, and the largest order allowed
+    # gets as far as its first one
+    def insertion(*args):
+        raise _Inserted
+
+    monkeypatch.setattr(construct, "_op1", insertion)
+    for build in (cycle_coloring, path_coloring):
+        with pytest.raises(ValueError, match=r"256 colors .* ell\(255\) = 8258175"):
+            build(8_258_176)
+        with pytest.raises(_Inserted):
+            build(8_258_175)
+    with pytest.raises(ValueError, match="256 colors"):
+        one_paired_cycle_coloring(256, ell(256))
 
 
 # -- full path/cycle colorings ------------------------------------------------

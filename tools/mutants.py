@@ -1,5 +1,5 @@
-"""Hand-made mutations of the solver, the lower bound and the CLI parser
-that the tests must kill.
+"""Hand-made mutations of the solver, the lower bound, the cycle pipeline's
+edge scan and the CLI parser that the tests must kill.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -8,9 +8,11 @@ made.  For each mutation the script copies ``src/``, ``tests/`` and
 and runs ``python -m pytest -x -q`` on the named modules, which import the
 mutated copy (pytest puts the copy's ``src`` first on the path).  It first
 runs every named module on an unmutated copy, which must pass, so that a
-kill is the mutation's doing.  It exits 1 when a mutation survives or a
-snippet no longer occurs exactly once: a change to a mutated line updates
-its mutation in the same change.  Standard library only.
+kill is the mutation's doing.  It exits 1 when a mutation survives, when
+its run outlasts TIMEOUT seconds (a mutation that makes the code loop is
+not killed), or when a snippet no longer occurs exactly once: a change to a
+mutated line updates its mutation in the same change.  Standard library
+only.
 
     python tools/mutants.py           # every mutation
     python tools/mutants.py NAME ...  # the named ones
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCH = ("tests/test_solver.py", "tests/test_oracle.py")
+TIMEOUT = 300  # seconds for one run of the named modules
 
 
 class Mutation(NamedTuple):
@@ -107,6 +110,18 @@ MUTATIONS = [
     Mutation("cli without the choices check", "cli.py", (
         ("if value not in kind:", "if False:"),
     ), ("tests/test_cli.py",)),
+    # the pipeline's insertion-edge scan: the closing edge, the second
+    # endpoint's color-degree, and the lower hit of the two orientations
+    Mutation("pair edge without the closing edge", "construct.py", (
+        ("if ({seq[-1], seq[0]} == {i, j}", "if False and ({seq[-1], seq[0]} == {i, j}"),
+    ), ("tests/test_construct.py",)),
+    Mutation("pair edge without the second endpoint's check", "construct.py", (
+        ("if _seq_color_degree(seq, p) == cd and _seq_color_degree(seq, p + 1) == cd:",
+         "if _seq_color_degree(seq, p) == cd:"),
+    ), ("tests/test_construct.py",)),
+    Mutation("pair edge keeps the first orientation's hit", "construct.py", (
+        ("p = seq.find(run, 0, best + 1)", "p = seq.find(run, 0, best + 1) if best == m - 1 else -1"),
+    ), ("tests/test_construct.py",)),
 ]
 
 
@@ -121,7 +136,8 @@ def _pytest(where: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     """The run of the test modules in the copy at ``where``."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           *tests], cwd=where, env=env, capture_output=True, text=True)
+                           *tests], cwd=where, env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT)
 
 
 def _mutate(where: Path, mutation: Mutation) -> str | None:
@@ -159,8 +175,11 @@ def main(names: list[str]) -> int:
             where = Path(tmp)
             _copy(where)
             problem = _mutate(where, mutation)
-            if problem is None and not _pytest(where, mutation.tests).returncode:
-                problem = f"survived {' '.join(mutation.tests)}"
+            try:
+                if problem is None and not _pytest(where, mutation.tests).returncode:
+                    problem = f"survived {' '.join(mutation.tests)}"
+            except subprocess.TimeoutExpired:
+                problem = f"ran past {TIMEOUT} s in {' '.join(mutation.tests)}"
         verdict = "killed" if problem is None else "FAILED"
         print(f"{verdict:7} {mutation.name} ({time.monotonic() - start:.1f} s)"
               + ("" if problem is None else f": {problem}"), flush=True)

@@ -79,7 +79,7 @@ def is_nl_coloring(g: Graph, c: Coloring) -> NLVerdict:
     failure, the witness is the lexicographically first violating pair.
     """
     _check_match(g, c)
-    for u, v in g.sorted_edges():
+    for u, v in g.edges:
         if c.colors[u] == c.colors[v]:
             return NLVerdict(False, NOT_PROPER, (u, v))
     first: dict[tuple[int, frozenset], int] = {}

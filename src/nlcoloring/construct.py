@@ -491,8 +491,8 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     spine_head = ring_n                       # comb spine vertex 0, colored k-1
     spine_tail = ring_n + m - 1               # last spine vertex, colored 2
     ring = family_graph(FamilySpec.cycle(ring_n))
-    edges = [e for e in ring.sorted_edges() if e != (min(p, q), max(p, q))]
-    edges += [(u + ring_n, v + ring_n) for u, v in comb.graph.sorted_edges()]
+    edges = [e for e in ring.edges if e != (min(p, q), max(p, q))]
+    edges += [(u + ring_n, v + ring_n) for u, v in comb.graph.edges]
     edges += [(x, spine_head), (y, spine_tail)]
     graph = Graph(ring_n + 2 * m, edges)
     colors = seq + comb.coloring.colors
@@ -534,7 +534,7 @@ def caterpillar_extremal(k: int) -> ColoredGraph:
     spine_id = lambda r, l: ring_n + _comb_spine_index(k, r, l)
     leaf_of = lambda spine: spine + m
     colors = dict(enumerate(base.coloring.colors))
-    edges = set(base.graph.sorted_edges())
+    edges = set(base.graph.edges)
 
     def drop_with_leaf(v: int) -> None:
         spine_neighbors = [u for u in base.graph.adj[v] if u != leaf_of(v)]
@@ -572,27 +572,28 @@ def caterpillar_extremal(k: int) -> ColoredGraph:
 
 
 # ---------------------------------------------------------------------------
-# generic trees of order >= 5
+# stars, and generic trees of order >= 5
 
 def generic_tree_coloring(t: Graph) -> ColoredGraph:
-    """NL-coloring of a tree of order >= 5 witnessing the general upper bound.
+    """NL-coloring of a star, or of a tree of order >= 5, witnessing the
+    general upper bound.
 
-    Stars get all-distinct colors (their value is the order); double stars
-    get s+1 colors; everything else (diameter >= 4) gets the order-minus-2
-    coloring that reuses one color on the two ends and the midpoint of a
-    distance-4 path.
+    Stars (a vertex adjacent to all others), of any order, get all-distinct
+    colors (their value is the order); double stars get s+1 colors;
+    everything else (diameter >= 4) gets the order-minus-2 coloring that
+    reuses one color on the two ends and the midpoint of a distance-4 path.
+    The one other tree below order 5, the path P4, takes none of these.
     """
     n = t.n
-    if n < 5:
-        raise ValueError("generic tree coloring applies to trees of order >= 5")
     if not is_tree(t):
         raise ValueError("input is not a tree")
     degrees = [t.degree(v) for v in range(n)]
+    if max(degrees) == n - 1:  # star
+        return _certified(t, Coloring(n, tuple(range(1, n + 1))), ("star coloring",))
+    if n < 5:
+        raise ValueError("generic tree coloring applies to stars and to trees of order >= 5")
 
     centers = [v for v in range(n) if degrees[v] >= 2]
-    if len(centers) == 1:  # star
-        return _certified(t, Coloring(n, tuple(range(1, n + 1))), ("star coloring",))
-
     if len(centers) == 2 and t.has_edge(*centers):  # double star
         u0, v0 = centers
         if degrees[u0] > degrees[v0]:

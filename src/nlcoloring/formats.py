@@ -23,7 +23,7 @@ class FormatError(ValueError):
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
 def _json_int(value, what: str) -> int:
@@ -58,7 +58,7 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_to_edgelist(g: Graph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in g.sorted_edges()) + "\n"
+    return "\n".join(f"{u} {v}" for u, v in g.edges) + "\n"
 
 
 def graph_from_edgelist(text: str) -> Graph:
@@ -125,7 +125,7 @@ def graph_to_dot(g: Graph, coloring: Coloring | None = None) -> str:
             c = coloring.colors[v]
             fill = DOT_PALETTE[(c - 1) % len(DOT_PALETTE)]
             lines.append(f'  {v} [label="{v}:{c}", fillcolor="{fill}"];')
-    for u, v in g.sorted_edges():
+    for u, v in g.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,19 +1,21 @@
 """Graph representation, named-family generators, and structural facts.
 
 Every graph handled by this package is connected, simple, undirected and
-finite, with vertices labeled 0..n-1.  The constructor enforces all of that
-up front so the rest of the code can assume it.  Each structural fact is
-decided in one place here: breadth-first distances (``distances``, which
-also backs the connectivity check and ``diameter``), the tree test
-(``is_tree``: a connected graph is a tree exactly when it has n-1 edges,
-and has one cycle exactly when it has n), the twin classes
-(``twin_classes``), the structural kind (``classify``), and the family
-parameters (``FAMILIES``).
+finite, with vertices labeled 0..n-1.  ``Graph`` is a named tuple (n, edges,
+adj), as ``Coloring`` and ``FamilySpec`` are, that holds each edge once;
+its constructor enforces all of the above so the rest of the code can
+assume it.  Each structural fact is decided in one place here:
+breadth-first distances (``distances``, which also backs the connectivity
+check and ``diameter``), the tree test (``is_tree``: a connected graph is a
+tree exactly when it has n-1 edges, and has one cycle exactly when it has
+n), the twin classes (``twin_classes``), the structural kind
+(``classify``), and the family parameters (``FAMILIES``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -21,65 +23,61 @@ class GraphError(ValueError):
     """Rejected graph input (self-loop, multi-edge, disconnected, bad ids)."""
 
 
-class Graph:
-    """Immutable connected simple undirected graph.
+class _Graph(NamedTuple):
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    adj: tuple[tuple[int, ...], ...]
 
-    Vertices are 0..n-1.  Edges are stored as a frozenset of (u, v) pairs
-    with u < v; an adjacency table (tuple of sorted neighbor tuples) is
-    precomputed.  ``__reduce__`` rebuilds and re-validates the graph from
-    its order and edges; without it ``pickle.loads`` and ``copy.deepcopy``
-    would fail, because an instance refuses attribute assignment.
+
+class Graph(_Graph):
+    """Immutable connected simple undirected graph on the vertices 0..n-1.
+
+    ``edges`` holds the pairs (u, v) with u < v in lexicographic order (the
+    wire order), and ``adj`` each vertex's neighbours in increasing order,
+    read off ``edges``.  ``__getnewargs__`` makes ``pickle`` and
+    ``copy.deepcopy`` rebuild the graph through the validation below.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ()
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphError("graph must have at least one vertex")
         edges = list(edges)
         if n > len(edges) + 1:  # before allocating anything of size n
             raise GraphError("graph is not connected")
-        seen = set()
-        neighbors: list[list[int]] = [[] for _ in range(n)]
+        pairs = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            pairs.append((u, v) if u < v else (v, u))
+        pairs.sort()  # the wire order, where a repeated edge follows its copy
+        for e, f in pairwise(pairs):
+            if e == f:
+                raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in pairs:  # wire order gives each vertex its neighbours in increasing order
             neighbors[u].append(v)
             neighbors[v].append(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(seen))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in neighbors))
-        if -1 in distances(self, 0):
+        g = super().__new__(cls, n, tuple(pairs), tuple(map(tuple, neighbors)))
+        if -1 in distances(g, 0):
             raise GraphError("graph is not connected")
+        return g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph objects are immutable")
-
-    def __reduce__(self):
-        return Graph, (self.n, self.sorted_edges())
+    def __getnewargs__(self):
+        return self.n, self.edges
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self.edges
+        return 0 <= u < self.n and v in self.adj[u]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        """Edges with u < v, ordered lexicographically (the wire order)."""
-        return sorted(self.edges)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        """The edges as a list, in wire order."""
+        return list(self.edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"

@@ -187,7 +187,7 @@ def conjecture_sweep(which: str, max_n: int, *, time_budget: float | None = None
         chi = chi_nl_exact(g, time_budget=time_budget).chi
         if chi is None:
             raise SweepBudgetExhausted("solver gave up inside the sweep; raise the budget")
-        instances.append({"canonical": ";".join(f"{u}-{v}" for u, v in g.sorted_edges()),
+        instances.append({"canonical": ";".join(f"{u}-{v}" for u, v in g.edges),
                           "n": g.n, "chi": chi, **fields(g, chi)})
     counterexamples = [record for record in instances if not record["verdict"]]
     report = {"conjecture": which, "maxN": max_n, "instances": instances,

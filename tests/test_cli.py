@@ -109,6 +109,26 @@ def test_verify_rejects_disconnected(tmp_path, capsys):
     assert code == 2 and "connected" in err
 
 
+@pytest.mark.parametrize("graph,message", [
+    # n = m, so only the connectivity search sees that the triangles are apart
+    ('{"n":6,"edges":[[0,1],[1,2],[0,2],[3,4],[4,5],[3,5]]}', "graph is not connected"),
+    ('{"n":3,"edges":[[0,1],[1,2],[2,1]]}', "duplicate edge (1,2)"),
+], ids=["two-triangles", "duplicate-edge"])
+@pytest.mark.parametrize("command", ["verify", "chi"])
+def test_graph_refused_by_validation_is_a_usage_error(command, graph, message, tmp_path,
+                                                      capsys):
+    graph_file = tmp_path / "g.json"
+    cert_file = tmp_path / "c.json"
+    graph_file.write_text(graph)
+    n = json.loads(graph)["n"]
+    cert_file.write_text(json.dumps({"n": n, "k": n, "colors": list(range(1, n + 1))}))
+    argv = {"verify": ["verify", "--graph", str(graph_file), "--certificate", str(cert_file)],
+            "chi": ["chi", "--graph", str(graph_file), "--exact"]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_chi_exact_graph(tmp_path, capsys):
     graph_file = tmp_path / "c8.json"
     graph_file.write_text(
@@ -484,6 +504,23 @@ def test_verify_rejects_non_integer_json(graph, certificate, tmp_path, capsys):
                          "--certificate", str(cert_file))
     assert code == 2 and out == ""
     assert "must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_color_small_star(n, capsys):
+    # the family starts at order 3, where chi is n as at every order
+    code, payload, err = run_json(capsys, "color", "--family", "star", "--n", str(n))
+    assert code == 0, err
+    assert payload["certificate"] == {"n": n, "k": n, "colors": list(range(1, n + 1))}
+    assert run_json(capsys, "chi", "--family", "star", "--n", str(n))[1] == {"chi": n}
+
+
+def test_color_graph_p4_is_refused(tmp_path, capsys):
+    graph_file = tmp_path / "p4.json"
+    graph_file.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    code, out, err = run(capsys, "color", "--graph", str(graph_file))
+    assert (code, out) == (2, "")
+    assert "trees of order >= 5" in err
 
 
 def test_path2_certificate_payload(capsys):

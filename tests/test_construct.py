@@ -471,8 +471,13 @@ def test_caterpillar_modified_signatures():
 # -- generic trees ---------------------------------------------------------------
 
 def test_generic_tree_star():
-    cg = generic_tree_coloring(family_graph(FamilySpec.star(7)))
-    assert cg.k == 7
+    # a star of any order, the family's orders 3 and 4 included, takes n colors
+    stars = [Graph(1, []), Graph(2, [(0, 1)])]
+    stars += [family_graph(FamilySpec.star(n)) for n in (3, 4, 7)]
+    for star in stars:
+        cg = generic_tree_coloring(star)
+        assert cg.coloring.colors == tuple(range(1, star.n + 1)), star.n
+        assert cg.provenance == ("star coloring",)
 
 
 def test_generic_tree_double_star():
@@ -486,7 +491,9 @@ def test_generic_tree_path5():
 
 
 def test_generic_tree_rejects_small_or_cyclic():
-    with pytest.raises(ValueError):
+    # P4, the one tree of order below 5 that is not a star, would take the
+    # double-star rule's two colors, and chi(P4) = 3
+    with pytest.raises(ValueError, match="stars and to trees of order >= 5"):
         generic_tree_coloring(family_graph(FamilySpec.path(4)))
     with pytest.raises(ValueError):
         generic_tree_coloring(family_graph(FamilySpec.cycle(6)))

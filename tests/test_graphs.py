@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import time
 
 import networkx as nx
 import pytest
@@ -35,6 +36,11 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 0)])
     with pytest.raises(GraphError):
         Graph(3, [(0, 1), (1, 0), (1, 2)])  # duplicate edge
+    with pytest.raises(GraphError, match=r"duplicate edge \(0,1\)"):
+        Graph(2, [(0, 1), (0, 1)])  # the same orientation twice
+    with pytest.raises(GraphError, match="not connected"):
+        # two triangles: n = m, so only the breadth-first search can tell
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(GraphError):
         Graph(4, [(0, 1)])  # disconnected
     with pytest.raises(GraphError):
@@ -48,14 +54,50 @@ def test_graph_equality_and_adjacency():
     assert g.adj == ((1,), (0, 2), (1,))
     assert g == Graph(3, [(0, 1), (1, 2)])
     assert g.sorted_edges() == [(0, 1), (1, 2)]
+    # a named tuple, as Coloring is
+    assert g == (3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,))) and len(g) == 3
+    assert (g.has_edge(1, 0), g.has_edge(0, 2), g.has_edge(5, 0)) == (True, False, False)
+
+
+def test_duplicate_edge_is_refused_in_linear_time():
+    n = 100_000
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(n - 1, 0)]
+    start = time.monotonic()
+    with pytest.raises(GraphError, match="duplicate edge"):
+        Graph(n, edges)
+    assert time.monotonic() - start < 2
+
+
+@st.composite
+def _connected_edge_lists(draw):
+    """A connected graph's edges: a random spanning tree plus extra pairs."""
+    n = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pair = st.integers(0, n - 2).flatmap(
+            lambda u: st.tuples(st.just(u), st.integers(u + 1, n - 1)))
+        edges |= set(draw(st.lists(pair, max_size=10)))
+    return n, sorted(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected_edge_lists(), st.data())
+def test_edge_list_order_and_orientation_do_not_matter(graph, data):
+    n, edges = graph
+    g = Graph(n, edges)
+    shuffled = data.draw(st.permutations(edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    h = Graph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(shuffled, flips)])
+    assert h == g and h.edges == g.edges == tuple(edges) and hash(h) == hash(g)
+    assert h.sorted_edges() == list(h.edges)
 
 
 @pytest.mark.parametrize("g", [family_graph(FamilySpec.cycle(9)),
                                Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])])
 def test_graph_pickle_roundtrip(g):
-    # both rebuild through Graph.__reduce__; without it they hit __setattr__
+    # both rebuild through Graph.__new__, with the arguments of __getnewargs__
     for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
-        assert back == g and back is not g
+        assert type(back) is Graph and back == g and back is not g
         assert back.adj == g.adj
 
 

@@ -1,5 +1,6 @@
 """Hand-made mutations of the solver, the lower bound, the cycle pipeline's
-edge scan and the CLI parser that the tests must kill.
+edge scan, the CLI parser, graph validation and the coloring verifier that
+the tests must kill.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -122,6 +123,22 @@ MUTATIONS = [
     Mutation("pair edge keeps the first orientation's hit", "construct.py", (
         ("p = seq.find(run, 0, best + 1)", "p = seq.find(run, 0, best + 1) if best == m - 1 else -1"),
     ), ("tests/test_construct.py",)),
+    # graph validation: a graph with n = m can be disconnected, and a
+    # repeated edge must be refused, in the library and as nlc usage errors
+    Mutation("graph without the connectivity search", "graphs.py", (
+        ("if -1 in distances(g, 0):", "if False:"),
+    ), ("tests/test_graphs.py", "tests/test_cli.py")),
+    Mutation("graph without the duplicate-edge check", "graphs.py", (
+        ("if e == f:", "if False:"),
+    ), ("tests/test_graphs.py", "tests/test_cli.py")),
+    # the verifier: properness, and a signature keyed with the vertex's own color
+    Mutation("verifier without its properness loop", "coloring.py", (
+        ("for u, v in g.edges:", "for u, v in ():"),
+    ), ("tests/test_coloring.py",)),
+    Mutation("verifier signature without the own color", "coloring.py", (
+        ("key = (c.colors[v], frozenset(c.colors[u] for u in g.adj[v]))",
+         "key = frozenset(c.colors[u] for u in g.adj[v])"),
+    ), ("tests/test_coloring.py",)),
 ]
 
 

@@ -94,7 +94,7 @@ def bounds_report(k: int, max_degree: int | None = None) -> dict:
     return out
 
 
-def chi_lower_bound(g: Graph, twins: list[list[int]] | None = None) -> int:
+def chi_lower_bound(g: Graph) -> int:
     """Largest lower bound on the NL-chromatic number implied by the order
     bounds and the twin classes.
 
@@ -102,9 +102,8 @@ def chi_lower_bound(g: Graph, twins: list[list[int]] | None = None) -> int:
     the general order bound, the degree-bounded order bound (when the
     degree cap applies, which for paths and cycles is the ell bound), and
     the tree order bound for n-1 edges and the unicyclic one for n edges;
-    and at least min(t + 1, n) for a class of t >= 2 twins (``twins`` is
-    ``twin_classes(g)``, computed here unless the caller has it).  Never
-    below 2 for graphs of order >= 2.
+    and at least min(t + 1, n) for a class of t >= 2 twins.  Never below 2
+    for graphs of order >= 2.
 
     Twin bound: two twins of one color would have equal signatures (false
     twins) or be adjacent (true twins), so a class takes t colors.  A class
@@ -112,10 +111,13 @@ def chi_lower_bound(g: Graph, twins: list[list[int]] | None = None) -> int:
     than n has a neighbour outside it, adjacent to the whole class; that
     neighbour needs one more color, so chi >= min(t + 1, n).
     """
+    return _chi_lower_bound(g, twin_classes(g))
+
+
+def _chi_lower_bound(g: Graph, twins: list[list[int]]) -> int:
+    """``chi_lower_bound(g)``, given ``twins = twin_classes(g)`` (the solver's)."""
     if g.n == 1:
         return 1
-    if twins is None:
-        twins = twin_classes(g)
     twin_bound = min(max(map(len, twins), default=1) + 1, g.n)
     tree = is_tree(g)
     unicyclic = len(g.edges) == g.n

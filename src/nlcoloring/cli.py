@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import getopt
 import json
-import math
 import sys
 from types import SimpleNamespace
 
@@ -113,44 +112,10 @@ def _family_spec(args) -> FamilySpec:
         raise CliError(str(exc))
 
 
+# bench/replay.py builds its colorings through this name
 def _colored_graph_for(spec: FamilySpec) -> ColoredGraph:
-    from . import construct
-    from .graphs import family_graph
-
-    fam = spec.family
-    if fam == "path":
-        return construct.path_coloring(spec.args[0])
-    if fam == "cycle":
-        return construct.cycle_coloring(spec.args[0])
-    if fam == "fan":
-        return construct.cone_coloring(construct.path_coloring(spec.args[0] - 1))
-    if fam == "wheel":
-        return construct.cone_coloring(construct.cycle_coloring(spec.args[0] - 1))
-    if fam == "comb":
-        m = spec.args[0]
-        root = math.isqrt(4 * m + 1)  # m = k(k-1) exactly when 4m + 1 = (2k-1)^2
-        k = (root + 1) // 2
-        if root * root != 4 * m + 1 or k < 5:
-            raise CliError(f"comb coloring is available for spine sizes k(k-1) with "
-                           f"k >= 5; {m} is not of that form")
-        return construct.comb_coloring(k)
-    if fam in ("star", "double-star"):
-        return construct.generic_tree_coloring(family_graph(spec))
-    if fam == "unicyclic":
-        return construct.unicyclic_extremal(spec.args[0])
-    if fam == "caterpillar":
-        return construct.caterpillar_extremal(spec.args[0])
-    raise CliError(f"no construction for family {fam!r}")
-
-
-def write_certificate(cg: ColoredGraph) -> dict:
-    """Graph plus certificate payload for a self-verified colored graph."""
-    from . import formats
-
-    return {
-        "graph": formats.graph_to_dict(cg.graph),
-        "certificate": formats.certificate_to_dict(cg.coloring),
-    }
+    from .construct import family_coloring
+    return family_coloring(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +142,7 @@ def _cmd_color(args) -> int:
         raise CliError("color needs exactly one of --family or --graph")
     try:
         if args.family is not None:
-            cg = _colored_graph_for(_family_spec(args))
+            cg = construct.family_coloring(_family_spec(args))
         else:
             _refuse_params(args, "--graph")
             g = read_graph(args.graph)
@@ -188,7 +153,8 @@ def _cmd_color(args) -> int:
         raise CliError(str(exc))
     if args.dot:
         _write_text(args.dot, formats.graph_to_dot(cg.graph, cg.coloring))
-    _emit(write_certificate(cg))
+    _emit({"graph": formats.graph_to_dict(cg.graph),
+           "certificate": formats.certificate_to_dict(cg.coloring)})
     return EXIT_OK
 
 

@@ -34,6 +34,8 @@ class Coloring(_Coloring):
             raise ValueError("every color 1..k must be used by some vertex")
         return super().__new__(cls, k, colors)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
+
     @property
     def n(self) -> int:
         return len(self.colors)

@@ -5,7 +5,8 @@ operations on colored cycles (one fresh-colored vertex between a
 color-degree-1 pair, or a swapped-color pair between a color-degree-2 pair),
 the 1-paired cycle pipeline built from them, path colorings by edge deletion,
 the universal-vertex lift, the comb coloring, the extremal unicyclic graph
-and caterpillar, and the generic coloring of trees of order at least 5.
+and caterpillar, and the generic coloring of trees of order at least 5;
+``family_coloring`` picks the one for each named family.
 
 The pipeline runs its chain of insertions in one loop over a byte color
 list, without recursion or caching, and finds each insertion edge with
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 from collections.abc import MutableSequence, Sequence
 from itertools import combinations
+from math import isqrt
 from typing import NamedTuple
 
 from .bounds import a2, bracket, ell
 from .coloring import Coloring, is_nl_coloring, neighbor_signature
-from .graphs import FamilySpec, Graph, classify, distances, family_graph, is_tree
+from .graphs import FamilySpec, Graph, classify, cone, distances, family_graph, is_tree
 
 
 class ConstructionError(RuntimeError):
@@ -270,10 +272,10 @@ def cycle_coloring(n: int) -> ColoredGraph:
 def path_coloring(n: int) -> ColoredGraph:
     """Minimum NL-coloring of the path of order n >= 2.
 
-    Orders 10 and up come from the cycle pipeline: cut the cycle at an
-    adjacent color-degree-1 pair (any edge when the order is a2(k), where no
-    such pair exists), except at order ell(k)-1 where the full-order cycle
-    loses the vertex colored 2 with neighbors colored 1 and 3.
+    Orders 10 and up come from the cycle pipeline: cut the cycle at the
+    first adjacent color-degree-1 pair (at the first edge where there is
+    none, as at order a2(k)), except at order ell(k)-1 where the full-order
+    cycle loses the vertex colored 2 with neighbors colored 1 and 3.
     """
     if n < 2:
         raise ValueError("paths need at least 2 vertices")
@@ -286,24 +288,16 @@ def path_coloring(n: int) -> ColoredGraph:
         path_seq = seq[u + 1 :] + seq[:u]
         return _colored("path", path_seq, trace + ("drop-located-vertex",))
     seq, trace = _pipeline_sequence(k, n)
-    if n == a2(k):
-        cut = 0  # no color-degree-1 pair exists; any edge works, take the first
-    else:
-        m = len(seq)
-        cut = next(p for p in range(m)
-                   if _seq_color_degree(seq, p) == 1
-                   and _seq_color_degree(seq, (p + 1) % m) == 1)
+    cut = next((p for p in range(n)
+                if _seq_color_degree(seq, p) == 1 and _seq_color_degree(seq, (p + 1) % n) == 1), 0)
     path_seq = seq[cut + 1 :] + seq[: cut + 1]
     return _colored("path", path_seq, trace + (f"cut(edge={cut})",))
 
 
 def cone_coloring(cg: ColoredGraph) -> ColoredGraph:
     """Add a universal vertex carrying a fresh color; the value rises by one."""
-    g = cg.graph
-    edges = list(g.edges) + [(v, g.n) for v in range(g.n)]
-    graph = Graph(g.n + 1, edges)
     coloring = Coloring(cg.k + 1, cg.coloring.colors + (cg.k + 1,))
-    return _certified(graph, coloring, cg.provenance + ("cone",))
+    return _certified(cone(cg.graph), coloring, cg.provenance + ("cone",))
 
 
 # ---------------------------------------------------------------------------
@@ -642,3 +636,32 @@ def _first_distance4_pair(t: Graph) -> tuple[int, int, int]:
     for d in (3, 2):
         b = next(w for w in t.adj[b] if dist[w] == d)
     return x, b, y
+
+
+# ---------------------------------------------------------------------------
+# the named families
+
+def family_coloring(spec: FamilySpec) -> ColoredGraph:
+    """The construction's NL-coloring of a named family instance: fans and
+    wheels are cones, and a comb spine size m other than k(k-1) with k >= 5
+    raises ValueError."""
+    fam, args = spec.family, spec.args
+    if fam == "path":
+        return path_coloring(args[0])
+    if fam == "cycle":
+        return cycle_coloring(args[0])
+    if fam == "fan":
+        return cone_coloring(path_coloring(args[0] - 1))
+    if fam == "wheel":
+        return cone_coloring(cycle_coloring(args[0] - 1))
+    if fam == "comb":
+        k = (isqrt(4 * args[0] + 1) + 1) // 2  # m = k(k-1) makes 4m + 1 = (2k-1)^2
+        if k * (k - 1) != args[0] or k < 5:
+            raise ValueError(f"comb coloring is available for spine sizes k(k-1) with "
+                             f"k >= 5; {args[0]} is not of that form")
+        return comb_coloring(k)
+    if fam == "unicyclic":
+        return unicyclic_extremal(args[0])
+    if fam == "caterpillar":
+        return caterpillar_extremal(args[0])
+    return generic_tree_coloring(family_graph(spec))  # star, double-star

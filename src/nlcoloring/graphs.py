@@ -35,7 +35,8 @@ class Graph(_Graph):
     ``edges`` holds the pairs (u, v) with u < v in lexicographic order (the
     wire order), and ``adj`` each vertex's neighbours in increasing order,
     read off ``edges``.  ``__getnewargs__`` makes ``pickle`` and
-    ``copy.deepcopy`` rebuild the graph through the validation below.
+    ``copy.deepcopy``, and ``_make`` makes ``_replace``, rebuild the graph
+    through the validation below.
     """
 
     __slots__ = ()
@@ -68,6 +69,11 @@ class Graph(_Graph):
 
     def __getnewargs__(self):
         return self.n, self.edges
+
+    @classmethod
+    def _make(cls, fields):  # from (n, edges): adj is read off the edges again
+        n, edges, *_ = fields
+        return cls(n, edges)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -123,6 +129,8 @@ class FamilySpec(_FamilySpec):
             raise ValueError(f"parameters {args} out of range for family {family!r}")
         return super().__new__(cls, family, args)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
+
     # convenience constructors -- keep call sites readable
     @staticmethod
     def path(n: int) -> "FamilySpec":
@@ -170,13 +178,13 @@ def family_graph(spec: FamilySpec) -> Graph:
     Vertex numbering is deterministic and documented:
 
     * path/cycle: vertices 0..n-1 in traversal order;
-    * fan/wheel: rim path/cycle 0..n-2, hub last (n-1);
+    * fan/wheel: the ``cone`` of the path/cycle 0..n-2, hub last (n-1);
     * comb: spine 0..m-1 along the path, leaf of spine i is m+i;
     * star: leaves 0..n-2, center last (n-1);
     * double-star: centers 0 (r leaves) and 1 (s leaves), then the r leaves
       of 0, then the s leaves of 1;
-    * unicyclic/caterpillar: the extremal instances produced by the
-      construction pipeline (see ``construct``), already canonically labeled.
+    * unicyclic/caterpillar: the graphs of ``construct.family_coloring``,
+      the extremal instances, already canonically labeled.
     """
     fam, args = spec.family, spec.args
     if fam == "path":
@@ -186,15 +194,9 @@ def family_graph(spec: FamilySpec) -> Graph:
         n = args[0]
         return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if fam == "fan":
-        n = args[0]
-        edges = [(i, i + 1) for i in range(n - 2)]
-        edges += [(i, n - 1) for i in range(n - 1)]
-        return Graph(n, edges)
+        return cone(family_graph(FamilySpec.path(args[0] - 1)))
     if fam == "wheel":
-        n = args[0]
-        edges = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
-        edges += [(i, n - 1) for i in range(n - 1)]
-        return Graph(n, edges)
+        return cone(family_graph(FamilySpec.cycle(args[0] - 1)))
     if fam == "comb":
         m = args[0]
         edges = [(i, i + 1) for i in range(m - 1)]
@@ -210,15 +212,15 @@ def family_graph(spec: FamilySpec) -> Graph:
         edges += [(0, 2 + i) for i in range(r)]
         edges += [(1, 2 + r + i) for i in range(s)]
         return Graph(n, edges)
-    if fam == "unicyclic":
-        from .construct import unicyclic_extremal
+    # unicyclic, caterpillar: the extremal instances are built with their coloring
+    from .construct import family_coloring
 
-        return unicyclic_extremal(args[0]).graph
-    if fam == "caterpillar":
-        from .construct import caterpillar_extremal
+    return family_coloring(spec).graph
 
-        return caterpillar_extremal(args[0]).graph
-    raise ValueError(f"unknown family {fam!r}")
+
+def cone(g: Graph) -> Graph:
+    """g plus a universal vertex, numbered g.n (the hub of a fan or wheel)."""
+    return Graph(g.n + 1, g.edges + tuple((v, g.n) for v in range(g.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import time
 from itertools import accumulate, islice
 from typing import NamedTuple
 
-from .bounds import chi_lower_bound
+from .bounds import _chi_lower_bound
 from .coloring import Coloring, is_nl_coloring
 from .graphs import Graph, twin_classes
 
@@ -527,7 +527,7 @@ def chi_nl_exact(g: Graph, *, max_k: int | None = None,
         raise ValueError(f"max_k must be at least 1, got {max_k}")
     budget = _Budget(time_budget)
     twins = twin_classes(g)
-    lower = chi_lower_bound(g, twins)
+    lower = _chi_lower_bound(g, twins)
     schedule = _schedule(g, twins)
     top = g.n if max_k is None else min(max_k, g.n)
     k = lower

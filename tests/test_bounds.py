@@ -89,12 +89,21 @@ def test_chi_lower_bound_examples():
     assert chi_lower_bound(family_graph(FamilySpec.path(9))) == 3
     assert chi_lower_bound(family_graph(FamilySpec.path(2))) == 2
     assert chi_lower_bound(Graph(1, [])) == 1
+    with pytest.raises(TypeError):  # the bound finds the twin classes itself
+        chi_lower_bound(family_graph(FamilySpec.path(5)), [[0, 1, 2, 3, 4]])
     # a tree of order 119 needs at least 7 colors (tree bound at 6 is 118):
     # the spider with 59 legs of length 2, which has no twins and whose
     # maximum degree 59 lets no degree-bounded order bound apply
     spider = Graph(119, [(0, i) for i in range(1, 60)] + [(i, i + 59) for i in range(1, 60)])
     assert twin_classes(spider) == []
     assert chi_lower_bound(spider) == 7
+    # C_65 with three pendant 2-paths at vertex 0: n = m = 71 lies above the
+    # unicyclic bound 70 at k = 5 but not the general one (75), and the
+    # maximum degree 5 lets no degree-bounded bound apply at k = 5
+    unicyclic = Graph(71, [(i, (i + 1) % 65) for i in range(65)]
+                      + [e for v in (65, 67, 69) for e in ((0, v), (v, v + 1))])
+    assert twin_classes(unicyclic) == []
+    assert chi_lower_bound(unicyclic) == 6
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 119])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -113,7 +114,8 @@ def test_verify_rejects_disconnected(tmp_path, capsys):
     # n = m, so only the connectivity search sees that the triangles are apart
     ('{"n":6,"edges":[[0,1],[1,2],[0,2],[3,4],[4,5],[3,5]]}', "graph is not connected"),
     ('{"n":3,"edges":[[0,1],[1,2],[2,1]]}', "duplicate edge (1,2)"),
-], ids=["two-triangles", "duplicate-edge"])
+    ('{"n":2,"edges":[[0,1],[1,1]]}', "self-loop at vertex 1"),
+], ids=["two-triangles", "duplicate-edge", "self-loop"])
 @pytest.mark.parametrize("command", ["verify", "chi"])
 def test_graph_refused_by_validation_is_a_usage_error(command, graph, message, tmp_path,
                                                       capsys):
@@ -127,6 +129,36 @@ def test_graph_refused_by_validation_is_a_usage_error(command, graph, message, t
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_self_loop_from_stdin_is_a_usage_error(monkeypatch, capsys):
+    # n <= m + 1, so only the self-loop check refuses the edge list
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n1 1\n"))
+    code, out, err = run(capsys, "chi", "--graph", "-")
+    assert (code, out, err) == (2, "", "error: -: self-loop at vertex 1\n")
+
+
+@pytest.mark.parametrize("given", [[], ["--family", "cycle", "--n", "9", "--graph", "{p3}"]],
+                         ids=["neither", "both"])
+@pytest.mark.parametrize("command", ["color", "chi"])
+def test_family_and_graph_exclude_each_other(command, given, tmp_path, capsys):
+    p3 = tmp_path / "p3.json"
+    p3.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, err = run(capsys, command, *(a.format(p3=p3) for a in given))
+    message = f"{command} needs exactly one of --family or --graph"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_chi_family_exact_is_a_usage_error(capsys):
+    # a family's value is the closed form; no solver runs on it
+    code, out, err = run(capsys, "chi", "--family", "cycle", "--n", "23", "--exact")
+    assert (code, out, err) == (
+        2, "", "error: --exact applies to --graph input; family values are closed-form\n")
+
+
+def test_chi_graph_without_exact_prints_the_lower_bound(tmp_path, capsys):
+    code, out, err = run(capsys, "chi", "--graph", _cycle_file(tmp_path, 25))
+    assert (code, out, err) == (0, '{\n  "chiLowerBound": 5\n}\n', "")
 
 
 def test_chi_exact_graph(tmp_path, capsys):
@@ -343,6 +375,59 @@ def test_input_format_flags_are_gone(argv, tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_export_to_dot_on_stdout_and_to_a_file(tmp_path, capsys):
+    graph_file = tmp_path / "p3.txt"
+    graph_file.write_text("0 1\n1 2\n")
+    dot = ('graph nl {\n  node [shape=circle, style=filled];\n'
+           + "".join(f'  {v} [fillcolor="white"];\n' for v in range(3))
+           + "  0 -- 1;\n  1 -- 2;\n}\n")
+    assert run(capsys, "export", "--input", str(graph_file), "--to", "dot") == (0, dot, "")
+    out_file = tmp_path / "p3.dot"
+    code, out, err = run(capsys, "export", "--input", str(graph_file), "--to", "dot",
+                         "--out", str(out_file))
+    assert (code, out, err) == (0, "", "") and out_file.read_text() == dot
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--conjecture", "delta", "--max-n", "4", "--report", "{out}"],
+    ["color", "--family", "cycle", "--n", "9", "--dot", "{out}"],
+    ["export", "--input", "{p3}", "--to", "json", "--out", "{out}"],
+], ids=["report", "dot", "out"])
+def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    p3 = tmp_path / "p3.json"
+    p3.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    out_path = tmp_path / "missing" / "result"
+    code, out, err = run(capsys, *(a.format(p3=p3, out=out_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+
+P3_JSON = '{"n":3,"edges":[[0,1],[1,2]]}'
+
+
+@pytest.mark.parametrize("graph,certificate,message", [
+    ("0 1 2\n", None, "line 1: expected 'u v', got '0 1 2'"),
+    ("# only a comment\n\n", None, "edge list is empty"),
+    ('{"n":3}', None, "graph JSON needs integer 'n' and an 'edges' pair list"),
+    ('{"n":3,"edges":[[0,1],[1,2]]', None, "invalid JSON at line 1"),
+    (P3_JSON, '{"n":3,"k":2,"colors":[1,2]}', "certificate lists 2 colors for n=3 vertices"),
+    (P3_JSON, '{"n":3,"k":3,"colors":[1,2,1]}', "every color 1..k must be used"),
+    (P3_JSON, '{"n":2,"k":2,"colors":[1,2]}', "certificate covers 2 vertices, graph has 3"),
+], ids=["three-ids", "only-comments", "json-without-edges", "invalid-json",
+        "colors-not-n", "k-above-colors-used", "certificate-n-not-graph-n"])
+def test_malformed_input_is_a_usage_error(graph, certificate, message, tmp_path, capsys):
+    graph_file = tmp_path / "g"
+    graph_file.write_text(graph)
+    argv = ["chi", "--graph", str(graph_file)]
+    if certificate is not None:
+        cert_file = tmp_path / "c.json"
+        cert_file.write_text(certificate)
+        argv = ["verify", "--graph", str(graph_file), "--certificate", str(cert_file)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_json_with_leading_whitespace_is_read_as_json(tmp_path, capsys):
     graph_file = tmp_path / "p3.txt"
     graph_file.write_text('\n  {"n":3,"edges":[[0,1],[1,2]]}')
@@ -415,7 +500,7 @@ def test_color_past_one_byte_colors_is_a_usage_error(capsys):
 def test_color_comb_spine_size_maps_back_to_k(monkeypatch):
     monkeypatch.setattr(nlcoloring.construct, "comb_coloring", lambda k: k)
     for k in range(5, 201):
-        assert cli._colored_graph_for(nlcoloring.FamilySpec.comb(k * (k - 1))) == k
+        assert nlcoloring.construct.family_coloring(nlcoloring.FamilySpec.comb(k * (k - 1))) == k
 
 
 def test_sweep_writes_report(tmp_path, capsys):

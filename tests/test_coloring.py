@@ -39,6 +39,16 @@ def test_coloring_type_invariants():
     assert c.n == 3 and c.color_class(2) == (0, 2)
 
 
+def test_coloring_replace_validates():
+    # _replace builds through _make, which builds through the constructor
+    c = Coloring(2, (1, 2))
+    with pytest.raises(ValueError, match="every color"):
+        c._replace(k=7)
+    with pytest.raises(ValueError, match="1..k"):
+        c._replace(colors=(1, 3))
+    assert c._replace(colors=(2, 1, 2)) == Coloring(2, (2, 1, 2))
+
+
 def test_signature_on_cycle_base():
     g, c = C9.graph, C9.coloring
     # a vertex of color 1 whose neighbors are colored 2 and 3

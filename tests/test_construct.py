@@ -38,6 +38,7 @@ from nlcoloring import (
 )
 from nlcoloring import construct
 from nlcoloring.bounds import bracket
+from nlcoloring.graphs import FAMILIES
 from nlcoloring.construct import (
     _comb_spine_index,
     _designated_vertex,
@@ -565,3 +566,30 @@ def test_first_distance4_pair_matches_brute_force():
 def test_generic_tree_value_bound(n):
     cg = generic_tree_coloring(family_graph(FamilySpec.path(n)))
     assert cg.k == n - 2
+
+
+# -- the named families --------------------------------------------------------
+
+FAMILY_SAMPLES = [FamilySpec.path(14), FamilySpec.cycle(24), FamilySpec.fan(11),
+                  FamilySpec.wheel(25), FamilySpec.comb(20), FamilySpec.star(6),
+                  FamilySpec.double_star(2, 3), FamilySpec.unicyclic(5),
+                  FamilySpec.caterpillar(6)]
+
+
+def test_family_samples_cover_every_family():
+    assert {spec.family for spec in FAMILY_SAMPLES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SAMPLES, ids=FamilySpec.label)
+def test_family_coloring_colors_the_family_graph(spec):
+    cg = construct.family_coloring(spec)
+    assert cg.graph == family_graph(spec) and is_nl_coloring(cg.graph, cg.coloring).ok
+    assert cg.k == (5 if spec.family == "comb" else chi_closed_form(spec))
+
+
+@pytest.mark.parametrize("m", [3, 6, 12, 19, 21, 31, 10**300 + 1])
+def test_family_coloring_refuses_comb_sizes_not_k_k_minus_1(m):
+    # k(k-1) for k = 3 and 4, the neighbours of 20 and 30, and a size that a
+    # scan over k would take forever to reject
+    with pytest.raises(ValueError, match=r"spine sizes k\(k-1\) with k >= 5"):
+        construct.family_coloring(FamilySpec.comb(m))

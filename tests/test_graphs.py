@@ -47,6 +47,28 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 5), (0, 1), (1, 2)])  # out of range
     with pytest.raises(GraphError, match="not connected"):
         Graph(10**9, [(0, 1)])  # too few edges: rejected before anything of size n
+    with pytest.raises(GraphError, match="self-loop at vertex 1"):
+        Graph(2, [(0, 1), (1, 1)])  # n <= m + 1, so only the loop check refuses it
+    with pytest.raises(GraphError, match="at least one vertex"):
+        Graph(0, [])
+
+
+def test_replace_validates():
+    # _replace builds through _make, which builds through the constructor
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError):
+        g._replace(edges=((0, 0),))
+    with pytest.raises(GraphError, match="self-loop"):
+        g._replace(edges=((0, 1), (1, 2), (2, 2)))
+    triangle = g._replace(edges=((1, 2), (0, 2), (0, 1)))
+    assert type(triangle) is Graph and triangle == Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert triangle.adj == ((1, 2), (0, 2), (0, 1))  # read off the new edges
+    spec = FamilySpec("cycle", (5,))
+    with pytest.raises(ValueError, match="out of range"):
+        spec._replace(args=(1,))
+    with pytest.raises(ValueError, match="unknown family"):
+        spec._replace(family="torus")
+    assert spec._replace(args=(6,)) == FamilySpec.cycle(6)
 
 
 def test_graph_equality_and_adjacency():
@@ -114,6 +136,14 @@ def test_comb_20_shape():
     leaves = sum(1 for v in range(g.n) if g.degree(v) == 1)
     assert leaves == 20
     assert stats == DegreeStats(n1=20, n2=2, n_ge3=18, max_degree=3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_fan_and_wheel_number_the_rim_first_and_the_hub_last(n):
+    spokes = [(i, n - 1) for i in range(n - 1)]
+    rim = [(i, i + 1) for i in range(n - 2)]
+    assert family_graph(FamilySpec.fan(n)) == Graph(n, rim + spokes)
+    assert family_graph(FamilySpec.wheel(n)) == Graph(n, rim + [(0, n - 2)] + spokes)
 
 
 def test_wheel_4_is_complete():

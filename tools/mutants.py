@@ -92,6 +92,16 @@ MUTATIONS = [
         ("twin_bound = min(max(map(len, twins), default=1) + 1, g.n)",
          "twin_bound = min(max(map(len, twins), default=1) + 2, g.n)"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    # the order bounds of the lower bound, each of which decides some graph
+    Mutation("no degree-bounded order bound", "bounds.py", (
+        ("if delta <= k - 1 and g.n > max_order(k, delta):", "if False:"),
+    ), ("tests/test_bounds.py",)),
+    Mutation("no tree order bound", "bounds.py", (
+        ('if tree and k >= 3 and g.n > class_order_bound(k, "tree"):', "if False:"),
+    ), ("tests/test_bounds.py",)),
+    Mutation("no unicyclic order bound", "bounds.py", (
+        ('if unicyclic and k >= 3 and g.n > class_order_bound(k, "unicyclic"):', "if False:"),
+    ), ("tests/test_bounds.py",)),
     # the solver's caps: a negative or nan time budget and a color cap below
     # one must stay errors, in the library and as nlc usage errors
     Mutation("budget without its seconds check", "solver.py", (
@@ -124,12 +134,16 @@ MUTATIONS = [
         ("p = seq.find(run, 0, best + 1)", "p = seq.find(run, 0, best + 1) if best == m - 1 else -1"),
     ), ("tests/test_construct.py",)),
     # graph validation: a graph with n = m can be disconnected, and a
-    # repeated edge must be refused, in the library and as nlc usage errors
+    # repeated edge and a self-loop must be refused, in the library and as
+    # nlc usage errors
     Mutation("graph without the connectivity search", "graphs.py", (
         ("if -1 in distances(g, 0):", "if False:"),
     ), ("tests/test_graphs.py", "tests/test_cli.py")),
     Mutation("graph without the duplicate-edge check", "graphs.py", (
         ("if e == f:", "if False:"),
+    ), ("tests/test_graphs.py", "tests/test_cli.py")),
+    Mutation("graph without the self-loop check", "graphs.py", (
+        ('raise GraphError(f"self-loop at vertex {u}")', "pass"),
     ), ("tests/test_graphs.py", "tests/test_cli.py")),
     # the verifier: properness, and a signature keyed with the vertex's own color
     Mutation("verifier without its properness loop", "coloring.py", (

@@ -10,7 +10,7 @@ instances).
 
 from __future__ import annotations
 
-from .graphs import FamilySpec, Graph, degree_stats, is_tree, twin_classes
+from .graphs import FamilySpec, Graph, is_tree, twin_classes
 
 
 def a1(k: int) -> int:
@@ -121,7 +121,7 @@ def _chi_lower_bound(g: Graph, twins: list[list[int]]) -> int:
     twin_bound = min(max(map(len, twins), default=1) + 1, g.n)
     tree = is_tree(g)
     unicyclic = len(g.edges) == g.n
-    delta = degree_stats(g).max_degree
+    delta = max(map(len, g.adj))
     for k in range(2, g.n + 1):
         if g.n > max_order(k):
             continue

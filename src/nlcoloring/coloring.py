@@ -28,7 +28,7 @@ class Coloring(_Coloring):
     def __new__(cls, k: int, colors: tuple[int, ...]):
         if k < 1:
             raise ValueError("k must be positive")
-        if any(not (1 <= c <= k) for c in colors):
+        if colors and not (1 <= min(colors) and max(colors) <= k):
             raise ValueError("colors must lie in 1..k")
         if len(set(colors)) != k:
             raise ValueError("every color 1..k must be used by some vertex")
@@ -81,13 +81,15 @@ def is_nl_coloring(g: Graph, c: Coloring) -> NLVerdict:
     failure, the witness is the lexicographically first violating pair.
     """
     _check_match(g, c)
+    colors = c.colors
     for u, v in g.edges:
-        if c.colors[u] == c.colors[v]:
+        if colors[u] == colors[v]:
             return NLVerdict(False, NOT_PROPER, (u, v))
     first: dict[tuple[int, frozenset], int] = {}
     clashes = []
-    for v in range(g.n):
-        key = (c.colors[v], frozenset(c.colors[u] for u in g.adj[v]))
+    color_of = colors.__getitem__
+    for v, near in enumerate(g.adj):
+        key = (colors[v], frozenset(map(color_of, near)))
         u = first.setdefault(key, v)
         if u != v:
             clashes.append((u, v))

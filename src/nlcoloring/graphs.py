@@ -15,7 +15,6 @@ n), the twin classes (``twin_classes``), the structural kind
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -55,12 +54,12 @@ class Graph(_Graph):
                 raise GraphError(f"self-loop at vertex {u}")
             pairs.append((u, v) if u < v else (v, u))
         pairs.sort()  # the wire order, where a repeated edge follows its copy
-        for e, f in pairwise(pairs):
-            if e == f:
-                raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:  # wire order gives each vertex its neighbours in increasing order
-            neighbors[u].append(v)
+            near = neighbors[u]
+            if near and near[-1] == v:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            near.append(v)
             neighbors[v].append(u)
         g = super().__new__(cls, n, tuple(pairs), tuple(map(tuple, neighbors)))
         if -1 in distances(g, 0):
@@ -228,13 +227,15 @@ def cone(g: Graph) -> Graph:
 
 def distances(g: Graph, source: int) -> list[int]:
     """Breadth-first distance of every vertex from source; -1 if unreached."""
+    adj = g.adj
     dist = [-1] * g.n
     dist[source] = 0
     queue = [source]
     for u in queue:  # the queue grows while it is read
-        for v in g.adj[u]:
+        step = dist[u] + 1
+        for v in adj[u]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
+                dist[v] = step
                 queue.append(v)
     return dist
 
@@ -305,11 +306,13 @@ class DegreeStats(NamedTuple):
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    """Count vertices by degree class (the counts partition the vertex set)."""
-    degrees = [g.degree(v) for v in range(g.n)]
+    """Count vertices by degree class.  For n >= 2 every vertex has degree
+    at least 1, so the counts partition the vertex set; the one vertex of
+    ``Graph(1, [])`` has degree 0 and is in no class."""
+    degrees = list(map(len, g.adj))
     return DegreeStats(
-        n1=sum(1 for d in degrees if d == 1),
-        n2=sum(1 for d in degrees if d == 2),
+        n1=degrees.count(1),
+        n2=degrees.count(2),
         n_ge3=sum(1 for d in degrees if d >= 3),
         max_degree=max(degrees),
     )

@@ -87,16 +87,26 @@ _Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int]]
 def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     """What ``_search`` does at each depth, whatever k is: (order, earlier,
     final_at, twin).  ``twins`` is ``twin_classes(g)``, computed here unless
-    the caller has it."""
+    the caller has it.  One walk of the order places each vertex and finds
+    its earlier neighbours; it also sets ``closing[w]``, the largest depth
+    in w's closed neighbourhood, by raising it to d for ``order[d]`` and
+    each of its neighbours, as the depths only grow."""
     n, adj = g.n, g.adj
     order = _search_order(g)
-    pos = [0] * n
+    pos = [n] * n  # n: not placed yet
+    closing = [0] * n
+    earlier = []
     for d, v in enumerate(order):
-        pos[v] = d
-    earlier = [[u for u in adj[v] if pos[u] < d] for d, v in enumerate(order)]
+        pos[v] = closing[v] = d
+        before = []
+        for u in adj[v]:
+            closing[u] = d
+            if pos[u] < d:
+                before.append(u)
+        earlier.append(before)
     final_at: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        final_at[max([pos[w]] + [pos[u] for u in adj[w]])].append(w)
+    for w, d in enumerate(closing):
+        final_at[d].append(w)
     twin = [n] * n  # n: no earlier twin, and bits[n] stays 0
     for members in twin_classes(g) if twins is None else twins:
         members = sorted(members, key=pos.__getitem__)
@@ -476,12 +486,14 @@ def _search_order(g: Graph) -> list[int]:
     ties, visiting each vertex's neighbours by descending degree, then
     index.  The graph is connected, so every vertex after the first has a
     neighbour before it."""
-    by_degree = [(-len(near), v) for v, near in enumerate(g.adj)].__getitem__  # v's sort key
-    order = [min(range(g.n), key=by_degree)]
+    adj = g.adj
+    keys = [(-len(near), v) for v, near in enumerate(adj)]  # v's sort key
+    by_degree = keys.__getitem__
+    order = [min(keys)[1]]
     seen = [False] * g.n
     seen[order[0]] = True
     for v in order:  # grows while it is walked
-        for u in sorted(g.adj[v], key=by_degree):
+        for u in sorted(adj[v], key=by_degree):
             if not seen[u]:
                 seen[u] = True
                 order.append(u)

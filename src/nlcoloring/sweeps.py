@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .bounds import chi_closed_form
-from .graphs import FamilySpec, Graph, degree_stats, diameter
+from .graphs import FamilySpec, Graph, diameter
 from .solver import chi_nl_exact
 
 TREE_ENUM_CAP = 12
@@ -147,7 +147,7 @@ class SweepBudgetExhausted(RuntimeError):
 
 
 def _delta_fields(tree: Graph, chi: int) -> dict:
-    delta = degree_stats(tree).max_degree
+    delta = max(map(len, tree.adj))
     return {"delta": delta, "verdict": delta <= (chi - 1) ** 2}
 
 

@@ -46,6 +46,8 @@ def test_coloring_replace_validates():
         c._replace(k=7)
     with pytest.raises(ValueError, match="1..k"):
         c._replace(colors=(1, 3))
+    with pytest.raises(ValueError, match="1..k"):  # two colors used, one of them 0
+        c._replace(colors=(0, 2))
     assert c._replace(colors=(2, 1, 2)) == Coloring(2, (2, 1, 2))
 
 

@@ -238,6 +238,11 @@ def test_degree_stats_cycle():
     assert degree_stats(family_graph(FamilySpec.cycle(9))) == DegreeStats(0, 9, 0, 2)
 
 
+def test_degree_stats_single_vertex_is_in_no_class():
+    # the counts partition the vertex set only from n = 2, where no degree is 0
+    assert degree_stats(Graph(1, [])) == DegreeStats(0, 0, 0, 0)
+
+
 def test_degree_stats_unicyclic_6():
     g = family_graph(FamilySpec.unicyclic(6))
     assert g.n == 120

@@ -246,6 +246,39 @@ def test_a_color_cap_decides_as_exists_does(g):
             assert (chi_nl_exact(g, max_k=k).status == "Exact") == exists_nl_coloring(g, k)[0]
 
 
+def _schedule_by_definition(g: Graph) -> solver._Schedule:
+    """``_schedule(g)`` recomputed from its definition, vertex by vertex."""
+    order = solver._search_order(g)
+    pos = {v: d for d, v in enumerate(order)}
+    earlier = [[u for u in g.adj[v] if pos[u] < d] for d, v in enumerate(order)]
+    final_at = [[] for _ in range(g.n)]
+    for w in range(g.n):  # increasing w, so each list is in increasing order
+        final_at[max(pos[u] for u in (w, *g.adj[w]))].append(w)
+    twin_class = {v: members for members in twin_classes(g) for v in members}
+    twin = []
+    for d, v in enumerate(order):
+        before = [u for u in twin_class.get(v, ()) if pos[u] < d]
+        twin.append(max(before, key=pos.__getitem__) if before else g.n)
+    return order, earlier, final_at, twin
+
+
+@pytest.mark.parametrize("universe", ["atlas", "trees", "C23", "F30", "P3000"])
+def test_schedule_matches_its_definition(universe):
+    # earlier[d]: the neighbours of order[d] placed before depth d, in adj
+    # order; final_at[d]: the vertices, in increasing order, whose closed
+    # neighbourhood has its largest position at d; twin[d]: the twin of
+    # order[d] last before it in the order, or n
+    graphs = {
+        "atlas": [g for n in range(1, 8) for g in connected_graphs(n)],
+        "trees": [g for n in range(1, 11) for g in enumerate_trees(n)],
+        "C23": [family_graph(FamilySpec.cycle(23))],
+        "F30": [family_graph(FamilySpec.fan(30))],
+        "P3000": [family_graph(FamilySpec.path(3000))],
+    }[universe]
+    for g in graphs:
+        assert solver._schedule(g) == _schedule_by_definition(g), g.sorted_edges()
+
+
 @pytest.mark.parametrize("g", SMALL_GRAPHS)
 def test_memo_schedule_reads_the_twins(g):
     # the memo's front holds each vertex from the first depth after one

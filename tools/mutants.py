@@ -1,6 +1,7 @@
-"""Hand-made mutations of the solver, the lower bound, the cycle pipeline's
-edge scan, the CLI parser, graph validation and the coloring verifier that
-the tests must kill.
+"""Hand-made mutations that the tests must kill: of the solver and its
+schedule, the lower bound, the cycle pipeline's edge scan, the CLI parser,
+graph validation, distances and degrees, the delta sweep's degree, and the
+coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -65,6 +66,15 @@ MUTATIONS = [
     Mutation("memo renames at exact depths", "solver.py", (
         ("cls = (key if exact[depth] else shape[0], top, depth)", "cls = (shape[0], top, depth)"),
     ), SEARCH),
+    # the per-depth schedule: a vertex's closing depth is the last depth
+    # of its closed neighbourhood, so it must rise with the vertex and with
+    # each neighbour
+    Mutation("schedule closing depth skips the neighbours", "solver.py", (
+        ("            closing[u] = d\n", ""),
+    ), SEARCH),
+    Mutation("schedule closing depth skips the vertex", "solver.py", (
+        ("pos[v] = closing[v] = d", "pos[v] = d"),
+    ), SEARCH),
     # the four prunes of the search
     Mutation("no properness prune", "solver.py", (
         ("cands[depth] = ((2 << top) - 2) & ~forbidden", "cands[depth] = (2 << top) - 2"),
@@ -91,6 +101,10 @@ MUTATIONS = [
     Mutation("twin bound one too high", "bounds.py", (
         ("twin_bound = min(max(map(len, twins), default=1) + 1, g.n)",
          "twin_bound = min(max(map(len, twins), default=1) + 2, g.n)"),
+    ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    # the degree-bounded order bound reads the largest degree
+    Mutation("lower bound reads the min degree", "bounds.py", (
+        ("delta = max(map(len, g.adj))", "delta = min(map(len, g.adj))"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
     # the order bounds of the lower bound, each of which decides some graph
     Mutation("no degree-bounded order bound", "bounds.py", (
@@ -140,18 +154,36 @@ MUTATIONS = [
         ("if -1 in distances(g, 0):", "if False:"),
     ), ("tests/test_graphs.py", "tests/test_cli.py")),
     Mutation("graph without the duplicate-edge check", "graphs.py", (
-        ("if e == f:", "if False:"),
+        ("if near and near[-1] == v:", "if False:"),
     ), ("tests/test_graphs.py", "tests/test_cli.py")),
     Mutation("graph without the self-loop check", "graphs.py", (
         ('raise GraphError(f"self-loop at vertex {u}")', "pass"),
     ), ("tests/test_graphs.py", "tests/test_cli.py")),
+    # the delta sweep's measured degree, and the degree counts
+    Mutation("delta sweep reads the min degree", "sweeps.py", (
+        ("delta = max(map(len, tree.adj))", "delta = min(map(len, tree.adj))"),
+    ), ("tests/test_sweeps.py",)),
+    Mutation("degree stats count degree 3 as 2", "graphs.py", (
+        ("n2=degrees.count(2),", "n2=degrees.count(2) + degrees.count(3),"),
+    ), ("tests/test_graphs.py",)),
+    # breadth-first distances: one step per level
+    Mutation("distances without the step", "graphs.py", (
+        ("step = dist[u] + 1", "step = 1"),
+    ), ("tests/test_graphs.py",)),
+    # a coloring's colors lie in 1..k, at both ends
+    Mutation("coloring range without the lower end", "coloring.py", (
+        ("not (1 <= min(colors) and max(colors) <= k)", "not max(colors) <= k"),
+    ), ("tests/test_coloring.py",)),
+    Mutation("coloring range without the upper end", "coloring.py", (
+        ("not (1 <= min(colors) and max(colors) <= k)", "not 1 <= min(colors)"),
+    ), ("tests/test_coloring.py",)),
     # the verifier: properness, and a signature keyed with the vertex's own color
     Mutation("verifier without its properness loop", "coloring.py", (
         ("for u, v in g.edges:", "for u, v in ():"),
     ), ("tests/test_coloring.py",)),
     Mutation("verifier signature without the own color", "coloring.py", (
-        ("key = (c.colors[v], frozenset(c.colors[u] for u in g.adj[v]))",
-         "key = frozenset(c.colors[u] for u in g.adj[v])"),
+        ("key = (colors[v], frozenset(map(color_of, near)))",
+         "key = frozenset(map(color_of, near))"),
     ), ("tests/test_coloring.py",)),
 ]
 

@@ -1,16 +1,17 @@
 """Closed-form bounds and exact values for the neighbor-locating chromatic number.
 
-Everything here is integer arithmetic: capacity counts a1/a2/ell, order
-bounds for general / degree-bounded / unicyclic / tree inputs, the derived
-lower bound (order bounds and twin classes) for arbitrary connected
-graphs, and the exact values for the named families (paths, cycles, fans,
-wheels, stars, double stars and the extremal unicyclic/caterpillar
-instances).
+Capacity counts a1/a2/ell, order bounds for general / degree-bounded /
+unicyclic / tree inputs, the derived lower bound (order bounds, twin
+classes and the cone step over universal vertices) for arbitrary
+connected graphs, and the exact values for the named families (paths,
+cycles, fans, wheels, stars, double stars and the extremal
+unicyclic/caterpillar instances).  All but the cone step's connectivity
+check is integer arithmetic.
 """
 
 from __future__ import annotations
 
-from .graphs import FamilySpec, Graph, is_tree, twin_classes
+from .graphs import FamilySpec, Graph, distances, twin_classes
 
 
 def a1(k: int) -> int:
@@ -96,43 +97,88 @@ def bounds_report(k: int, max_degree: int | None = None) -> dict:
 
 def chi_lower_bound(g: Graph) -> int:
     """Largest lower bound on the NL-chromatic number implied by the order
-    bounds and the twin classes.
+    bounds, the twin classes and the universal vertices.
 
-    Returns the smallest k passing every applicable necessary condition:
-    the general order bound, the degree-bounded order bound (when the
-    degree cap applies, which for paths and cycles is the ell bound), and
-    the tree order bound for n-1 edges and the unicyclic one for n edges;
-    and at least min(t + 1, n) for a class of t >= 2 twins.  Never below 2
-    for graphs of order >= 2.
+    The floor of a graph is the smallest k passing every applicable
+    necessary condition: the general order bound, the degree-bounded order
+    bound (when the degree cap applies, which for paths and cycles is the
+    ell bound), and the tree order bound for n-1 edges and the unicyclic
+    one for n edges; and at least min(t + 1, n) for a class of t >= 2
+    twins.  Never below 2 for graphs of order >= 2.  Where g has a
+    universal vertex, the cone step below may raise it.
 
     Twin bound: two twins of one color would have equal signatures (false
     twins) or be adjacent (true twins), so a class takes t colors.  A class
     of false twins has a common neighbour, and a class of true twins smaller
     than n has a neighbour outside it, adjacent to the whole class; that
     neighbour needs one more color, so chi >= min(t + 1, n).
+
+    Cone step: let u be adjacent to every other vertex, with g - u
+    connected.  In an NL-coloring of g no other vertex takes u's color, as
+    all are adjacent to u, and every other signature holds it.  So the
+    coloring it induces on g - u is proper, uses the other colors only,
+    and still separates two vertices of one color: their signatures
+    differed and both held u's color.  Hence chi(g) >= chi(g - u) + 1,
+    with equality, as a color of its own for u extends any NL-coloring of
+    g - u to g.
+
+    Let U be the universal vertices, removed one at a time.  Each graph
+    left while a vertex of U remains is connected, as that vertex is
+    universal in it; g - U itself may not be.  So with P = U when g - U
+    is connected, and P = U less one vertex otherwise,
+    chi(g) >= |P| + chi(g - P) >= |P| + floor(g - P).  One step peels all
+    there is: a universal vertex of g - U would be universal in g.
+    g - P is not built.  With p = |P| and m edges in g, it has order
+    n - p and m - p(p - 1)/2 - p(n - p) edges; its degrees are those of g
+    less p, and its twin classes those of g other than U.  U is a class
+    of true twins when |U| >= 2, no other vertex is a twin of a universal
+    one, and removing P, which every vertex left sees, keeps equal
+    neighbourhoods equal and distinct ones distinct.  The bound is the
+    larger of floor(g) and p + floor(g - P); a graph with no universal
+    vertex pays one comparison for the step.
     """
     return _chi_lower_bound(g, twin_classes(g))
 
 
 def _chi_lower_bound(g: Graph, twins: list[list[int]]) -> int:
     """``chi_lower_bound(g)``, given ``twins = twin_classes(g)`` (the solver's)."""
-    if g.n == 1:
-        return 1
-    twin_bound = min(max(map(len, twins), default=1) + 1, g.n)
-    tree = is_tree(g)
-    unicyclic = len(g.edges) == g.n
-    delta = max(map(len, g.adj))
-    for k in range(2, g.n + 1):
-        if g.n > max_order(k):
+    n, adj = g.n, g.adj
+    delta = max(map(len, adj))
+    bound = _floor(n, len(g.edges), delta, max(map(len, twins), default=1))
+    if delta < n - 1:
+        return bound
+    universal = [v for v, near in enumerate(adj) if len(near) == delta]
+    if len(universal) == n:  # complete: the twin bound reads n already
+        return bound
+    start = next(v for v, near in enumerate(adj) if len(near) < delta)
+    if distances(g, start, universal).count(-1) == len(universal):  # g - U is connected
+        peel, rest_delta = len(universal), max(len(near) for near in adj if len(near) < delta)
+    else:  # keep one universal vertex
+        peel, rest_delta = len(universal) - 1, n - 1
+    if peel == 0:
+        return bound
+    twin = max((len(c) for c in twins if len(adj[c[0]]) < delta), default=1)
+    edges = len(g.edges) - peel * (peel - 1) // 2 - peel * (n - peel)
+    return max(bound, peel + _floor(n - peel, edges, rest_delta - peel, twin))
+
+
+def _floor(n: int, m: int, delta: int, twin: int) -> int:
+    """The floor of ``chi_lower_bound`` for a connected graph of order n with
+    m edges, maximum degree delta and a largest twin class of twin vertices
+    (1 when it has none)."""
+    twin_bound = min(twin + 1, n)
+    tree, unicyclic = m == n - 1, m == n  # as ``is_tree`` decides it
+    for k in range(2, n + 1):
+        if n > max_order(k):
             continue
-        if delta <= k - 1 and g.n > max_order(k, delta):
+        if delta <= k - 1 and n > max_order(k, delta):
             continue
-        if tree and k >= 3 and g.n > class_order_bound(k, "tree"):
+        if tree and k >= 3 and n > class_order_bound(k, "tree"):
             continue
-        if unicyclic and k >= 3 and g.n > class_order_bound(k, "unicyclic"):
+        if unicyclic and k >= 3 and n > class_order_bound(k, "unicyclic"):
             continue
         return max(k, twin_bound)
-    return g.n
+    return n
 
 
 def bracket(n: int) -> int:

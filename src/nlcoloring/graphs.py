@@ -5,17 +5,18 @@ finite, with vertices labeled 0..n-1.  ``Graph`` is a named tuple (n, edges,
 adj), as ``Coloring`` and ``FamilySpec`` are, that holds each edge once;
 its constructor enforces all of the above so the rest of the code can
 assume it.  Each structural fact is decided in one place here:
-breadth-first distances (``distances``, which also backs the connectivity
-check and ``diameter``), the tree test (``is_tree``: a connected graph is a
-tree exactly when it has n-1 edges, and has one cycle exactly when it has
-n), the twin classes (``twin_classes``), the structural kind
-(``classify``), and the family parameters (``FAMILIES``).
+breadth-first distances (``distances``, which also backs ``diameter`` and
+the connectivity checks, of a graph and of a graph less some vertices),
+the tree test (``is_tree``: a connected graph is a tree exactly when it
+has n-1 edges, and has one cycle exactly when it has n), the twin classes
+(``twin_classes``), the structural kind (``classify``), and the family
+parameters (``FAMILIES``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -225,10 +226,14 @@ def cone(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # structural facts
 
-def distances(g: Graph, source: int) -> list[int]:
-    """Breadth-first distance of every vertex from source; -1 if unreached."""
+def distances(g: Graph, source: int, removed: Collection[int] = ()) -> list[int]:
+    """Breadth-first distance of every vertex from source in g without the
+    vertices ``removed`` (source not among them); -1 if unreached, as each
+    removed vertex is."""
     adj = g.adj
     dist = [-1] * g.n
+    for v in removed:
+        dist[v] = 0  # seen, so never entered
     dist[source] = 0
     queue = [source]
     for u in queue:  # the queue grows while it is read
@@ -237,6 +242,8 @@ def distances(g: Graph, source: int) -> list[int]:
             if dist[v] < 0:
                 dist[v] = step
                 queue.append(v)
+    for v in removed:
+        dist[v] = -1
     return dist
 
 

@@ -13,6 +13,8 @@ stream and the fields it measures on a solved instance.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import compress
 from typing import Iterator
 
 from .bounds import chi_closed_form
@@ -118,21 +120,21 @@ def connected_graphs(n: int) -> list[Graph]:
     from ._atlas import GRAPH6
 
     order = chr(63 + n)
-    graphs = [_from_graph6(line) for line in GRAPH6.split() if line[0] == order]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # graph6's order of the bits
+    graphs = [_from_graph6(line, pairs) for line in GRAPH6.split() if line[0] == order]
     if len(graphs) != _CONNECTED_COUNTS[n]:
         raise RuntimeError(f"atlas table has {len(graphs)} connected graphs of order {n}, "
                            f"not {_CONNECTED_COUNTS[n]}")
     return graphs
 
 
-def _from_graph6(line: str) -> Graph:
+def _from_graph6(line: str, pairs: list[tuple[int, int]]) -> Graph:
     """Decode one graph6 line of order at most 62: the order as one
     character, then the upper triangle of the adjacency matrix column by
-    column, six bits to a character, each character offset by 63."""
-    n = ord(line[0]) - 63
+    column, six bits to a character, each character offset by 63.
+    ``pairs`` lists the upper triangle's pairs (i, j) in that order."""
     bits = [(ord(c) - 63) >> shift & 1 for c in line[1:] for shift in range(5, -1, -1)]
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
+    return Graph(ord(line[0]) - 63, compress(pairs, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +153,9 @@ def _delta_fields(tree: Graph, chi: int) -> dict:
     return {"delta": delta, "verdict": delta <= (chi - 1) ** 2}
 
 
-def _diameter_fields(g: Graph, chi: int) -> dict:
+def _diameter_fields(path_values: dict[int, int], g: Graph, chi: int) -> dict:
     d = diameter(g)
-    floor = chi_closed_form(FamilySpec.path(d + 1))
+    floor = path_values[d]
     return {"diameter": d, "pathValue": floor, "verdict": chi >= floor}
 
 
@@ -179,7 +181,9 @@ def conjecture_sweep(which: str, max_n: int, *, time_budget: float | None = None
         if not 2 <= max_n <= CONNECTED_ENUM_CAP:
             raise ValueError(f"diameter sweep supports 2 <= max_n <= {CONNECTED_ENUM_CAP}")
         graphs = (g for n in range(2, max_n + 1) for g in connected_graphs(n))
-        fields = _diameter_fields
+        # chi(P_{d+1}) for each diameter d that a graph of order at most max_n can have
+        fields = partial(_diameter_fields,
+                         {d: chi_closed_form(FamilySpec.path(d + 1)) for d in range(1, max_n)})
     else:
         raise ValueError(f"unknown conjecture {which!r}")
     instances = []

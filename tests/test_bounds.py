@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from math import comb, floor
 
 import pytest
@@ -18,12 +19,14 @@ from nlcoloring import (
     chi_lower_bound,
     class_order_bound,
     ell,
+    enumerate_trees,
     family_graph,
     max_order,
     tree_max_degree,
     twin_classes,
 )
-from nlcoloring.bounds import bracket
+from nlcoloring.bounds import _floor, bracket
+from nlcoloring.graphs import cone
 
 
 def test_capacity_values():
@@ -110,6 +113,76 @@ def test_chi_lower_bound_examples():
 def test_chi_lower_bound_of_a_star_is_its_order(n):
     # the n - 1 leaves are false twins: the twin bound proves the true value
     assert chi_lower_bound(family_graph(FamilySpec.star(n))) == n
+
+
+def _complete(n: int, missing: tuple[tuple[int, int], ...] = ()) -> Graph:
+    return Graph(n, [(u, v) for v in range(n) for u in range(v) if (u, v) not in missing])
+
+
+def _floor_of(g: Graph) -> int:
+    """The order and twin bounds of g alone, without the cone step."""
+    return _floor(g.n, len(g.edges), max(map(len, g.adj)),
+                  max(map(len, twin_classes(g)), default=1))
+
+
+@pytest.mark.parametrize("universe", [
+    [family_graph(FamilySpec.path(n)) for n in range(2, 61)],
+    [family_graph(FamilySpec.cycle(n)) for n in range(3, 61)],
+    [t for n in range(1, 11) for t in enumerate_trees(n)],
+], ids=["paths", "cycles", "trees"])
+def test_a_universal_vertex_raises_the_lower_bound_by_one(universe):
+    for h in universe:
+        assert chi_lower_bound(cone(h)) >= 1 + chi_lower_bound(h), h.sorted_edges()
+
+
+def test_cone_step_examples():
+    # W30 = cone(C29) and F30 = cone(P29): 29 > ell(4) = 24 needs 5 colors
+    # below the hub, where the order and twin bounds of the cone give 5
+    for spec in (FamilySpec.wheel(30), FamilySpec.fan(30)):
+        g = family_graph(spec)
+        assert _floor_of(g) == 5
+        assert chi_lower_bound(g) == chi_closed_form(spec) == 6
+
+
+def _friendship(blades: int) -> Graph:
+    """Triangles sharing vertex 0."""
+    return Graph(2 * blades + 1, [e for i in range(1, 2 * blades, 2)
+                                  for e in ((0, i), (0, i + 1), (i, i + 1))])
+
+
+def _broom(handle: int, bristles: int) -> Graph:
+    """A hub joined to each vertex of a path of order ``handle`` and to
+    ``bristles`` leaves: the fan of order handle + 1 with leaves on its hub."""
+    n = handle + bristles + 1
+    return Graph(n, [(i, i + 1) for i in range(handle - 1)] + [(v, n - 1) for v in range(n - 1)])
+
+
+@pytest.mark.parametrize("g", [
+    *(pytest.param(family_graph(FamilySpec.star(n)), id=f"star-{n}") for n in range(3, 21)),
+    *(pytest.param(_friendship(b), id=f"friendship-{b}") for b in range(2, 9)),
+    *(pytest.param(_broom(a, s), id=f"broom-{a}-{s}") for a in range(2, 12) for s in (1, 2, 3)),
+])
+def test_one_hub_over_a_disconnected_rest_leaves_the_bound(g):
+    # one universal vertex u with g - u disconnected: the cone step peels
+    # nothing, so the order and twin bounds decide
+    assert chi_lower_bound(g) == _floor_of(g)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 400])
+def test_complete_graph_less_an_edge_is_bounded_at_its_order(n):
+    # n - 2 universal vertices over two non-adjacent ones: the step peels
+    # n - 3 of them and leaves P_3, whose two leaves are twins (bound 3)
+    g = _complete(n, ((0, 1),))
+    assert (_floor_of(g), chi_lower_bound(g)) == (n - 1, n)
+
+
+@pytest.mark.parametrize("missing", [(), ((0, 1),)], ids=["K400", "K400-edge"])
+def test_lower_bound_of_large_dense_graphs_is_quick(missing):
+    # 399 or 398 universal vertices: the step is one pass, not a recursion
+    g = _complete(400, missing)
+    start = time.perf_counter()
+    assert chi_lower_bound(g) == 400
+    assert time.perf_counter() - start < 0.1
 
 
 def test_chi_closed_form_paths_cycles():

@@ -161,6 +161,14 @@ def test_chi_graph_without_exact_prints_the_lower_bound(tmp_path, capsys):
     assert (code, out, err) == (0, '{\n  "chiLowerBound": 5\n}\n', "")
 
 
+def test_chi_graph_lower_bound_peels_the_hub(tmp_path, capsys):
+    # W30 is C29 under a universal vertex, and C29 needs 5 colors
+    graph_file = tmp_path / "w30.json"
+    graph_file.write_text(run(capsys, "gen", "--family", "wheel", "--n", "30")[1])
+    code, out, err = run(capsys, "chi", "--graph", str(graph_file))
+    assert (code, out, err) == (0, '{\n  "chiLowerBound": 6\n}\n', "")
+
+
 def test_chi_exact_graph(tmp_path, capsys):
     graph_file = tmp_path / "c8.json"
     graph_file.write_text(

@@ -210,6 +210,16 @@ def test_distances_from_a_source():
     assert distances(family_graph(FamilySpec.cycle(6)), 4) == [2, 3, 2, 1, 0, 1]
 
 
+def test_distances_without_some_vertices():
+    # removed vertices are never entered and read -1, as unreached ones do
+    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    assert distances(spider, 1, [0]) == [-1, 0, 1, -1, -1, -1, -1]
+    assert distances(spider, 2, [3, 5]) == [2, 1, 0, -1, -1, -1, -1]
+    cycle = family_graph(FamilySpec.cycle(6))
+    assert distances(cycle, 4, (3,)) == [2, 3, 4, -1, 0, 1]
+    assert distances(cycle, 4) == [2, 3, 2, 1, 0, 1]  # the graph is unchanged
+
+
 def test_twin_classes_examples():
     assert twin_classes(Graph(1, [])) == []
     assert twin_classes(family_graph(FamilySpec.path(2))) == [[0, 1]]  # true twins

@@ -27,6 +27,7 @@ from nlcoloring import (
     is_nl_coloring,
 )
 from nlcoloring import solver
+from nlcoloring.graphs import cone
 from nlcoloring.solver import _search_order
 
 
@@ -82,11 +83,19 @@ def test_oracle_on_known_values():
     assert sum(1 for _ in _partition_colorings(path4, 3)) == 3
 
 
-# every tree up to order 9 (ids 1..9) and every connected graph up to
-# order 7 (ids atlas-1..atlas-7, the networkx graph atlas)
+def _cones_over_trees(n: int) -> list[Graph]:
+    """Every tree of order n with a universal vertex added (``cone``)."""
+    return [cone(t) for t in enumerate_trees(n)]
+
+
+# every tree up to order 9 (ids 1..9), every connected graph up to order 7
+# (ids atlas-1..atlas-7, the networkx graph atlas), and the cones over the
+# trees of order 7 and 8 (ids cone-7, cone-8), where the cone step of
+# chi_lower_bound applies
 UNIVERSES = [
     *(pytest.param(enumerate_trees, n, id=str(n)) for n in range(1, 10)),
     *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 8)),
+    *(pytest.param(_cones_over_trees, n, id=f"cone-{n}") for n in (7, 8)),
 ]
 
 
@@ -94,6 +103,13 @@ UNIVERSES = [
 def test_solver_matches_oracle_on_all_trees(universe, n):
     for g in universe(n):
         _check_against_oracle(g)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_universal_vertex_adds_one_color(n):
+    # the cone step is exact: chi(cone(T)) = chi(T) + 1
+    for t in enumerate_trees(n):
+        assert chi_nl_exact(cone(t)).chi == chi_nl_exact(t).chi + 1, t.sorted_edges()
 
 
 @pytest.mark.parametrize("universe,n", UNIVERSES)

@@ -156,11 +156,11 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
 @pytest.mark.parametrize("g,chi,nodes,colors", [
     (family_graph(FamilySpec.cycle(23)), 5, 53_674,  # refutes k = 4 exhaustively
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
-    (family_graph(FamilySpec.wheel(12)), 5, 251,
+    (family_graph(FamilySpec.wheel(12)), 5, 41,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
     (family_graph(FamilySpec.path(24)), 4, 20_375,
      [3, 1, 2, 1, 2, 3, 1, 4, 1, 2, 4, 1, 4, 3, 2, 3, 2, 4, 2, 4, 3, 4, 3, 1]),
-    (family_graph(FamilySpec.fan(30)), 6, 68_155,
+    (family_graph(FamilySpec.fan(30)), 6, 142,
      [6, 2, 3, 2, 3, 4, 2, 3, 5, 2, 3, 6, 2, 4, 2, 4, 5, 2, 4, 6, 2, 5, 2, 5, 6, 3, 4, 3,
       5, 1]),
     (ANCHOR_TREE_20, 4, 111,
@@ -193,18 +193,19 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     # where dense graphs make the properness prune fire
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(2, 8) for g in connected_graphs(n))
-    assert total == 37_059
+    assert total == 35_590
 
 
 @pytest.mark.parametrize("spec,nodes", [
-    (FamilySpec.wheel(12), 251), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 117),
-    (FamilySpec.cycle(23), 53_674),
-], ids=["W12", "C12", "F9", "C23"])
+    (FamilySpec.wheel(12), 41), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 102),
+    (FamilySpec.cycle(23), 53_674), (FamilySpec.cycle(8), 113),
+], ids=["W12", "C12", "F9", "C23", "C8"])
 def test_attempts_share_one_node_count(spec, nodes):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
     # is the same search as chi_nl_exact: the per-k replay of the benchmark
-    # depends on that.  C23 is the one search here past CHECK_EVERY nodes,
-    # where the memo of failed states is on
+    # depends on that.  C23 and C8 refute one k first (W12 and F9 start at
+    # their value, by the cone step); C23 is the one search here past
+    # CHECK_EVERY nodes, where the memo of failed states is on
     g = family_graph(spec)
     result = chi_nl_exact(g)
     budget = _Budget(None)
@@ -228,6 +229,17 @@ def test_memo_keeps_the_closed_forms(spec, monkeypatch):
     g = family_graph(spec)
     result = chi_nl_exact(g)
     assert (result.chi, result.status) == (chi_closed_form(spec), "Exact")
+
+
+@pytest.mark.parametrize("spec", [
+    *(FamilySpec.fan(n) for n in range(4, 31)),
+    *(FamilySpec.wheel(n) for n in range(4, 31)),
+], ids=lambda spec: spec.label())
+def test_search_alone_refutes_one_color_below_fans_and_wheels(spec):
+    # chi_nl_exact starts fans and wheels at their value, by the cone step
+    # of the lower bound; exists_nl_coloring reads no lower bound, so the
+    # paper's values are still checked by an exhausted search
+    assert exists_nl_coloring(family_graph(spec), chi_closed_form(spec) - 1)[0] is False
 
 
 # every connected graph up to order 6: stars, complete and complete

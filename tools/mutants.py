@@ -1,7 +1,7 @@
 """Hand-made mutations that the tests must kill: of the solver and its
-schedule, the lower bound, the cycle pipeline's edge scan, the CLI parser,
-graph validation, distances and degrees, the delta sweep's degree, and the
-coloring type and verifier.
+schedule, the lower bound and its cone step, the cycle pipeline's edge
+scan, the CLI parser, graph validation, distances and degrees, the delta
+sweep's degree, and the coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -99,23 +99,34 @@ MUTATIONS = [
         ("return max(k, twin_bound)", "return k"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
     Mutation("twin bound one too high", "bounds.py", (
-        ("twin_bound = min(max(map(len, twins), default=1) + 1, g.n)",
-         "twin_bound = min(max(map(len, twins), default=1) + 2, g.n)"),
+        ("twin_bound = min(twin + 1, n)", "twin_bound = min(twin + 2, n)"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
     # the degree-bounded order bound reads the largest degree
     Mutation("lower bound reads the min degree", "bounds.py", (
-        ("delta = max(map(len, g.adj))", "delta = min(map(len, g.adj))"),
+        ("delta = max(map(len, adj))", "delta = min(map(len, adj))"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
     # the order bounds of the lower bound, each of which decides some graph
     Mutation("no degree-bounded order bound", "bounds.py", (
-        ("if delta <= k - 1 and g.n > max_order(k, delta):", "if False:"),
+        ("if delta <= k - 1 and n > max_order(k, delta):", "if False:"),
     ), ("tests/test_bounds.py",)),
     Mutation("no tree order bound", "bounds.py", (
-        ('if tree and k >= 3 and g.n > class_order_bound(k, "tree"):', "if False:"),
+        ('if tree and k >= 3 and n > class_order_bound(k, "tree"):', "if False:"),
     ), ("tests/test_bounds.py",)),
     Mutation("no unicyclic order bound", "bounds.py", (
-        ('if unicyclic and k >= 3 and g.n > class_order_bound(k, "unicyclic"):', "if False:"),
+        ('if unicyclic and k >= 3 and n > class_order_bound(k, "unicyclic"):', "if False:"),
     ), ("tests/test_bounds.py",)),
+    # the cone step of the lower bound: one color per peeled universal
+    # vertex, the last one kept where the rest falls apart, and the step
+    # taken at all
+    Mutation("cone step adds 2 per peeled vertex", "bounds.py", (
+        ("return max(bound, peel + _floor(", "return max(bound, 2 * peel + _floor("),
+    ), ("tests/test_bounds.py", "tests/test_oracle.py")),
+    Mutation("cone step peels all of U over a disconnected rest", "bounds.py", (
+        ("if distances(g, start, universal).count(-1) == len(universal):", "if True:"),
+    ), ("tests/test_bounds.py",)),
+    Mutation("cone step never peels", "bounds.py", (
+        ("if peel == 0:", "if True:"),
+    ), ("tests/test_bounds.py", "tests/test_solver.py")),
     # the solver's caps: a negative or nan time budget and a color cap below
     # one must stay errors, in the library and as nlc usage errors
     Mutation("budget without its seconds check", "solver.py", (

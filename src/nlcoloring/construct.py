@@ -11,8 +11,8 @@ and caterpillar, and the generic coloring of trees of order at least 5;
 The pipeline runs its chain of insertions in one loop over a byte color
 list, without recursion or caching, and finds each insertion edge with
 bytearray.find; each insertion checks only its own preconditions.  Every
-constructor verifies its own output once before returning; a failure raises
-ConstructionError instead of shipping a bad coloring.
+constructor verifies its output once and returns just that graph and
+coloring; a failure raises ConstructionError instead of shipping a bad one.
 """
 
 from __future__ import annotations
@@ -32,31 +32,28 @@ class ConstructionError(RuntimeError):
 
 
 class ColoredGraph(NamedTuple):
-    """A graph together with a verified NL-coloring and its construction trace."""
+    """A graph together with a verified NL-coloring."""
 
     graph: Graph
     coloring: Coloring
-    provenance: tuple[str, ...] = ()
 
     @property
     def k(self) -> int:
         return self.coloring.k
 
 
-def _certified(graph: Graph, coloring: Coloring, provenance: tuple[str, ...]) -> ColoredGraph:
+def _certified(graph: Graph, coloring: Coloring) -> ColoredGraph:
     verdict = is_nl_coloring(graph, coloring)
     if not verdict.ok:
         raise ConstructionError(
-            f"self-verification failed ({verdict.reason} at {verdict.witness}); "
-            f"trace: {' -> '.join(provenance)}"
-        )
-    return ColoredGraph(graph, coloring, provenance)
+            f"self-verification failed ({verdict.reason} at {verdict.witness})")
+    return ColoredGraph(graph, coloring)
 
 
-def _colored(family: str, seq: tuple[int, ...], provenance: tuple[str, ...]) -> ColoredGraph:
+def _colored(family: str, seq: tuple[int, ...]) -> ColoredGraph:
     """The coloring seq of the canonical path or cycle of order len(seq), certified."""
     graph = family_graph(FamilySpec(family, (len(seq),)))
-    return _certified(graph, Coloring(max(seq), seq), provenance)
+    return _certified(graph, Coloring(max(seq), seq))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +95,7 @@ def base_small_coloring(spec: FamilySpec) -> ColoredGraph:
         seq = _CYCLE_BASES[n]
     else:
         raise ValueError(f"no stored base coloring for {spec.label()}")
-    return _colored(fam, seq, (f"base({spec.label()})",))
+    return _colored(fam, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +103,15 @@ def base_small_coloring(spec: FamilySpec) -> ColoredGraph:
 #
 # Position p of the list is vertex p of the cycle, and edge p joins
 # positions p and (p+1) mod m.  Both operations check their preconditions in
-# O(1), splice the list in place and return their trace entry; a broken
-# precondition raises ConstructionError and leaves the list as it was.
+# O(1) and splice the list in place; a broken precondition raises
+# ConstructionError and leaves the list as it was.
 
 def _seq_color_degree(seq: Sequence[int], p: int) -> int:
     m = len(seq)
     return 1 if seq[p - 1] == seq[(p + 1) % m] else 2
 
 
-def _op1(seq: MutableSequence[int], p: int, h: int) -> str:
+def _op1(seq: MutableSequence[int], p: int, h: int) -> None:
     """OP1: insert one vertex colored h on edge p.
 
     The endpoints must carry distinct colors i, j and both have
@@ -129,10 +126,9 @@ def _op1(seq: MutableSequence[int], p: int, h: int) -> str:
         raise ConstructionError(f"OP1 with h={h} needs distinct color-degree-1 endpoints "
                                 f"colored other than h; edge {p} joins colors ({i},{j})")
     seq.insert(p + 1, h)
-    return f"op1(h={h},edge={p})"
 
 
-def _op2(seq: MutableSequence[int], p: int) -> str:
+def _op2(seq: MutableSequence[int], p: int) -> None:
     """OP2: insert two adjacent vertices colored j, i on edge p, whose
     endpoints carry distinct colors i, j and both have color-degree 2.
 
@@ -147,7 +143,6 @@ def _op2(seq: MutableSequence[int], p: int) -> str:
         raise ConstructionError(f"OP2 needs distinct color-degree-2 endpoints; "
                                 f"edge {p} joins colors ({i},{j})")
     seq[p + 1 : p + 1] = [j, i]
-    return f"op2({min(i, j)},{max(i, j)},edge={p})"
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +186,8 @@ def _lex_pairs(top: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, top + 1), 2))
 
 
-def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Colors and trace of the deterministic 1-paired k-coloring of the order-n cycle.
+def _pipeline_sequence(k: int, n: int) -> tuple[int, ...]:
+    """Colors of the deterministic 1-paired k-coloring of the order-n cycle.
 
     Chain structure: starting from the order-9 base, each level k' = 4..k
     grows the order-ell(k'-1) coloring by single insertions (new color k')
@@ -214,14 +209,13 @@ def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]
         raise ValueError(f"{k} colors do not fit the pipeline's one-byte colors; it builds "
                          f"cycles and paths of order at most ell(255) = {ell(255)}")
     seq = bytearray(_CYCLE_BASES[9])
-    trace = [f"base({FamilySpec.cycle(9).label()})"]
     for level in range(4, k + 1):
         target = n if level == k else ell(level)
         a2k = a2(level)
         odd = target > a2k and (target - a2k) % 2 == 1
         phase1_end = a2k - 1 if odd else min(target, a2k)
         for pair in _lex_pairs(level - 1)[: phase1_end - len(seq)]:
-            trace.append(_op1(seq, _find_cd_pair_edge(seq, pair, cd=1), level))
+            _op1(seq, _find_cd_pair_edge(seq, pair, cd=1), level)
         if odd:
             skipped = {level - 2, level - 1}  # pair whose color-degree-1 vertices survive
             pairs = [pr for pr in _lex_pairs(level) if set(pr) != skipped]
@@ -234,8 +228,8 @@ def _pipeline_sequence(k: int, n: int) -> tuple[tuple[int, ...], tuple[str, ...]
             else:  # {1,2}, then {2,3}, on the edges at the designated vertex
                 u = _designated_vertex(seq)
                 p = (u - 1) % len(seq) if seq[u - 1] == (1 if step == 0 else 3) else u
-            trace.append(_op2(seq, p))
-    return tuple(seq), tuple(trace)
+            _op2(seq, p)
+    return tuple(seq)
 
 
 def one_paired_cycle_coloring(k: int, n: int) -> ColoredGraph:
@@ -251,7 +245,7 @@ def one_paired_cycle_coloring(k: int, n: int) -> ColoredGraph:
     if n == ell(k) - 1:
         raise ValueError(f"order {n} = ell({k})-1 has no {k}-coloring; "
                          f"use cycle_coloring for the k+1 construction")
-    return _colored("cycle", *_pipeline_sequence(k, n))
+    return _colored("cycle", _pipeline_sequence(k, n))
 
 
 def cycle_coloring(n: int) -> ColoredGraph:
@@ -263,9 +257,8 @@ def cycle_coloring(n: int) -> ColoredGraph:
     k = bracket(n)
     if n == ell(k) - 1:
         # subdivide one edge of the order n-1 cycle with a fresh color
-        seq, trace = _pipeline_sequence(k, n - 1)
-        new_seq = (seq[0], k + 1) + seq[1:]
-        return _colored("cycle", new_seq, trace + (f"subdivide(h={k + 1})",))
+        seq = _pipeline_sequence(k, n - 1)
+        return _colored("cycle", (seq[0], k + 1) + seq[1:])
     return one_paired_cycle_coloring(k, n)
 
 
@@ -283,21 +276,19 @@ def path_coloring(n: int) -> ColoredGraph:
         return base_small_coloring(FamilySpec.path(n))
     k = bracket(n)
     if n == ell(k) - 1:
-        seq, trace = _pipeline_sequence(k, ell(k))
+        seq = _pipeline_sequence(k, ell(k))
         u = _designated_vertex(seq)
-        path_seq = seq[u + 1 :] + seq[:u]
-        return _colored("path", path_seq, trace + ("drop-located-vertex",))
-    seq, trace = _pipeline_sequence(k, n)
+        return _colored("path", seq[u + 1 :] + seq[:u])
+    seq = _pipeline_sequence(k, n)
     cut = next((p for p in range(n)
                 if _seq_color_degree(seq, p) == 1 and _seq_color_degree(seq, (p + 1) % n) == 1), 0)
-    path_seq = seq[cut + 1 :] + seq[: cut + 1]
-    return _colored("path", path_seq, trace + (f"cut(edge={cut})",))
+    return _colored("path", seq[cut + 1 :] + seq[: cut + 1])
 
 
 def cone_coloring(cg: ColoredGraph) -> ColoredGraph:
     """Add a universal vertex carrying a fresh color; the value rises by one."""
     coloring = Coloring(cg.k + 1, cg.coloring.colors + (cg.k + 1,))
-    return _certified(cone(cg.graph), coloring, cg.provenance + ("cone",))
+    return _certified(cone(cg.graph), coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +429,7 @@ def comb_coloring(k: int) -> ColoredGraph:
     leaves = [r for r in range(1, k + 1) for _ in range(k - 1)]
     colors = tuple(spine + leaves)
     graph = family_graph(FamilySpec.comb(m))
-    cg = _certified(graph, Coloring(k, colors), (f"comb(k={k})",))
+    cg = _certified(graph, Coloring(k, colors))
     for color in range(1, k + 1):
         non_leaves = sum(1 for i in range(m) if spine[i] == color)
         if non_leaves != k - 1:
@@ -474,7 +465,7 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     """
     if k < 5:
         raise ValueError("the extremal unicyclic construction needs at least 5 colors")
-    seq, ring_trace = _pipeline_sequence(k, a2(k))
+    seq = _pipeline_sequence(k, a2(k))
     comb = comb_coloring(k)
     ring_n = len(seq)
     m = k * (k - 1)
@@ -490,8 +481,7 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     edges += [(x, spine_head), (y, spine_tail)]
     graph = Graph(ring_n + 2 * m, edges)
     colors = seq + comb.coloring.colors
-    cg = _certified(graph, Coloring(k, colors),
-                    ring_trace + comb.provenance + ("ring-comb splice",))
+    cg = _certified(graph, Coloring(k, colors))
     if classify(graph) != "Unicyclic":
         raise ConstructionError("splice did not produce a unicyclic graph")
     return cg
@@ -553,8 +543,7 @@ def caterpillar_extremal(k: int) -> ColoredGraph:
     final_edges += [(relabel[ring_end], len(survivors)), (relabel[head], len(survivors) + 1)]
     final_colors = tuple(colors[old] for old in survivors) + (k - 1, 2)
     graph = Graph(len(survivors) + 2, final_edges)
-    cg = _certified(graph, Coloring(k, final_colors),
-                    base.provenance + (f"leaf surgery(cut={ring_end}-{head})",))
+    cg = _certified(graph, Coloring(k, final_colors))
     for (r, l), expected in _splice_signature_table(k).items():
         actual = frozenset(neighbor_signature(graph, cg.coloring, relabel[spine_id(r, l)]))
         if actual != expected:
@@ -583,7 +572,7 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
         raise ValueError("input is not a tree")
     degrees = [t.degree(v) for v in range(n)]
     if max(degrees) == n - 1:  # star
-        return _certified(t, Coloring(n, tuple(range(1, n + 1))), ("star coloring",))
+        return _certified(t, Coloring(n, tuple(range(1, n + 1))))
     if n < 5:
         raise ValueError("generic tree coloring applies to stars and to trees of order >= 5")
 
@@ -600,7 +589,7 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
         assignment[u0] = 1
         for c, leaf in enumerate(sorted(w for w in t.adj[u0] if w != v0), start=2):
             assignment[leaf] = c
-        return _certified(t, Coloring(s + 1, tuple(assignment)), ("double-star coloring",))
+        return _certified(t, Coloring(s + 1, tuple(assignment)))
 
     # diameter >= 4: one shared color on x, b, y along a distance-4 path
     x, b, y = _first_distance4_pair(t)
@@ -611,7 +600,7 @@ def generic_tree_coloring(t: Graph) -> ColoredGraph:
         if assignment[v] == 0:
             assignment[v] = nxt
             nxt += 1
-    return _certified(t, Coloring(n - 2, tuple(assignment)), ("shared-triple coloring",))
+    return _certified(t, Coloring(n - 2, tuple(assignment)))
 
 
 def _first_distance4_pair(t: Graph) -> tuple[int, int, int]:

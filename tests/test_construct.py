@@ -132,7 +132,7 @@ def test_op1_on_cycle9():
     assert [{C9[p], C9[p + 1]} for p in eligible] == [{1, 2}, {2, 3}, {1, 3}]
     for p in eligible:
         seq = list(C9)
-        assert _op1(seq, p, 4) == f"op1(h=4,edge={p})"
+        _op1(seq, p, 4)
         assert seq == C9[: p + 1] + [4] + C9[p + 1 :]
         assert _cycle_verdict(seq).ok
 
@@ -167,7 +167,7 @@ def _cd2_edge_colored_12(seq):
 def test_op2_on_a2_cycle():
     seq = _c12()
     p = _cd2_edge_colored_12(seq)
-    assert _op2(seq, p) == f"op2(1,2,edge={p})"
+    _op2(seq, p)
     assert len(seq) == 14 and _cycle_verdict(seq).ok
     # exactly one adjacent color-degree-1 pair, the inserted one
     assert [t for t in range(14) if _seq_color_degree(seq, t) == 1] == [p + 1, p + 2]
@@ -366,21 +366,6 @@ def test_pipeline_sequences_match_pinned_digest():
     assert digest.hexdigest() == PIPELINE_DIGEST
 
 
-# sha256 over one "<family> <n> <trace>" line per build, cycle then path, for
-# orders 10..400, the trace being the provenance steps joined by " -> ";
-# recorded from the version whose insertion steps were spliced inline
-PROVENANCE_DIGEST = "8e7ab649f5d423035f37fe8aff2c1a4ce38e7373504945dccf61a16d528c9b96"
-
-
-def test_pipeline_traces_match_pinned_digest():
-    digest = hashlib.sha256()
-    for n in range(10, 401):
-        for family, build in (("cycle", cycle_coloring), ("path", path_coloring)):
-            trace = " -> ".join(build(n).provenance)
-            digest.update(f"{family} {n} {trace}\n".encode())
-    assert digest.hexdigest() == PROVENANCE_DIGEST
-
-
 # -- cones ---------------------------------------------------------------------
 
 def test_cone_small_fans_and_wheels():
@@ -478,7 +463,6 @@ def test_generic_tree_star():
     for star in stars:
         cg = generic_tree_coloring(star)
         assert cg.coloring.colors == tuple(range(1, star.n + 1)), star.n
-        assert cg.provenance == ("star coloring",)
 
 
 def test_generic_tree_double_star():
@@ -593,3 +577,70 @@ def test_family_coloring_refuses_comb_sizes_not_k_k_minus_1(m):
     # scan over k would take forever to reject
     with pytest.raises(ValueError, match=r"spine sizes k\(k-1\) with k >= 5"):
         construct.family_coloring(FamilySpec.comb(m))
+
+
+# sha256 over one "<label> <edges> <colors>" line per build of family_coloring,
+# the edges as u-v in wire order: the combs for k = 5..9, the extremal
+# unicyclic graphs for k = 5..9 and caterpillars for k = 6..9, and stars,
+# double stars, fans and wheels at a few orders (a stored base, the order
+# ell(4)-1 and a pipeline order for the cones).  Recorded from the version
+# whose constructions also returned a trace of their insertions.
+FAMILY_DIGEST_SPECS = ([FamilySpec.comb(k * (k - 1)) for k in range(5, 10)]
+                       + [FamilySpec.unicyclic(k) for k in range(5, 10)]
+                       + [FamilySpec.caterpillar(k) for k in range(6, 10)]
+                       + [FamilySpec.star(n) for n in (3, 4, 7)]
+                       + [FamilySpec.double_star(r, s) for r, s in ((1, 2), (2, 3), (3, 3))]
+                       + [FamilySpec.fan(n) for n in (6, 24, 51)]
+                       + [FamilySpec.wheel(n) for n in (7, 24, 51)])
+FAMILY_DIGEST = "db52cc5fb65e4d797a3db8b844ddadc21005e157b4a10fd8ce9c47f5a95b7759"
+
+
+def test_family_colorings_are_pinned():
+    digest = hashlib.sha256()
+    for spec in FAMILY_DIGEST_SPECS:
+        cg = construct.family_coloring(spec)
+        edges = " ".join(f"{u}-{v}" for u, v in cg.graph.edges)
+        colors = ",".join(map(str, cg.coloring.colors))
+        digest.update(f"{spec.label()} {edges} {colors}\n".encode())
+    assert digest.hexdigest() == FAMILY_DIGEST
+
+
+# -- the constructions' self-checks ---------------------------------------------
+#
+# Each check fires on a broken input or on a monkeypatched table, so a
+# construction that stops checking fails here.  comb_coloring's count of
+# each color on the spine has no test of its own: with the leaves of group r
+# colored r, the leaf signatures are distinct only if each group's spine
+# carries every color but r once, so a spine that fails the count fails the
+# verification first.
+
+def test_certified_refuses_a_coloring_that_is_not_neighbor_locating():
+    with pytest.raises(ConstructionError,
+                       match=r"^self-verification failed \(DuplicateSignature at \(\d+, \d+\)\)$"):
+        construct._colored("cycle", (1, 2) * 3)
+
+
+def test_comb_refuses_a_signature_off_its_table(monkeypatch):
+    table = construct.comb_signature_table
+    monkeypatch.setattr(construct, "comb_signature_table",
+                        lambda k, r, l: frozenset() if (r, l) == (2, 1) else table(k, r, l))
+    with pytest.raises(ConstructionError,
+                       match=r"comb signature mismatch at group 2, color 1: built \[2, 3, 5\], "
+                             r"expected \[\]"):
+        comb_coloring(5)
+
+
+def test_caterpillar_refuses_a_signature_off_its_table(monkeypatch):
+    table = construct._splice_signature_table
+    monkeypatch.setattr(construct, "_splice_signature_table",
+                        lambda k: {**table(k), (2, k): frozenset({1})})
+    with pytest.raises(ConstructionError,
+                       match=r"caterpillar signature mismatch at group 2, color 6: "
+                             r"built \[1, 2, 4\], expected \[1\]"):
+        caterpillar_extremal(6)
+
+
+def test_unicyclic_refuses_a_splice_of_another_class(monkeypatch):
+    monkeypatch.setattr(construct, "classify", lambda graph: "Other")
+    with pytest.raises(ConstructionError, match="splice did not produce a unicyclic graph"):
+        unicyclic_extremal(5)

@@ -1,7 +1,8 @@
 """Hand-made mutations that the tests must kill: of the solver and its
 schedule, the lower bound and its cone step, the cycle pipeline's edge
-scan, the CLI parser, graph validation, distances and degrees, the delta
-sweep's degree, and the coloring type and verifier.
+scan, the constructions' self-checks, the CLI parser, graph validation,
+distances and degrees, the delta sweep's degree, and the coloring type and
+verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -157,6 +158,23 @@ MUTATIONS = [
     ), ("tests/test_construct.py",)),
     Mutation("pair edge keeps the first orientation's hit", "construct.py", (
         ("p = seq.find(run, 0, best + 1)", "p = seq.find(run, 0, best + 1) if best == m - 1 else -1"),
+    ), ("tests/test_construct.py",)),
+    # the constructions' self-checks: the verification of every output, the
+    # comb's and the caterpillar's signature tables, and the class of the
+    # unicyclic splice.  The comb's spine-color count has no mutation: a
+    # spine that fails it fails the verification first
+    Mutation("construction without its verification", "construct.py", (
+        ("if not verdict.ok:", "if False:"),
+    ), ("tests/test_construct.py",)),
+    Mutation("comb without its signature table", "construct.py", (
+        ("expected = comb_signature_table(k, r, l)", "expected = None"),
+    ), ("tests/test_construct.py",)),
+    Mutation("caterpillar without its signature table", "construct.py", (
+        ("for (r, l), expected in _splice_signature_table(k).items():",
+         "for (r, l), expected in ():"),
+    ), ("tests/test_construct.py",)),
+    Mutation("unicyclic splice without its class check", "construct.py", (
+        ('if classify(graph) != "Unicyclic":', "if False:"),
     ), ("tests/test_construct.py",)),
     # graph validation: a graph with n = m can be disconnected, and a
     # repeated edge and a self-loop must be refused, in the library and as

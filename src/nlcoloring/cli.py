@@ -59,6 +59,8 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    if path == "-":  # '-' is stdin, and an output option names a file
+        raise CliError("cannot write -: '-' means stdin, for inputs only; give a file name")
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -162,6 +164,8 @@ def _cmd_verify(args) -> int:
     from . import formats
     from .coloring import is_nl_coloring
 
+    if args.graph == args.certificate == "-":
+        raise CliError("--graph and --certificate cannot both read stdin ('-')")
     g = read_graph(args.graph)
     try:
         cert = formats.certificate_from_json(_read_text(args.certificate))
@@ -245,6 +249,8 @@ def _cmd_export(args) -> int:
     if args.to == "json":
         text = json.dumps(formats.graph_to_dict(g), indent=2) + "\n"
     elif args.to == "edgelist":
+        if not g.edges:  # an empty edge list does not read back
+            raise CliError("a graph without edges has no edge list; export it with --to json")
         text = formats.graph_to_edgelist(g)
     else:
         text = formats.graph_to_dot(g)
@@ -274,7 +280,7 @@ _COMMANDS = {
         "dot": (str, False, "also write a DOT rendering here")}),
     "verify": (_cmd_verify, "check a certificate against a graph", {
         "graph": (str, True, "graph file, '-' for stdin"),
-        "certificate": (str, True, "certificate JSON file")}),
+        "certificate": (str, True, "certificate JSON file, '-' for stdin")}),
     "chi": (_cmd_chi, "closed-form (family) or exact (graph) value", {
         **_FAMILY, "graph": (str, False, "graph file, '-' for stdin"),
         "exact": (bool, False, "run the exact solver"),

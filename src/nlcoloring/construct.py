@@ -420,40 +420,60 @@ def comb_coloring(k: int) -> ColoredGraph:
     Leaves over the r-th group of k-1 spine vertices are colored r; spine
     colors follow the cyclically decreasing group rule.  Besides the usual
     verification, every spine signature is checked against the tabulated
-    case split and each color must appear on exactly k-1 spine vertices.
+    case split.
     """
     if k < 5:
         raise ValueError("the comb coloring needs at least 5 colors")
     m = k * (k - 1)
     spine = _comb_spine_colors(k)
     leaves = [r for r in range(1, k + 1) for _ in range(k - 1)]
-    colors = tuple(spine + leaves)
     graph = family_graph(FamilySpec.comb(m))
-    cg = _certified(graph, Coloring(k, colors))
-    for color in range(1, k + 1):
-        non_leaves = sum(1 for i in range(m) if spine[i] == color)
-        if non_leaves != k - 1:
-            raise ConstructionError(f"color {color} appears on {non_leaves} spine "
-                                    f"vertices, expected {k - 1}")
-    for r in range(1, k + 1):
-        for l in range(1, k + 1):
-            if l == r:
-                continue
-            expected = comb_signature_table(k, r, l)
-            if expected is None:
-                continue
-            v = _comb_spine_index(k, r, l)
-            actual = frozenset(neighbor_signature(graph, cg.coloring, v))
-            if actual != expected:
-                raise ConstructionError(
-                    f"comb signature mismatch at group {r}, color {l}: "
-                    f"built {sorted(actual)}, expected {sorted(expected)}"
-                )
+    cg = _certified(graph, Coloring(k, tuple(spine + leaves)))
+    for v, l in enumerate(spine):
+        r = v // (k - 1) + 1
+        expected = comb_signature_table(k, r, l)
+        if expected is None:
+            continue
+        actual = frozenset(neighbor_signature(graph, cg.coloring, v))
+        if actual != expected:
+            raise ConstructionError(
+                f"comb signature mismatch at group {r}, color {l}: "
+                f"built {sorted(actual)}, expected {sorted(expected)}"
+            )
     return cg
 
 
 # ---------------------------------------------------------------------------
 # extremal unicyclic graph and caterpillar
+
+def _spliced(k: int, drop: tuple[int, ...]) -> tuple[list[tuple[int, int]], tuple[int, ...], int]:
+    """The ring path of order a2(k) spliced to the comb of comb_coloring(k),
+    less the spine vertices at the indices in drop and their leaves.
+
+    The ring path is the all-color-degree-2 cycle of order a2(k) cut at its
+    edge with endpoint colors {2, k-1}; its end colored k-1 joins the spine
+    tail (colored 2).  The spine neighbours of a dropped vertex are joined.
+    Vertices are the ring by cycle position, then the spine from its head
+    (colored k-1, vertex a2(k)), then the leaves in spine order.  Returns the
+    edges, the colors and the free end x of the ring path, colored 2.
+    """
+    seq = _pipeline_sequence(k, a2(k))
+    ring_n = len(seq)
+    p = next(t for t in range(ring_n)
+             if {seq[t], seq[(t + 1) % ring_n]} == {2, k - 1})
+    q = (p + 1) % ring_n
+    x, y = (p, q) if seq[p] == 2 else (q, p)  # x colored 2, y colored k-1
+    comb = comb_coloring(k).coloring.colors
+    m = len(comb) // 2
+    keep = [i for i in range(m) if i not in drop]
+    s = len(keep)
+    edges = [e for e in family_graph(FamilySpec.cycle(ring_n)).edges
+             if e != (min(p, q), max(p, q))]
+    edges += [(u + ring_n, v + ring_n) for u, v in family_graph(FamilySpec.comb(s)).edges]
+    edges.append((y, ring_n + s - 1))
+    colors = seq + tuple(comb[i] for i in keep) + tuple(comb[m + i] for i in keep)
+    return edges, colors, x
+
 
 def unicyclic_extremal(k: int) -> ColoredGraph:
     """The order-(2a1+a2) unicyclic graph with NL-chromatic number k.
@@ -465,22 +485,8 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
     """
     if k < 5:
         raise ValueError("the extremal unicyclic construction needs at least 5 colors")
-    seq = _pipeline_sequence(k, a2(k))
-    comb = comb_coloring(k)
-    ring_n = len(seq)
-    m = k * (k - 1)
-    p = next(t for t in range(ring_n)
-             if {seq[t], seq[(t + 1) % ring_n]} == {2, k - 1})
-    q = (p + 1) % ring_n
-    x, y = (p, q) if seq[p] == 2 else (q, p)  # x colored 2, y colored k-1
-    spine_head = ring_n                       # comb spine vertex 0, colored k-1
-    spine_tail = ring_n + m - 1               # last spine vertex, colored 2
-    ring = family_graph(FamilySpec.cycle(ring_n))
-    edges = [e for e in ring.edges if e != (min(p, q), max(p, q))]
-    edges += [(u + ring_n, v + ring_n) for u, v in comb.graph.edges]
-    edges += [(x, spine_head), (y, spine_tail)]
-    graph = Graph(ring_n + 2 * m, edges)
-    colors = seq + comb.coloring.colors
+    edges, colors, x = _spliced(k, ())
+    graph = Graph(len(colors), edges + [(x, a2(k))])
     cg = _certified(graph, Coloring(k, colors))
     if classify(graph) != "Unicyclic":
         raise ConstructionError("splice did not produce a unicyclic graph")
@@ -488,8 +494,8 @@ def unicyclic_extremal(k: int) -> ColoredGraph:
 
 
 def _splice_signature_table(k: int) -> dict[tuple[int, int], frozenset]:
-    """Expected signatures, keyed by (group, color), of the four comb vertices
-    whose neighborhoods change in the caterpillar surgery."""
+    """Expected signatures, keyed by (group, color), of the four spine
+    vertices next to the two that the caterpillar drops."""
     even = k % 2 == 0
     return {
         (k - 1, 1): frozenset({3, k - 1, k}) if even else frozenset({3, k - 2, k - 1}),
@@ -502,50 +508,26 @@ def _splice_signature_table(k: int) -> dict[tuple[int, int], frozenset]:
 def caterpillar_extremal(k: int) -> ColoredGraph:
     """The order-(2a1+a2-2) caterpillar with NL-chromatic number k, for k >= 6.
 
-    Surgery on the extremal unicyclic graph: drop the spine vertex colored
-    k-1 in group 2 together with its leaf (bridging its spine neighbors),
-    likewise the spine vertex colored 2 in group k-1; then cut the splice
-    edge between the ring vertex colored 2 (degree 2 after the cut) and the
-    spine head colored k-1 (degree 3), and hang a leaf colored k-1 off the
-    former and a leaf colored 2 off the latter.  The result is verified,
-    including the four tabulated modified signatures.
+    The unicyclic recipe less two spine vertices and one splice edge: the
+    ring path joins the comb tail as in unicyclic_extremal, but the comb
+    lacks the spine vertex colored k-1 in group 2 and the one colored 2 in
+    group k-1 (each with its leaf), and the ring end colored 2 does not join
+    the spine head colored k-1.  Instead that ring end gets a leaf colored
+    k-1 and the spine head a leaf colored 2.  The result is verified,
+    including the four tabulated signatures that the splice changes.
     """
     if k < 6:
         raise ValueError("the extremal caterpillar construction needs at least 6 colors")
-    base = unicyclic_extremal(k)
     ring_n = a2(k)
-    m = k * (k - 1)
-    spine_id = lambda r, l: ring_n + _comb_spine_index(k, r, l)
-    leaf_of = lambda spine: spine + m
-    colors = dict(enumerate(base.coloring.colors))
-    edges = set(base.graph.edges)
-
-    def drop_with_leaf(v: int) -> None:
-        spine_neighbors = [u for u in base.graph.adj[v] if u != leaf_of(v)]
-        if len(spine_neighbors) != 2:
-            raise ConstructionError("dropped vertex is not an interior spine vertex")
-        for u in base.graph.adj[v]:
-            edges.discard((min(u, v), max(u, v)))
-        edges.discard((v, leaf_of(v)))
-        a, b = spine_neighbors
-        edges.add((min(a, b), max(a, b)))
-        del colors[v], colors[leaf_of(v)]
-
-    drop_with_leaf(spine_id(2, k - 1))
-    drop_with_leaf(spine_id(k - 1, 2))
-
-    head = ring_n  # comb spine vertex 0, colored k-1; its ring neighbor is colored 2
-    ring_end = next(w for w in base.graph.adj[head] if w < ring_n)
-    edges.remove((ring_end, head))
-    survivors = sorted(colors)
-    relabel = {old: new for new, old in enumerate(survivors)}
-    final_edges = [(relabel[a], relabel[b]) for a, b in edges]
-    final_edges += [(relabel[ring_end], len(survivors)), (relabel[head], len(survivors) + 1)]
-    final_colors = tuple(colors[old] for old in survivors) + (k - 1, 2)
-    graph = Graph(len(survivors) + 2, final_edges)
-    cg = _certified(graph, Coloring(k, final_colors))
+    drop = (_comb_spine_index(k, 2, k - 1), _comb_spine_index(k, k - 1, 2))
+    edges, colors, x = _spliced(k, drop)
+    n = len(colors)
+    graph = Graph(n + 2, edges + [(x, n), (ring_n, n + 1)])
+    cg = _certified(graph, Coloring(k, colors + (k - 1, 2)))
     for (r, l), expected in _splice_signature_table(k).items():
-        actual = frozenset(neighbor_signature(graph, cg.coloring, relabel[spine_id(r, l)]))
+        i = _comb_spine_index(k, r, l)
+        v = ring_n + i - sum(d < i for d in drop)
+        actual = frozenset(neighbor_signature(graph, cg.coloring, v))
         if actual != expected:
             raise ConstructionError(
                 f"caterpillar signature mismatch at group {r}, color {l}: "

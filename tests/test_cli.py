@@ -410,6 +410,44 @@ def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--conjecture", "delta", "--max-n", "4", "--report", "-"],
+    ["color", "--family", "cycle", "--n", "9", "--dot", "-"],
+    ["export", "--input", "{p3}", "--to", "edgelist", "--out", "-"],
+], ids=["report", "dot", "out"])
+def test_dash_as_an_output_path_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # '-' means stdin, so it names no output file, and no file called '-' is left
+    p3 = tmp_path / "p3.json"
+    p3.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(a.format(p3=p3) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write -: '-' means stdin, for inputs only; give a file name\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["p3.json"]
+
+
+def test_verify_refuses_stdin_for_both_inputs(monkeypatch, capsys):
+    # stdin can be read once: the certificate would read it empty
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n":3,"edges":[[0,1],[1,2]]}'))
+    code, out, err = run(capsys, "verify", "--graph", "-", "--certificate", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: --graph and --certificate cannot both read stdin ('-')\n"
+    assert sys.stdin.read() != ""  # refused before reading
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "file"])
+def test_edgelist_export_of_a_graph_without_edges_is_refused(out, tmp_path, capsys):
+    # the lone newline it would write is not an edge list that nlc reads back
+    graph_file = tmp_path / "k1.json"
+    graph_file.write_text('{"n": 1, "edges": []}')
+    out_file = tmp_path / "k1.txt"
+    argv = ["export", "--input", str(graph_file), "--to", "edgelist"]
+    code, printed, err = run(capsys, *argv, *(["--out", str(out_file)] if out else []))
+    assert (code, printed) == (2, "") and not out_file.exists()
+    assert err == ("error: a graph without edges has no edge list; "
+                   "export it with --to json\n")
+
+
 P3_JSON = '{"n":3,"edges":[[0,1],[1,2]]}'
 
 
@@ -646,6 +684,19 @@ def test_color_then_verify_all_families(family_args, tmp_path, capsys):
     code, verdict, _ = run_json(capsys, "verify", "--graph", str(graph_file),
                                 "--certificate", str(cert_file))
     assert code == 0 and verdict == {"ok": True}
+
+
+@pytest.mark.parametrize("family_args", FAMILY_SAMPLES, ids=lambda a: a[1])
+def test_export_json_to_edgelist_and_back(family_args, tmp_path, capsys):
+    code, graph_json, _ = run(capsys, "gen", *family_args)
+    assert code == 0
+    json_file = tmp_path / "g.json"
+    json_file.write_text(graph_json)
+    edge_file = tmp_path / "g.txt"
+    assert run(capsys, "export", "--input", str(json_file), "--to", "edgelist",
+               "--out", str(edge_file)) == (0, "", "")
+    code, back, _ = run(capsys, "export", "--input", str(edge_file), "--to", "json")
+    assert code == 0 and json.loads(back) == json.loads(graph_json)
 
 
 @pytest.mark.parametrize("family", ["cycle", "path", "fan", "wheel"])

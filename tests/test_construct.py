@@ -594,25 +594,37 @@ FAMILY_DIGEST_SPECS = ([FamilySpec.comb(k * (k - 1)) for k in range(5, 10)]
                        + [FamilySpec.wheel(n) for n in (7, 24, 51)])
 FAMILY_DIGEST = "db52cc5fb65e4d797a3db8b844ddadc21005e157b4a10fd8ce9c47f5a95b7759"
 
+# the same lines for the comb, the extremal unicyclic graph and the
+# caterpillar at k = 10, 11 and 12, recorded from the version that built the
+# caterpillar by surgery on the finished unicyclic graph
+SPLICE_DIGEST_SPECS = ([FamilySpec.comb(k * (k - 1)) for k in (10, 11, 12)]
+                       + [FamilySpec.unicyclic(k) for k in (10, 11, 12)]
+                       + [FamilySpec.caterpillar(k) for k in (10, 11, 12)])
+SPLICE_DIGEST = "c5ff69a452bccfb0a7f5b0b18bd9c5cd5c67fc21b7dedbe217692e4d4686c612"
 
-def test_family_colorings_are_pinned():
+
+def _family_digest(specs):
     digest = hashlib.sha256()
-    for spec in FAMILY_DIGEST_SPECS:
+    for spec in specs:
         cg = construct.family_coloring(spec)
         edges = " ".join(f"{u}-{v}" for u, v in cg.graph.edges)
         colors = ",".join(map(str, cg.coloring.colors))
         digest.update(f"{spec.label()} {edges} {colors}\n".encode())
-    assert digest.hexdigest() == FAMILY_DIGEST
+    return digest.hexdigest()
+
+
+def test_family_colorings_are_pinned():
+    assert _family_digest(FAMILY_DIGEST_SPECS) == FAMILY_DIGEST
+
+
+def test_splices_past_k_9_are_pinned():
+    assert _family_digest(SPLICE_DIGEST_SPECS) == SPLICE_DIGEST
 
 
 # -- the constructions' self-checks ---------------------------------------------
 #
 # Each check fires on a broken input or on a monkeypatched table, so a
-# construction that stops checking fails here.  comb_coloring's count of
-# each color on the spine has no test of its own: with the leaves of group r
-# colored r, the leaf signatures are distinct only if each group's spine
-# carries every color but r once, so a spine that fails the count fails the
-# verification first.
+# construction that stops checking fails here.
 
 def test_certified_refuses_a_coloring_that_is_not_neighbor_locating():
     with pytest.raises(ConstructionError,

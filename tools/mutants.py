@@ -1,8 +1,8 @@
 """Hand-made mutations that the tests must kill: of the solver and its
 schedule, the lower bound and its cone step, the cycle pipeline's edge
-scan, the constructions' self-checks, the CLI parser, graph validation,
-distances and degrees, the delta sweep's degree, and the coloring type and
-verifier.
+scan, the constructions' self-checks and the extremal graphs' splice, the
+CLI parser, graph validation, distances and degrees, the delta sweep's
+degree, and the coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -161,8 +161,7 @@ MUTATIONS = [
     ), ("tests/test_construct.py",)),
     # the constructions' self-checks: the verification of every output, the
     # comb's and the caterpillar's signature tables, and the class of the
-    # unicyclic splice.  The comb's spine-color count has no mutation: a
-    # spine that fails it fails the verification first
+    # unicyclic splice
     Mutation("construction without its verification", "construct.py", (
         ("if not verdict.ok:", "if False:"),
     ), ("tests/test_construct.py",)),
@@ -175,6 +174,18 @@ MUTATIONS = [
     ), ("tests/test_construct.py",)),
     Mutation("unicyclic splice without its class check", "construct.py", (
         ('if classify(graph) != "Unicyclic":', "if False:"),
+    ), ("tests/test_construct.py",)),
+    # the splice of the extremal graphs: the comb table read at the right
+    # group, the caterpillar table at the spine indices shifted past the
+    # dropped vertices, and the ring path joined to the spine tail
+    Mutation("comb table read one group off", "construct.py", (
+        ("r = v // (k - 1) + 1", "r = v // (k - 1) + 2"),
+    ), ("tests/test_construct.py",)),
+    Mutation("caterpillar table read at unshifted indices", "construct.py", (
+        ("v = ring_n + i - sum(d < i for d in drop)", "v = ring_n + i"),
+    ), ("tests/test_construct.py",)),
+    Mutation("spine-tail splice attached to the head", "construct.py", (
+        ("edges.append((y, ring_n + s - 1))", "edges.append((y, ring_n))"),
     ), ("tests/test_construct.py",)),
     # graph validation: a graph with n = m can be disconnected, and a
     # repeated edge and a self-loop must be refused, in the library and as

@@ -10,10 +10,14 @@ states found to fail, keyed by all that the rest of the search can see up
 to a renaming of the colors in use, backs the search off from any of them
 it meets again (failed-state caching, B. M. Smith, CP 2005; up to a
 symmetry, as in dominance detection, Fahle, Schamberger and Sellmann, CP
-2001).  The order is breadth-first from the highest-degree vertex, lowest
-index on ties, and visits each vertex's neighbours by descending degree,
-then index; so every vertex after the first has a colored neighbour, and
-signatures close soon after their vertex is colored.  The per-depth work
+2001).  The memo lives in ``_memo``, which a search imports only when it
+first passes ``CHECK_EVERY`` nodes, so a process whose searches all stay
+smaller (every sweep, every small ``chi --exact``) never loads it; why a
+hit skips no solution is argued in ``_search``.  The order is
+breadth-first from the highest-degree vertex, lowest index on ties, and
+visits each vertex's neighbours by descending degree, then index; so
+every vertex after the first has a colored neighbour, and signatures
+close soon after their vertex is colored.  The per-depth work
 is scheduled once per graph, and colors, signatures, color sets and the
 (color, signature) pairs in use are bitmasks.  Properness depends only on
 the colors already placed, so each depth decides it once, when the search
@@ -29,7 +33,6 @@ color cap always give the same witness and node count.
 from __future__ import annotations
 
 import time
-from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .bounds import _chi_lower_bound
@@ -115,191 +118,6 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     return order, earlier, final_at, twin
 
 
-def _memo_schedule(g: Graph, order: list[int], final_at: list[list[int]],
-                   twin: list[int]) -> tuple[list[list[int]], list[bool]]:
-    """What the memo of ``_search`` reads at each depth: (front, exact).
-
-    ``front[d]`` holds the vertices that a depth before d touched (colored
-    them or a neighbour) and that a depth from d on reads (closes their
-    signature, or checks them as an earlier twin).  ``exact[d]`` is True
-    where a twin class straddles d, with a member colored before d and a
-    later one not: the twin order compares color values there, so those
-    depths key the state as it is, not up to renaming the colors."""
-    n, adj = g.n, g.adj
-    touch, read = [n] * (n + 1), [0] * (n + 1)
-    straddling = [0] * (n + 1)  # +1 after an earlier twin's depth, -1 after its next twin's
-    at = [0] * n
-    for d, u in enumerate(order):
-        at[u] = d
-        earlier_twin = twin[d]
-        read[earlier_twin] = d
-        if earlier_twin < n:
-            straddling[at[earlier_twin] + 1] += 1
-            straddling[d + 1] -= 1
-        for w in final_at[d]:
-            read[w] = d
-        for w in (u, *adj[u]):
-            touch[w] = min(touch[w], d)
-    front: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        for d in range(touch[w] + 1, read[w] + 1):
-            front[d].append(w)
-    return front, [open_spans > 0 for open_spans in accumulate(straddling[:n])]
-
-
-class _Memo:
-    """The failed states of one ``_search`` call, up to renaming colors.
-
-    A state enters as its front key (the (signature so far, color bit)
-    pair of each front vertex, packed as ``_search`` builds it), its depth,
-    its limit and ``used``.  ``shapes`` maps a front key to its shape
-    (renamed, names): ``names`` lists the front's colors in order of first
-    appearance, and ``renamed`` is the key with the i-th of them renamed i
-    (``shape``); ``_renamed`` renames ``used`` the same way.  ``groups``
-    maps a class (the renamed key, or the key itself at an exact depth,
-    with the limit and the depth) to the states met in it.  While one shape
-    fills a group, the group is ``[shape, set of used]`` and compares
-    ``used`` as it is (``_search`` does that inline); the states of an
-    exact depth never leave that form.  Only when a second shape lands in a
-    group does ``renamed_hit`` rename ``used``.  It first splits the group
-    by how many pairs of ``used`` hold the color renamed 1, which costs one
-    AND and is unchanged by renaming, and renames ``used`` only for states
-    that agree on it: on P_3000 ``used`` holds about 1,500 pairs, and no
-    two states of a class agree.  A renamed ``used`` is a set of bits of
-    the search's ``slot`` too, so a renamed pair that the search has not
-    met takes the next bit there."""
-
-    __slots__ = ("k", "slot", "shapes", "groups", "renamings", "colors_of", "pairs",
-                 "by_color")
-
-    def __init__(self, k: int, slot: dict[int, int]):
-        self.k, self.slot = k, slot
-        self.shapes: dict[int, tuple] = {}
-        self.groups: dict[tuple[int, int, int], list] = {}
-        self.renamings: dict[tuple[int, ...], tuple] = {}  # names -> (to, sigs, table)
-        self.colors_of: dict[int, list[int]] = {}  # signature -> its colors
-        self.pairs: list[int] = []  # the pair of each bit of slot, as far as read
-        self.by_color = [0] * (k + 1)  # the bits of slot whose pair has color c
-
-    def shape(self, key: int) -> tuple:
-        """The shape (renamed, names) of a front key, filed in ``shapes``.
-        ``names`` lists the colors of the front's vertices, then the colors
-        of their signatures so far, each at its first appearance.  No front
-        pair is 0 (a front vertex is colored or has a colored neighbour),
-        so the key unpacks without its length."""
-        k, colors_of = self.k, self.colors_of
-        width, low = 2 * k + 2, (1 << k + 1) - 1
-        front = [key >> width * i & (1 << width) - 1
-                 for i in reversed(range(-(-key.bit_length() // width)))]
-        to = [0] * (k + 1)
-        names = []
-        for pair in front:
-            color = (pair & low).bit_length() - 1
-            if color > 0 and not to[color]:
-                names.append(color)
-                to[color] = len(names)
-        sigs = []
-        for pair in front:
-            sig = pair >> k + 1
-            colors = colors_of.get(sig)
-            if colors is None:
-                colors = colors_of[sig] = [c for c in range(1, k + 1) if sig >> c & 1]
-            sigs.append(colors)
-            for c in colors:
-                if not to[c]:
-                    names.append(c)
-                    to[c] = len(names)
-        renamed = 0
-        for pair, colors in zip(front, sigs):
-            renamed_sig = 0
-            for c in colors:
-                renamed_sig |= 1 << to[c]
-            color = pair & low
-            renamed = (renamed << width | renamed_sig << k + 1
-                       | (1 << to[color.bit_length() - 1] if color else 0))
-        shape = self.shapes[key] = (renamed, tuple(names))
-        return shape
-
-    def _renamed(self, used: int, shape: tuple) -> int:
-        """``used`` with every pair renamed as the shape's key is.
-
-        The renaming of a shape's names is (to, sigs, table), filed in
-        ``renamings`` on first use and shared by the shapes with the same
-        names: ``to[c]`` renames color c, the i-th name to i and the other
-        colors in increasing order after them.  Only the colors in use
-        appear in a state, and they are 1..m, so ``to`` maps them onto 1..m
-        and keeps every color above m.  ``sigs`` and ``table`` remember
-        renamed signatures and bytes of ``used``, so a byte is renamed once
-        per renaming.  ``pairs`` holds every pair of ``used``."""
-        k, pairs, slot, names = self.k, self.pairs, self.slot, shape[1]
-        renaming = self.renamings.get(names)
-        if renaming is None:
-            to = [0] * (k + 1)
-            for i, c in enumerate((*names, *(c for c in range(1, k + 1) if c not in names)), 1):
-                to[c] = i
-            renaming = self.renamings[names] = (to, {}, {})
-        to, sigs, table = renaming
-        low = (1 << k + 1) - 1
-        out = offset = 0
-        while used:
-            byte = used & 255
-            if byte:
-                renamed = table.get(offset | byte)
-                if renamed is None:
-                    renamed, rest = 0, byte
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        pair = pairs[(offset >> 8) + bit.bit_length() - 1]
-                        sig = pair >> k + 1
-                        renamed_sig = sigs.get(sig)
-                        if renamed_sig is None:  # distinct bits, so the sum is their OR
-                            renamed_sig = sigs[sig] = sum(1 << to[c] + k + 1
-                                                          for c in range(1, k + 1) if sig >> c & 1)
-                        pair = renamed_sig | 1 << to[(pair & low).bit_length() - 1]
-                        renamed |= slot.get(pair) or slot.setdefault(pair, 1 << len(slot))
-                    table[offset | byte] = renamed
-                out |= renamed
-            used >>= 8
-            offset += 8 << 8
-        return out
-
-    def renamed_hit(self, group: list, shape: tuple, used: int) -> bool:
-        """Whether the state (shape, used) is in ``group`` up to renaming,
-        adding it if not.  A group is ``[shape, set of used]`` while one
-        shape fills it, and ``[None, contents]`` once two have: a class's
-        group then maps a count to such groups (how many pairs of ``used``
-        hold the color named first), and a counted group holds renamed
-        ``used``."""
-        pairs, by_color = self.pairs, self.by_color
-        start = len(pairs)
-        if start < len(self.slot):  # read the pairs met since the last call
-            pairs.extend(islice(self.slot, start, None))
-            low = (1 << self.k + 1) - 1
-            for i in range(start, len(pairs)):
-                by_color[(pairs[i] & low).bit_length() - 1] |= 1 << i
-        if group[0] is not None:  # the class's second shape: split by the count
-            first, members = group
-            first_color = by_color[first[1][0]]
-            parts: dict[int, list] = {}
-            for u in members:
-                parts.setdefault((u & first_color).bit_count(), [first, set()])[1].add(u)
-            group[:] = [None, parts]
-        count = (used & by_color[shape[1][0]]).bit_count()
-        part = group[1].get(count)
-        if part is None:
-            group[1][count] = [shape, {used}]
-            return False
-        if part[0] is not shape:
-            if part[0] is not None:  # the count's second shape: rename
-                first, members = part
-                part[:] = [None, {self._renamed(u, first) for u in members}]
-            used = self._renamed(used, shape)
-        hit = used in part[1]
-        part[1].add(used)
-        return hit
-
-
 def _search(g: Graph, k: int, budget: _Budget,
             schedule: _Schedule | None = None) -> tuple[int, ...] | None:
     """Colors (indexed by vertex) of the first NL-coloring of g with at most
@@ -357,11 +175,16 @@ def _search(g: Graph, k: int, budget: _Budget,
     disjoint classes and the chain of one pointer per depth orders each
     class completely.
 
-    Past ``CHECK_EVERY`` nodes of this call, entering depth d keys the state
-    by d, ``limit[d]``, ``used`` and the (signature so far, color) pair of
-    each vertex in ``front[d]``: the vertices that a depth before d touched
-    (colored them or a neighbour) and that a depth from d on reads (closes
-    their signature, or checks them as a twin; ``_memo_schedule``).  The
+    Past ``CHECK_EVERY`` nodes of this call the search imports ``_memo``
+    and switches on its ``Memo``.  From then on, entering depth d keys the
+    state by d, ``limit[d]``, ``used`` and the (signature so far, color)
+    pair of each vertex in ``front[d]``: the vertices that a depth before d
+    touched (colored them or a neighbour) and that a depth from d on reads
+    (closes their signature, or checks them as a twin;
+    ``_memo.memo_schedule``).  The colors placed from ``since[d]`` on fix
+    those pairs, so the search looks the front's class up by them (its
+    view) and has ``Memo.classify`` build the key only for a view it has
+    not met at d.  The
     key fixes every valid completion: an uncolored vertex's properness
     reads its signature so far, a signature still open ends as that plus
     colors of the completion, a new pair must miss ``used``, ``limit[d]``
@@ -373,7 +196,7 @@ def _search(g: Graph, k: int, budget: _Budget,
 
     The memo compares keys up to renaming the colors in use, 1..m: each
     shows in the key, as a colored vertex is in the front or its pair is in
-    ``used``.  ``_Memo`` renames them in order of first appearance in the
+    ``used``.  ``Memo`` renames them in order of first appearance in the
     front and keeps the colors above m, so two states whose renamed keys
     agree are one renaming π of 1..m apart.  π maps an NL-coloring to an
     NL-coloring, keeps signatures distinct, fixes the colors above m and so
@@ -401,8 +224,7 @@ def _search(g: Graph, k: int, budget: _Budget,
     cands = [0b10] * n  # depth 0 may take color 1 only; deeper ones are set on entry
     tried = [0] * n
     limit = [1] * n
-    memo = front = exact = shapes = groups = None  # the memo, once it is on
-    width = 2 * k + 2  # bits of a (signature, color) pair
+    memo = since = views = groups = None  # the memo, once it is on
     nodes = 0
     next_check = CHECK_EVERY
     depth = 0
@@ -441,9 +263,10 @@ def _search(g: Graph, k: int, budget: _Budget,
                 budget.check()
                 next_check = nodes - nodes % CHECK_EVERY + CHECK_EVERY
                 if memo is None:  # switch the memo on
-                    front, exact = _memo_schedule(g, order, final_at, twin)
-                    memo = _Memo(k, slot)
-                    shapes, groups = memo.shapes, memo.groups
+                    from ._memo import Memo  # here, so small searches never load it
+
+                    memo = Memo(g, k, slot, order, final_at, twin)
+                    since, views, groups = memo.since, memo.views, memo.groups
             if not bits[v]:
                 depth -= 1
                 continue
@@ -458,14 +281,9 @@ def _search(g: Graph, k: int, budget: _Budget,
                 forbidden |= bits[u]
             cands[depth] = ((2 << top) - 2) & ~forbidden
             if memo is not None:  # the memo: is this state a known dead end?
-                key = 0
-                for w in front[depth]:
-                    sig = 0
-                    for u in adj[w]:
-                        sig |= bits[u]
-                    key = key << width | sig << k + 1 | bits[w]
-                shape = shapes.get(key) or memo.shape(key)
-                cls = (key if exact[depth] else shape[0], top, depth)
+                view = tuple(tried[since[depth]:depth])
+                cls_key, shape = views[depth].get(view) or memo.classify(depth, view, bits)
+                cls = (cls_key, top, depth)
                 group = groups.get(cls)
                 if group is None:
                     groups[cls] = [shape, {used}]

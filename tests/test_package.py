@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nlcoloring
-from nlcoloring import Coloring, FamilySpec, chi_nl_exact, cycle_coloring
+from nlcoloring import Coloring, FamilySpec, chi_nl_exact, cycle_coloring, family_graph
 
 SRC = str(Path(nlcoloring.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=SRC)
@@ -91,13 +91,17 @@ def _graph_and_certificate(tmp_path) -> tuple[str, str]:
     return str(graph), str(cert)
 
 
-@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "color",
-                                     "sweep delta", "sweep diameter"])
+@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "chi --exact C23",
+                                     "color", "sweep delta", "sweep diameter"])
 def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     graph, cert = _graph_and_certificate(tmp_path)
+    c23 = tmp_path / "c23.json"
+    cycle = family_graph(FamilySpec.cycle(23))
+    c23.write_text(json.dumps({"n": cycle.n, "edges": cycle.sorted_edges()}))
     argv = {"--version": ["--version"],
             "verify": ["verify", "--graph", graph, "--certificate", cert],
             "chi --exact": ["chi", "--graph", graph, "--exact"],
+            "chi --exact C23": ["chi", "--graph", str(c23), "--exact"],
             "color": ["color", "--family", "cycle", "--n", "9"],
             "sweep delta": ["sweep", "--conjecture", "delta", "--max-n", "4"],
             "sweep diameter": ["sweep", "--conjecture", "diameter", "--max-n", "4"]}[command]
@@ -108,16 +112,21 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
         assert not ours
     elif command == "verify":
         assert ours == {"nlcoloring.graphs", "nlcoloring.coloring", "nlcoloring.formats"}
-    elif command == "chi --exact":
+    elif command.startswith("chi --exact"):
         assert "nlcoloring.solver" in ours
         assert not ours & {"nlcoloring.construct", "nlcoloring.sweeps"}
+        # the memo loads once a search passes CHECK_EVERY nodes: C23 does
+        # (53,674 nodes), C9 does not
+        assert ("nlcoloring._memo" in ours) == (command == "chi --exact C23")
     elif command == "color":
         assert "nlcoloring.construct" in ours
         assert not ours & {"nlcoloring.solver", "nlcoloring.sweeps"}
     else:
-        # the trees and the atlas table are the package's own, not networkx's
+        # the trees and the atlas table are the package's own, not networkx's;
+        # every search of a sweep stays below CHECK_EVERY nodes
         assert "nlcoloring.sweeps" in ours
         assert ("nlcoloring._atlas" in ours) == (command == "sweep diameter")
+        assert "nlcoloring._memo" not in ours
 
 
 @pytest.mark.parametrize("make,message", [

@@ -20,7 +20,7 @@ from nlcoloring import (
     is_nl_coloring,
     twin_classes,
 )
-from nlcoloring import solver
+from nlcoloring import _memo, solver
 from nlcoloring.solver import CHECK_EVERY, _Budget
 
 
@@ -297,9 +297,11 @@ def test_memo_schedule_reads_the_twins(g):
     # that touches it (colors it or a neighbour) to the last that reads it:
     # where its signature closes, or where its next twin checks its color.
     # Exact depths are those a twin class straddles: a member is colored
-    # before the depth and a later one is not
+    # before the depth and a later one is not.  Every color that the key
+    # reads at a depth was placed at since[depth] or later, so the colors
+    # placed from there on fix the key
     order, _, final_at, twin = solver._schedule(g)
-    front, exact = solver._memo_schedule(g, order, final_at, twin)
+    front, exact, since = _memo.memo_schedule(g, order, final_at, twin)
     pos = {v: d for d, v in enumerate(order)}
     checked_at, spans = {}, []
     for members in twin_classes(g):
@@ -312,6 +314,7 @@ def test_memo_schedule_reads_the_twins(g):
             w for w in range(g.n)
             if min(reach[w]) < d <= max(max(reach[w]), checked_at.get(w, 0))}, d
         assert exact[d] == any(first < d <= last for first, last in spans), d
+        assert all(since[d] <= p for w in front[d] for p in reach[w] if p < d), d
 
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS)
@@ -322,16 +325,16 @@ def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
     # class is the renamed key
     memos = []
 
-    class Spy(solver._Memo):
+    class Spy(_memo.Memo):
         def __init__(self, *args):
             super().__init__(*args)
             memos.append(self)
 
-    monkeypatch.setattr(solver, "_Memo", Spy)
+    monkeypatch.setattr(_memo, "Memo", Spy)
     monkeypatch.setattr(solver, "CHECK_EVERY", 1)
     chi_nl_exact(g)
     order, _, final_at, twin = solver._schedule(g)
-    _, exact = solver._memo_schedule(g, order, final_at, twin)
+    _, exact, _ = _memo.memo_schedule(g, order, final_at, twin)
     for memo in memos:
         for (front_key, _, depth), (shape, _) in memo.groups.items():
             if exact[depth]:

@@ -16,6 +16,7 @@ from nlcoloring import (
     conjecture_sweep,
     connected_graphs,
     enumerate_trees,
+    sweeps,
 )
 
 
@@ -81,6 +82,15 @@ def test_connected_graph_universe():
     assert len(connected_graphs(6)) == 112
     with pytest.raises(ValueError):
         connected_graphs(8)
+
+
+def test_connected_graphs_refuses_a_table_off_its_count(monkeypatch):
+    # the decoded table is checked against the known class count before use,
+    # and the fault names the order and both counts
+    monkeypatch.setitem(sweeps._CONNECTED_COUNTS, 5, 20)
+    with pytest.raises(RuntimeError,
+                       match="^atlas table has 21 connected graphs of order 5, not 20$"):
+        connected_graphs(5)
 
 
 def test_delta_sweep_small():

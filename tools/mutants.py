@@ -1,8 +1,9 @@
-"""Hand-made mutations that the tests must kill: of the solver and its
-schedule, the lower bound and its cone step, the cycle pipeline's edge
-scan, the constructions' self-checks and the extremal graphs' splice, the
-CLI parser, graph validation, distances and degrees, the delta sweep's
-degree, and the coloring type and verifier.
+"""Hand-made mutations that the tests must kill: of the solver, its
+schedule and its memo's renamed comparison, the lower bound and its cone
+step, the cycle pipeline's edge scan, the constructions' self-checks and
+the extremal graphs' splice, the CLI parser, graph validation, distances
+and degrees, the atlas count check, the delta sweep's degree, and the
+coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -34,6 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCH = ("tests/test_solver.py", "tests/test_oracle.py")
+ORACLE = ("tests/test_oracle.py",)  # the memo tests there run it from the first node
 TIMEOUT = 300  # seconds for one run of the named modules
 
 
@@ -52,21 +54,59 @@ MUTATIONS = [
         ("group[1].add(used)", "group[1].add(0)"),
         ("memo.renamed_hit(group, shape, used)", "memo.renamed_hit(group, shape, 0)"),
     ), SEARCH),
-    Mutation("memo key without the signatures", "solver.py", (
+    Mutation("memo key without the signatures", "_memo.py", (
         ("key = key << width | sig << k + 1 | bits[w]", "key = key << width | bits[w]"),
     ), SEARCH),
-    Mutation("memo key without the colors", "solver.py", (
+    Mutation("memo key without the colors", "_memo.py", (
         ("key = key << width | sig << k + 1 | bits[w]", "key = key << width | sig << k + 1"),
     ), SEARCH),
-    Mutation("memo front one depth short", "solver.py", (
-        ("for d in range(touch[w] + 1, read[w] + 1):", "for d in range(touch[w] + 1, read[w]):"),
+    Mutation("memo front one depth short", "_memo.py", (
+        ("for d in range(first + 1, last + 1):", "for d in range(first + 1, last):"),
     ), SEARCH),
-    Mutation("memo front without the twins", "solver.py", (
+    Mutation("memo front without the twins", "_memo.py", (
         ("        read[earlier_twin] = d\n", ""),
     ), SEARCH),
-    Mutation("memo renames at exact depths", "solver.py", (
-        ("cls = (key if exact[depth] else shape[0], top, depth)", "cls = (shape[0], top, depth)"),
+    Mutation("memo renames at exact depths", "_memo.py", (
+        ("(key if self.exact[depth] else shape[0], shape)", "(shape[0], shape)"),
     ), SEARCH),
+    # the memo's renamed comparison: the class looked up by a view of the
+    # colors that fix the key, the new state and the members renamed, and
+    # used renamed through the images of its pairs, a byte table at a time
+    # or, on a renaming's first use, bit by bit.  Each but the first makes
+    # the memo unsound, which the oracle's memo tests show; the view one
+    # depth short only weakens it on the graphs tried, and the schedule's
+    # definition test shows it
+    Mutation("memo view one depth short", "_memo.py", (
+        ("span = max(map(sub, read[:n], touch[:n]))",
+         "span = max(map(sub, read[:n], touch[:n])) - 1"),
+    ), ("tests/test_solver.py",)),
+    Mutation("memo view without its colors", "_memo.py", (
+        ("[0] * span + list(range(n - span))", "list(range(n))"),
+    ), ORACLE),
+    Mutation("renamed comparison without renaming used", "_memo.py", (
+        ("            used = self._renamed(used, shape)\n", ""),
+    ), ORACLE),
+    Mutation("renamed comparison renames the members as the new shape", "_memo.py", (
+        ("{self._renamed(u, first) for u in members}",
+         "{self._renamed(u, shape) for u in members}"),
+    ), ORACLE),
+    Mutation("renaming ignores the names", "_memo.py", (
+        ("enumerate((*names, *(c for c in range(1, k + 1) if c not in names)), 1)",
+         "enumerate(range(1, k + 1), 1)"),
+    ), ORACLE),
+    Mutation("renamed pair keeps its color", "_memo.py", (
+        ("[0, 0, *(1 << t for t in to[1:])]", "[0, 0, *(1 << c for c in range(1, len(to)))]"),
+    ), ORACLE),
+    Mutation("renamed signature keeps its colors", "_memo.py", (
+        ("sum(1 << to[c] + shift for c in self._colors(sig))",
+         "sum(1 << c + shift for c in self._colors(sig))"),
+    ), ORACLE),
+    Mutation("renaming tables skip every other byte", "_memo.py", (
+        ("                    rest >>= 8\n", "                    rest >>= 16\n"),
+    ), ORACLE),
+    Mutation("first renaming sums the bits high to low", "_memo.py", (
+        ('format(used, "b")[::-1]', 'format(used, "b")'),
+    ), ORACLE),
     # the per-depth schedule: a vertex's closing depth is the last depth
     # of its closed neighbourhood, so it must rise with the vertex and with
     # each neighbour
@@ -199,6 +239,10 @@ MUTATIONS = [
     Mutation("graph without the self-loop check", "graphs.py", (
         ('raise GraphError(f"self-loop at vertex {u}")', "pass"),
     ), ("tests/test_graphs.py", "tests/test_cli.py")),
+    # the atlas table's class counts, checked before the table is used
+    Mutation("atlas count check dropped", "sweeps.py", (
+        ("if len(graphs) != _CONNECTED_COUNTS[n]:", "if False:"),
+    ), ("tests/test_sweeps.py",)),
     # the delta sweep's measured degree, and the degree counts
     Mutation("delta sweep reads the min degree", "sweeps.py", (
         ("delta = max(map(len, tree.adj))", "delta = min(map(len, tree.adj))"),

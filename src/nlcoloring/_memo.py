@@ -2,10 +2,37 @@
 
 ``solver._search`` imports this module the first time one of its calls
 passes ``CHECK_EVERY`` nodes, so a process whose searches all stay below
-that never loads it.  ``memo_schedule`` works out what the memo reads at
-each depth, and a ``Memo`` holds the failed states of one call.  The memo
-block of ``_search`` keys the state at each depth it enters and compares
-it; the ``_search`` docstring argues why a hit skips no solution.
+that never loads it.  From then on it asks ``Memo.seen``, at each depth it
+enters, whether the state there has failed before; the ``_search``
+docstring argues why a hit skips no solution.  How states are keyed and
+compared is known here only.
+
+``memo_schedule`` works out, once per call, what the memo reads at each
+depth d: the front (the vertices whose (signature so far, color bit) pairs
+the key holds), whether d is exact (a twin class straddles it, so colors
+are compared as they are), and ``since[d]``, a depth from which on the
+colors placed fix the front's pairs.  ``seen`` files a state by its class
+(class key, limit, depth) and its ``used``.  The front key is the tuple of
+the front's pairs; the class key is the front key at an exact depth and
+the renamed key elsewhere, the front key with the front's colors renamed
+1, 2, ... in order of first appearance.  The colors placed from
+``since[d]`` on, the view, fix the class key, so ``seen`` looks it up by
+the view and builds it (``_classify``) only for a view not met at d.
+
+The states of a class form its group.  While one shape (the renaming
+data of one front key) fills the group, it compares ``used`` as it is; the
+groups of an exact depth, whose class key is the front key, never leave
+that form.  When a second shape lands, the group splits by the count of
+the pairs of ``used`` that hold the color named first, which costs one AND
+and is unchanged by renaming.  Each count part then compares as the group
+did, and renames ``used`` only once a second shape lands in it: on P_3000
+``used`` holds about 1,500 pairs, and no two states of a class agree on
+the count.  ``_renamed`` renames
+``used`` as the shape's key is renamed, one table lookup per byte; a
+renaming sums the images of used's bits on its first use and builds its
+byte tables from its second (``_renamed_afresh``).  A renamed ``used`` is
+a set of bits of the search's ``slot`` too, so a renamed pair that the
+search has not met takes the next bit there.
 """
 
 from __future__ import annotations
@@ -63,24 +90,18 @@ def memo_schedule(g: Graph, order: list[int], final_at: list[list[int]],
 class Memo:
     """The failed states of one ``_search`` call, up to renaming colors.
 
-    A state enters as its class and ``used``.  ``views[d]`` maps the view
-    of a state entering depth d (its colors placed from ``since[d]`` on) to
-    its class key and shape (``classify``), and ``shapes`` maps a front key
-    to its shape [renamed, names, renaming]: ``names`` lists the front's
-    colors in order of first appearance, and ``renamed`` is the key with
-    the i-th of them renamed i (``shape``); ``_renamed`` renames ``used``
-    the same way.  ``groups`` maps a class (the renamed key, or the key
-    itself at an exact depth, with the limit and the depth) to the states
-    met in it.  While one shape fills a group, the group is ``[shape, set
-    of used]`` and compares ``used`` as it is (``_search`` does that
-    inline); the states of an exact depth never leave that form.  Only when
-    a second shape lands in a group does ``renamed_hit`` rename ``used``.
-    It first splits the group by how many pairs of ``used`` hold the color
-    renamed 1, which costs one AND and is unchanged by renaming, and
-    renames ``used`` only for states that agree on it: on P_3000 ``used``
-    holds about 1,500 pairs, and no two states of a class agree.  A renamed
-    ``used`` is a set of bits of the search's ``slot`` too, so a renamed
-    pair that the search has not met takes the next bit there."""
+    ``seen`` is the search's one way in.  ``front``, ``exact`` and
+    ``since`` are the call's ``memo_schedule``.  ``views[d]`` maps a view
+    met at depth d to its (class key, shape) (``_classify``), and
+    ``shapes`` maps a front key to its shape [renamed key, names, renaming]
+    (``_shape``).  ``groups`` maps a class to its group: ``[shape, set of
+    used]`` while one shape fills it, and ``[None, parts]`` once a second
+    has landed, where ``parts`` maps a count to a part.  A part starts as
+    ``[shape, set of used]`` too, and is ``[None, set of renamed used]``
+    once a second shape has landed in it.  ``renamings`` holds the
+    renamings by their ``to``, ``colors_of`` the colors of each signature
+    met, and ``pairs`` and ``by_color`` the pair of each bit of ``slot``
+    and the bits of each color, as far as the count split has read them."""
 
     __slots__ = ("k", "slot", "adj", "front", "exact", "since", "views", "shapes", "groups",
                  "renamings", "colors_of", "pairs", "by_color")
@@ -90,67 +111,104 @@ class Memo:
         self.k, self.slot, self.adj = k, slot, g.adj
         self.front, self.exact, self.since = memo_schedule(g, order, final_at, twin)
         self.views: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(g.n)]
-        self.shapes: dict[int, list] = {}
-        self.groups: dict[tuple[int, int, int], list] = {}
+        self.shapes: dict[tuple[int, ...], list] = {}
+        self.groups: dict[tuple[tuple[int, ...], int, int], list] = {}
         self.renamings: dict[tuple[int, ...], _Renaming] = {}  # by to
         self.colors_of: dict[int, list[int]] = {}  # signature -> its colors
         self.pairs: list[int] = []  # the pair of each bit of slot, as far as read
         self.by_color = [0] * (k + 1)  # the bits of slot whose pair has color c
 
-    def classify(self, depth: int, view: tuple[int, ...], bits: list[int]) -> tuple:
+    def seen(self, depth: int, tried: list[int], bits: list[int], top: int, used: int) -> bool:
+        """Whether the state entering the depth has failed before, up to
+        renaming the colors, filing it if not: the search comes back above
+        the depth only once the state has failed.  The state is the colors
+        (``tried`` by depth, ``bits`` by vertex), the limit ``top`` and the
+        pairs in use, ``used``.  It is compared within one part: its class's
+        group while one shape fills it, and its count part after the split.
+        A part compares ``used`` as it is while one shape fills it, and
+        renamed once a second shape has landed in it."""
+        view = tuple(tried[self.since[depth]:depth])
+        cls_key, shape = self.views[depth].get(view) or self._classify(depth, view, bits)
+        cls = (cls_key, top, depth)
+        part = self.groups.get(cls)
+        if part is None:
+            self.groups[cls] = [shape, {used}]
+            return False
+        if part[0] is not shape:  # a class of two shapes: look in the count part
+            if len(self.pairs) < len(self.slot):
+                self._read_pairs()
+            if part[0] is not None:  # the class's second shape: split it by the count
+                first, members = part
+                first_color = self.by_color[first[1][0]]
+                parts: dict[int, list] = {}
+                for u in members:
+                    parts.setdefault((u & first_color).bit_count(), [first, set()])[1].add(u)
+                part[:] = [None, parts]
+            parts = part[1]
+            count = (used & self.by_color[shape[1][0]]).bit_count()
+            part = parts.get(count)
+            if part is None:
+                parts[count] = [shape, {used}]
+                return False
+        first, members = part
+        if first is not shape:
+            if first is not None:  # the part's second shape: rename its members
+                members = part[1] = {self._renamed(u, first) for u in members}
+                part[0] = None
+            used = self._renamed(used, shape)
+        if used in members:
+            return True
+        members.add(used)
+        return False
+
+    def _classify(self, depth: int, view: tuple[int, ...], bits: list[int]) -> tuple:
         """(class key, shape) of the state entering the depth, filed in
-        ``views[depth]`` under its view, the colors placed from
-        ``since[depth]`` on.  The class key is the front key at an exact
-        depth and the renamed key elsewhere.  The front key packs the
-        (signature so far, color bit) pair of each front vertex."""
+        ``views[depth]`` under its view.  The front key is the tuple of the
+        pair of each front vertex, its signature so far and its color bit
+        as the search writes them in ``slot``; the class key is the front
+        key at an exact depth and the renamed key elsewhere."""
         k, adj = self.k, self.adj
-        width = 2 * k + 2  # bits of a (signature, color) pair
-        key = 0
+        pairs = []
         for w in self.front[depth]:
             sig = 0
             for u in adj[w]:
                 sig |= bits[u]
-            key = key << width | sig << k + 1 | bits[w]
-        shape = self.shapes.get(key) or self.shape(key)
+            pairs.append(sig << k + 1 | bits[w])
+        key = tuple(pairs)
+        shape = self.shapes.get(key) or self._shape(key)
         known = self.views[depth][view] = (key if self.exact[depth] else shape[0], shape)
         return known
 
-    def shape(self, key: int) -> list:
+    def _shape(self, key: tuple[int, ...]) -> list:
         """The shape [renamed, names, renaming] of a front key, filed in
         ``shapes``.  ``names`` lists the colors of the front's vertices,
         then the colors of their signatures so far, each at its first
         appearance, and ``renamed`` is the key with the i-th of them renamed
-        i; ``renaming`` stays None until ``_renamed`` first needs it.  No
-        front pair is 0 (a front vertex is colored or has a colored
-        neighbour), so the key unpacks without its length."""
+        i; ``renaming`` stays None until ``_renamed`` first needs it."""
         k = self.k
-        width, low = 2 * k + 2, (1 << k + 1) - 1
-        front = [key >> width * i & (1 << width) - 1
-                 for i in reversed(range(-(-key.bit_length() // width)))]
-        to = [0] * (k + 1)
-        names = []
-        for pair in front:
-            color = (pair & low).bit_length() - 1
-            if color > 0 and not to[color]:
+        shift, low = k + 1, (1 << k + 1) - 1
+        bit = [0] * (k + 2)  # each named color's renamed bit; bit[-1], no color, stays 0
+        names: list[int] = []
+        colors, sigs = [], []
+        for pair in key:
+            color = (pair & low).bit_length() - 1  # -1: uncolored
+            if color > 0 and not bit[color]:
                 names.append(color)
-                to[color] = len(names)
-        sigs = []
-        for pair in front:
-            colors = self._colors(pair >> k + 1)
-            sigs.append(colors)
-            for c in colors:
-                if not to[c]:
+                bit[color] = 1 << len(names)
+            colors.append(color)
+            sigs.append(self._colors(pair >> shift))
+        for sig in sigs:
+            for c in sig:
+                if not bit[c]:
                     names.append(c)
-                    to[c] = len(names)
-        renamed = 0
-        for pair, colors in zip(front, sigs):
+                    bit[c] = 1 << len(names)
+        renamed = []
+        for color, sig in zip(colors, sigs):
             renamed_sig = 0
-            for c in colors:
-                renamed_sig |= 1 << to[c]
-            color = pair & low
-            renamed = (renamed << width | renamed_sig << k + 1
-                       | (1 << to[color.bit_length() - 1] if color else 0))
-        shape = self.shapes[key] = [renamed, tuple(names), None]
+            for c in sig:
+                renamed_sig |= bit[c]
+            renamed.append(renamed_sig << shift | bit[color])
+        shape = self.shapes[key] = [tuple(renamed), tuple(names), None]
         return shape
 
     def _colors(self, sig: int) -> list[int]:
@@ -159,38 +217,6 @@ class Memo:
         if colors is None:
             colors = self.colors_of[sig] = [c for c in range(1, self.k + 1) if sig >> c & 1]
         return colors
-
-    def renamed_hit(self, group: list, shape: list, used: int) -> bool:
-        """Whether the state (shape, used) is in ``group`` up to renaming,
-        adding it if not.  A group is ``[shape, set of used]`` while one
-        shape fills it, and ``[None, contents]`` once two have: a class's
-        group then maps a count to such groups (how many pairs of ``used``
-        hold the color named first), and a counted group holds renamed
-        ``used``."""
-        if len(self.pairs) < len(self.slot):
-            self._read_pairs()
-        if group[0] is not None:  # the class's second shape: split by the count
-            first, members = group
-            first_color = self.by_color[first[1][0]]
-            parts: dict[int, list] = {}
-            for u in members:
-                parts.setdefault((u & first_color).bit_count(), [first, set()])[1].add(u)
-            group[:] = [None, parts]
-        count = (used & self.by_color[shape[1][0]]).bit_count()
-        part = group[1].get(count)
-        if part is None:
-            group[1][count] = [shape, {used}]
-            return False
-        first, members = part
-        if first is not shape:
-            if first is not None:  # the count's second shape: rename
-                members = part[1] = {self._renamed(u, first) for u in members}
-                part[0] = None
-            used = self._renamed(used, shape)
-        if used in members:
-            return True
-        members.add(used)
-        return False
 
     def _read_pairs(self) -> None:
         """Read the pairs that slot has gained since the last call."""

@@ -176,29 +176,26 @@ def _search(g: Graph, k: int, budget: _Budget,
     class completely.
 
     Past ``CHECK_EVERY`` nodes of this call the search imports ``_memo``
-    and switches on its ``Memo``.  From then on, entering depth d keys the
-    state by d, ``limit[d]``, ``used`` and the (signature so far, color)
-    pair of each vertex in ``front[d]``: the vertices that a depth before d
-    touched (colored them or a neighbour) and that a depth from d on reads
-    (closes their signature, or checks them as a twin;
-    ``_memo.memo_schedule``).  The colors placed from ``since[d]`` on fix
-    those pairs, so the search looks the front's class up by them (its
-    view) and has ``Memo.classify`` build the key only for a view it has
-    not met at d.  The
-    key fixes every valid completion: an uncolored vertex's properness
-    reads its signature so far, a signature still open ends as that plus
-    colors of the completion, a new pair must miss ``used``, ``limit[d]``
-    fixes which colors may open, and twin order reads colors in the front.
-    A depth entered with a key already met backs off passing over no color;
-    otherwise its key is remembered at once, as the search only comes back
-    above the depth once its subtree holds no solution (a witness ends the
-    call, and by induction the hits below it skipped none).
+    and switches on its ``Memo``.  From then on, entering depth d asks
+    ``Memo.seen`` whether the state has failed before, and backs off
+    passing over no color where it has.  The memo keys the state by d,
+    ``limit[d]``, ``used`` and the (signature so far, color) pair of each
+    vertex in the front at d: the vertices that a depth before d touched
+    (colored them or a neighbour) and that a depth from d on reads (closes
+    their signature, or checks them as a twin).  The key fixes every valid
+    completion: an uncolored vertex's properness reads its signature so
+    far, a signature still open ends as that plus colors of the completion,
+    a new pair must miss ``used``, ``limit[d]`` fixes which colors may
+    open, and twin order reads colors in the front.  A state the memo has
+    not met is remembered at once, as the search only comes back above the
+    depth once its subtree holds no solution (a witness ends the call, and
+    by induction the hits below it skipped none).
 
     The memo compares keys up to renaming the colors in use, 1..m: each
     shows in the key, as a colored vertex is in the front or its pair is in
-    ``used``.  ``Memo`` renames them in order of first appearance in the
-    front and keeps the colors above m, so two states whose renamed keys
-    agree are one renaming π of 1..m apart.  π maps an NL-coloring to an
+    ``used``.  It renames them in order of first appearance in the front
+    and keeps the colors above m, so two states whose renamed keys agree
+    are one renaming π of 1..m apart.  π maps an NL-coloring to an
     NL-coloring, keeps signatures distinct, fixes the colors above m and so
     the limit rule, and maps the pairs of ``used`` onto those of the other
     state.  So π carries a valid completion c of the later state to an
@@ -212,8 +209,8 @@ def _search(g: Graph, k: int, budget: _Budget,
     subtrees without a solution, and the first witness is unchanged.  The
     argument fails where a twin class straddles d, with a member colored
     before d and a later one not: the later twin must take a color above
-    the earlier one's value, which a renaming does not keep.  Those depths
-    (``exact[d]``) compare keys as they are.
+    the earlier one's value, which a renaming does not keep.  At those
+    depths the memo compares keys as they are.
     """
     order, earlier, final_at, twin = schedule or _schedule(g)
     n, adj = g.n, g.adj
@@ -224,7 +221,7 @@ def _search(g: Graph, k: int, budget: _Budget,
     cands = [0b10] * n  # depth 0 may take color 1 only; deeper ones are set on entry
     tried = [0] * n
     limit = [1] * n
-    memo = since = views = groups = None  # the memo, once it is on
+    memo = None  # the memo, once it is on
     nodes = 0
     next_check = CHECK_EVERY
     depth = 0
@@ -266,7 +263,6 @@ def _search(g: Graph, k: int, budget: _Budget,
                     from ._memo import Memo  # here, so small searches never load it
 
                     memo = Memo(g, k, slot, order, final_at, twin)
-                    since, views, groups = memo.since, memo.views, memo.groups
             if not bits[v]:
                 depth -= 1
                 continue
@@ -280,20 +276,8 @@ def _search(g: Graph, k: int, budget: _Budget,
             for u in earlier[depth]:
                 forbidden |= bits[u]
             cands[depth] = ((2 << top) - 2) & ~forbidden
-            if memo is not None:  # the memo: is this state a known dead end?
-                view = tuple(tried[since[depth]:depth])
-                cls_key, shape = views[depth].get(view) or memo.classify(depth, view, bits)
-                cls = (cls_key, top, depth)
-                group = groups.get(cls)
-                if group is None:
-                    groups[cls] = [shape, {used}]
-                elif group[0] is shape:  # the same front: compare used as it is
-                    if used in group[1]:  # back off as if exhausted, passing no color
-                        tried[depth] = top
-                    else:
-                        group[1].add(used)  # it has failed by the time the search is back
-                elif memo.renamed_hit(group, shape, used):
-                    tried[depth] = top
+            if memo is not None and memo.seen(depth, tried, bits, top, used):
+                tried[depth] = top  # back off as if exhausted, passing no color
         return None
     finally:
         budget.nodes += nodes

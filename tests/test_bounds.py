@@ -207,6 +207,8 @@ def test_chi_closed_form_fans_wheels_stars():
 
 
 def test_bracket_is_total_and_monotone():
+    with pytest.raises(ValueError, match="at least 10"):  # defined from n = 10 on
+        bracket(9)
     prev = 3
     for n in range(10, ell(9) + 1):
         k = bracket(n)

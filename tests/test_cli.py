@@ -63,11 +63,17 @@ def test_gen_without_family_is_a_usage_error(capsys):
     code, out, err = run(capsys, "gen")
     assert (code, out) == (2, "")
     assert "gen needs --family" in err and "Traceback" not in err
+    # and a family without its parameters
+    assert run(capsys, "gen", "--family", "cycle") == (2, "", "error: cycle needs --n\n")
 
 
 def test_gen_out_of_range(capsys):
     code, _, err = run(capsys, "gen", "--family", "cycle", "--n", "2")
     assert code == 2
+    # 256 colors do not fit the pipeline's bytes: refused before any insertion
+    code, out, err = run(capsys, "gen", "--family", "unicyclic", "--k", "256")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 256 colors do not fit") and err.count("\n") == 1
 
 
 def test_chi_family(capsys):
@@ -154,6 +160,9 @@ def test_chi_family_exact_is_a_usage_error(capsys):
     code, out, err = run(capsys, "chi", "--family", "cycle", "--n", "23", "--exact")
     assert (code, out, err) == (
         2, "", "error: --exact applies to --graph input; family values are closed-form\n")
+    # and a family without a closed form has no value to print
+    assert run(capsys, "chi", "--family", "comb", "--m", "6") == (
+        2, "", "error: no closed-form value for family 'comb'\n")
 
 
 def test_chi_graph_without_exact_prints_the_lower_bound(tmp_path, capsys):
@@ -459,8 +468,11 @@ P3_JSON = '{"n":3,"edges":[[0,1],[1,2]]}'
     (P3_JSON, '{"n":3,"k":2,"colors":[1,2]}', "certificate lists 2 colors for n=3 vertices"),
     (P3_JSON, '{"n":3,"k":3,"colors":[1,2,1]}', "every color 1..k must be used"),
     (P3_JSON, '{"n":2,"k":2,"colors":[1,2]}', "certificate covers 2 vertices, graph has 3"),
+    (P3_JSON, '{"n":3,"colors":[1,2,1]}', "certificate JSON needs 'n', 'k' and a 'colors' list"),
+    (P3_JSON, '{"n":3,"k":2,"colors":5}', "certificate JSON needs 'n', 'k' and a 'colors' list"),
 ], ids=["three-ids", "only-comments", "json-without-edges", "invalid-json",
-        "colors-not-n", "k-above-colors-used", "certificate-n-not-graph-n"])
+        "colors-not-n", "k-above-colors-used", "certificate-n-not-graph-n",
+        "certificate-without-k", "colors-not-a-list"])
 def test_malformed_input_is_a_usage_error(graph, certificate, message, tmp_path, capsys):
     graph_file = tmp_path / "g"
     graph_file.write_text(graph)

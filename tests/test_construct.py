@@ -394,7 +394,9 @@ def test_comb_signature_table_cross_check():
         cg = comb_coloring(k)
         for r in range(1, k + 1):
             for l in range(1, k + 1):
-                if r == l:
+                if r == l:  # no such cell
+                    with pytest.raises(ValueError, match="own leaf color"):
+                        comb_signature_table(k, r, l)
                     continue
                 expected = comb_signature_table(k, r, l)
                 if expected is None:

@@ -79,6 +79,7 @@ def test_graph_equality_and_adjacency():
     # a named tuple, as Coloring is
     assert g == (3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,))) and len(g) == 3
     assert (g.has_edge(1, 0), g.has_edge(0, 2), g.has_edge(5, 0)) == (True, False, False)
+    assert repr(g) == "Graph(n=3, m=2)"
 
 
 def test_duplicate_edge_is_refused_in_linear_time():

@@ -139,7 +139,11 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     (lambda: Coloring(0, ()), "k must be positive"),
     (lambda: Coloring(2, (1, 3)), "colors must lie in 1..k"),
     (lambda: Coloring(3, (1, 2, 2)), "every color 1..k must be used by some vertex"),
-], ids=["max-k", "budget", "range", "family", "k", "color-range", "unused-color"])
+    # the verifier reads a coloring of the graph's order only
+    (lambda: nlcoloring.is_nl_coloring(cycle_coloring(6).graph, Coloring(2, (1, 2))),
+     "coloring covers 2 vertices, graph has 6"),
+], ids=["max-k", "budget", "range", "family", "k", "color-range", "unused-color",
+        "coloring-length"])
 def test_validating_records_reject_bad_values(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()

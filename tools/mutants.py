@@ -1,9 +1,9 @@
-"""Hand-made mutations that the tests must kill: of the solver, its
-schedule and its memo's renamed comparison, the lower bound and its cone
-step, the cycle pipeline's edge scan, the constructions' self-checks and
-the extremal graphs' splice, the CLI parser, graph validation, distances
-and degrees, the atlas count check, the delta sweep's degree, and the
-coloring type and verifier.
+"""Hand-made mutations that the tests must kill: of the solver and its
+schedule, its memo's key and renamed comparison, the lower bound and its
+cone step, the cycle pipeline's edge scan, the constructions' self-checks
+and the extremal graphs' splice, the CLI parser, graph validation,
+distances and degrees, the atlas count check, the delta sweep's degree,
+and the coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -48,17 +48,18 @@ class Mutation(NamedTuple):
 
 MUTATIONS = [
     # the memo of failed states: its key and where it compares as it is
-    Mutation("memo key without used", "solver.py", (
-        ("groups[cls] = [shape, {used}]", "groups[cls] = [shape, {0}]"),
-        ("if used in group[1]:", "if 0 in group[1]:"),
-        ("group[1].add(used)", "group[1].add(0)"),
-        ("memo.renamed_hit(group, shape, used)", "memo.renamed_hit(group, shape, 0)"),
+    Mutation("memo key without used", "_memo.py", (
+        ("self.groups[cls] = [shape, {used}]", "self.groups[cls] = [shape, {0}]"),
+        ("count = (used & self.by_color", "count = (0 & self.by_color"),
+        ("parts[count] = [shape, {used}]", "parts[count] = [shape, {0}]"),
+        ("if used in members:", "if 0 in members:"),
+        ("members.add(used)", "members.add(0)"),
     ), SEARCH),
     Mutation("memo key without the signatures", "_memo.py", (
-        ("key = key << width | sig << k + 1 | bits[w]", "key = key << width | bits[w]"),
+        ("pairs.append(sig << k + 1 | bits[w])", "pairs.append(bits[w])"),
     ), SEARCH),
     Mutation("memo key without the colors", "_memo.py", (
-        ("key = key << width | sig << k + 1 | bits[w]", "key = key << width | sig << k + 1"),
+        ("pairs.append(sig << k + 1 | bits[w])", "pairs.append(sig << k + 1)"),
     ), SEARCH),
     Mutation("memo front one depth short", "_memo.py", (
         ("for d in range(first + 1, last + 1):", "for d in range(first + 1, last):"),
@@ -70,18 +71,21 @@ MUTATIONS = [
         ("(key if self.exact[depth] else shape[0], shape)", "(shape[0], shape)"),
     ), SEARCH),
     # the memo's renamed comparison: the class looked up by a view of the
-    # colors that fix the key, the new state and the members renamed, and
-    # used renamed through the images of its pairs, a byte table at a time
-    # or, on a renaming's first use, bit by bit.  Each but the first makes
-    # the memo unsound, which the oracle's memo tests show; the view one
-    # depth short only weakens it on the graphs tried, and the schedule's
-    # definition test shows it
+    # colors that fix the key, a part's second shape renaming the new state
+    # and the members, and used renamed through the images of its pairs, a
+    # byte table at a time or, on a renaming's first use, bit by bit.  Each
+    # but the first makes the memo unsound, which the oracle's memo tests
+    # show; the view one depth short only weakens it on the graphs tried,
+    # and the schedule's definition test shows it
     Mutation("memo view one depth short", "_memo.py", (
         ("span = max(map(sub, read[:n], touch[:n]))",
          "span = max(map(sub, read[:n], touch[:n])) - 1"),
     ), ("tests/test_solver.py",)),
     Mutation("memo view without its colors", "_memo.py", (
         ("[0] * span + list(range(n - span))", "list(range(n))"),
+    ), ORACLE),
+    Mutation("memo compares a second shape's used as it is", "_memo.py", (
+        ("        if first is not shape:\n", "        if first is None:\n"),
     ), ORACLE),
     Mutation("renamed comparison without renaming used", "_memo.py", (
         ("            used = self._renamed(used, shape)\n", ""),

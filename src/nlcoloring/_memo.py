@@ -260,7 +260,8 @@ class Memo:
         used's bits; from its second use on it builds the tables of the
         bytes it has images for.  A table pays only where the renaming is
         used again: on C_1100 each renaming renames one ``used`` of 821
-        pairs, and on C23 each renames about 870 of at most 24 pairs."""
+        pairs, and refuting k = 4 on C23 each renames about 870 of at most
+        24 pairs."""
         k, slot, renaming = self.k, self.slot, shape[2]
         to, sigs, images = renaming.to, renaming.sigs, renaming.images
         start = len(images)

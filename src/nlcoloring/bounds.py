@@ -1,12 +1,14 @@
 """Closed-form bounds and exact values for the neighbor-locating chromatic number.
 
 Capacity counts a1/a2/ell, order bounds for general / degree-bounded /
-unicyclic / tree inputs, the derived lower bound (order bounds, twin
-classes and the cone step over universal vertices) for arbitrary
-connected graphs, and the exact values for the named families (paths,
+unicyclic / tree inputs, the derived lower bound for arbitrary connected
+graphs, and the exact values for the named families (paths,
 cycles, fans, wheels, stars, double stars and the extremal
-unicyclic/caterpillar instances).  All but the cone step's connectivity
-check is integer arithmetic.
+unicyclic/caterpillar instances).  The lower bound joins four proved
+bounds: the paper's order bounds, the twin bound, the cycle bound (no
+cycle of order ell(k) - 1 has a k-NL-coloring) and the cone step over
+universal vertices; each is proved in ``chi_lower_bound``.  All but the
+cone step's connectivity check is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -97,21 +99,40 @@ def bounds_report(k: int, max_degree: int | None = None) -> dict:
 
 def chi_lower_bound(g: Graph) -> int:
     """Largest lower bound on the NL-chromatic number implied by the order
-    bounds, the twin classes and the universal vertices.
+    bounds, the twin classes, the exceptional cycles and the universal
+    vertices.
 
     The floor of a graph is the smallest k passing every applicable
     necessary condition: the general order bound, the degree-bounded order
     bound (when the degree cap applies, which for paths and cycles is the
     ell bound), and the tree order bound for n-1 edges and the unicyclic
-    one for n edges; and at least min(t + 1, n) for a class of t >= 2
-    twins.  Never below 2 for graphs of order >= 2.  Where g has a
-    universal vertex, the cone step below may raise it.
+    one for n edges; for a cycle, k >= 3 with n = ell(k) - 1 fails too;
+    and at least min(t + 1, n) for a class of t >= 2 twins.  Never below 2
+    for graphs of order >= 2.  Where g has a universal vertex, the cone
+    step below may raise it.  The bound equals the NL-chromatic number on
+    every path and fan, on every cycle but C4 and C6, and on every wheel
+    but W5 and W7.
 
     Twin bound: two twins of one color would have equal signatures (false
     twins) or be adjacent (true twins), so a class takes t colors.  A class
     of false twins has a common neighbour, and a class of true twins smaller
     than n has a neighbour outside it, adjacent to the whole class; that
     neighbour needs one more color, so chi >= min(t + 1, n).
+
+    Cycle bound: a connected graph with n edges and maximum degree 2 is a
+    cycle, and for k >= 3 a cycle of order ell(k) - 1 has no k-NL-coloring
+    (the paper's exceptional value, proved here by counting edges).  In a
+    k-NL-coloring of a cycle each vertex has a pair (c, S): its color c and
+    the set S of its neighbours' colors, with c not in S and |S| in {1, 2}.
+    Distinct vertices have distinct pairs, and there are k(k - 1) +
+    k(k - 1)(k - 2)/2 = ell(k) pairs in all.  For colors c != a, count the
+    edges between classes c and a from c's side: a vertex with pair
+    (c, {a}) has both neighbours colored a, and one with (c, {a, b}) has
+    one, so there are 2 [(c, {a}) used] + #{b : (c, {a, b}) used} of them,
+    which is k when c uses all its pairs.  Counting from a's side must give
+    the same number.  Order ell(k) - 1 leaves out exactly one pair (c, S).
+    Then for a in S the count from c's side is k - 2 or k - 1, while a
+    uses all its pairs and counts k toward c: no such coloring exists.
 
     Cone step: let u be adjacent to every other vertex, with g - u
     connected.  In an NL-coloring of g no other vertex takes u's color, as
@@ -176,6 +197,8 @@ def _floor(n: int, m: int, delta: int, twin: int) -> int:
         if tree and k >= 3 and n > class_order_bound(k, "tree"):
             continue
         if unicyclic and k >= 3 and n > class_order_bound(k, "unicyclic"):
+            continue
+        if unicyclic and delta == 2 and k >= 3 and n == ell(k) - 1:  # a cycle
             continue
         return max(k, twin_bound)
     return n

@@ -301,8 +301,24 @@ def classify(g: Graph) -> str:
 
 
 def diameter(g: Graph) -> int:
-    """Largest shortest-path distance, by breadth-first search from every vertex."""
-    return max(max(distances(g, v)) for v in range(g.n))
+    """Largest shortest-path distance: the least r for which the ball of
+    radius r around every vertex is the whole graph.  The balls are
+    bitmasks grown together, one radius a round: the ball of radius r + 1
+    around v is the union of the balls of radius r around v and its
+    neighbours.  The graph is connected, so every ball fills."""
+    full = (1 << g.n) - 1
+    balls = [1 << v for v in range(g.n)]
+    radius = 0
+    while balls.count(full) < g.n:
+        grown = []
+        for v, near in enumerate(g.adj):
+            ball = balls[v]
+            for u in near:
+                ball |= balls[u]
+            grown.append(ball)
+        balls = grown
+        radius += 1
+    return radius
 
 
 class DegreeStats(NamedTuple):

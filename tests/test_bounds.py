@@ -17,6 +17,7 @@ from nlcoloring import (
     bounds_report,
     chi_closed_form,
     chi_lower_bound,
+    chi_nl_exact,
     class_order_bound,
     ell,
     enumerate_trees,
@@ -133,6 +134,31 @@ def _floor_of(g: Graph) -> int:
 def test_a_universal_vertex_raises_the_lower_bound_by_one(universe):
     for h in universe:
         assert chi_lower_bound(cone(h)) >= 1 + chi_lower_bound(h), h.sorted_edges()
+
+
+def test_lower_bound_is_the_value_of_the_families_but_four():
+    # the cycle bound settles each cycle of order ell(k) - 1, and the cone
+    # step carries it to the wheels: the lower bound is the paper's value
+    # on every path, cycle, fan and wheel but C4, C6 and their cones, and
+    # never above it
+    below = []
+    for family, orders in (("path", range(2, 401)), ("cycle", range(3, 401)),
+                           ("fan", range(4, 121)), ("wheel", range(4, 121))):
+        for n in orders:
+            spec = FamilySpec(family, (n,))
+            bound, value = chi_lower_bound(family_graph(spec)), chi_closed_form(spec)
+            assert bound <= value, spec.label()
+            if bound < value:
+                below.append(spec.label())
+    assert below == ["cycle(4)", "cycle(6)", "wheel(5)", "wheel(7)"]
+
+
+def test_cycle_bound_reads_only_cycles():
+    # C7 with a pendant vertex is unicyclic of order 8 = ell(3) - 1, but has
+    # a vertex of degree 3, so the cycle bound does not apply: its value is 3
+    g = Graph(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7)])
+    assert chi_lower_bound(g) == 3
+    assert chi_nl_exact(g).chi == 3
 
 
 def test_cone_step_examples():

@@ -170,6 +170,12 @@ def test_chi_graph_without_exact_prints_the_lower_bound(tmp_path, capsys):
     assert (code, out, err) == (0, '{\n  "chiLowerBound": 5\n}\n', "")
 
 
+def test_chi_graph_lower_bound_settles_an_exceptional_cycle(tmp_path, capsys):
+    # C23 has order ell(4) - 1, so the cycle bound rules out 4 colors
+    code, out, err = run(capsys, "chi", "--graph", _cycle_file(tmp_path, 23))
+    assert (code, out, err) == (0, '{\n  "chiLowerBound": 5\n}\n', "")
+
+
 def test_chi_graph_lower_bound_peels_the_hub(tmp_path, capsys):
     # W30 is C29 under a universal vertex, and C29 needs 5 colors
     graph_file = tmp_path / "w30.json"

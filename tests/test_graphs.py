@@ -25,6 +25,7 @@ from nlcoloring import (
     diameter,
     distances,
     ell,
+    enumerate_trees,
     family_graph,
     is_tree,
     twin_classes,
@@ -202,6 +203,24 @@ def test_diameter_values():
     assert diameter(family_graph(FamilySpec.star(7))) == 2
     assert diameter(family_graph(FamilySpec.wheel(10))) == 2
     assert diameter(Graph(1, [])) == 0
+
+
+@pytest.mark.parametrize("universe", ["atlas", "trees", "families"])
+def test_diameter_is_the_largest_distance(universe):
+    # the balls grown together reach every vertex after as many rounds as
+    # the largest breadth-first distance
+    graphs = {
+        "atlas": lambda: (g for n in range(1, 8) for g in connected_graphs(n)),
+        "trees": lambda: (g for n in range(1, 13) for g in enumerate_trees(n)),
+        "families": lambda: (family_graph(spec) for spec in (
+            *(family(n) for n in range(4, 40) for family in (
+                FamilySpec.path, FamilySpec.cycle, FamilySpec.fan, FamilySpec.wheel,
+                FamilySpec.star, FamilySpec.comb)),
+            *(FamilySpec.double_star(r, s) for s in range(2, 9) for r in range(1, s + 1)),
+            FamilySpec.unicyclic(5), FamilySpec.unicyclic(6), FamilySpec.caterpillar(6))),
+    }[universe]()
+    for g in graphs:
+        assert diameter(g) == max(max(distances(g, v)) for v in range(g.n)), g.sorted_edges()
 
 
 def test_distances_from_a_source():

@@ -107,6 +107,12 @@ def test_solver_matches_oracle_on_all_trees(universe, n):
         _check_against_oracle(g)
 
 
+def test_cycle_bound_matches_oracle():
+    # C8 = C_{ell(3) - 1}, the smallest cycle that the cycle bound of
+    # chi_lower_bound settles: it needs 4 colors
+    _check_against_oracle(family_graph(FamilySpec.cycle(8)))
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_a_universal_vertex_adds_one_color(n):
     # the cone step is exact: chi(cone(T)) = chi(T) + 1

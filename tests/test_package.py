@@ -92,16 +92,19 @@ def _graph_and_certificate(tmp_path) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "chi --exact C23",
-                                     "color", "sweep delta", "sweep diameter"])
+                                     "chi --exact P24", "color", "sweep delta",
+                                     "sweep diameter"])
 def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     graph, cert = _graph_and_certificate(tmp_path)
-    c23 = tmp_path / "c23.json"
-    cycle = family_graph(FamilySpec.cycle(23))
-    c23.write_text(json.dumps({"n": cycle.n, "edges": cycle.sorted_edges()}))
+    exact = {}
+    for name, spec in (("C23", FamilySpec.cycle(23)), ("P24", FamilySpec.path(24))):
+        g, path = family_graph(spec), tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": g.n, "edges": g.sorted_edges()}))
+        exact[f"chi --exact {name}"] = ["chi", "--graph", str(path), "--exact"]
     argv = {"--version": ["--version"],
             "verify": ["verify", "--graph", graph, "--certificate", cert],
             "chi --exact": ["chi", "--graph", graph, "--exact"],
-            "chi --exact C23": ["chi", "--graph", str(c23), "--exact"],
+            **exact,
             "color": ["color", "--family", "cycle", "--n", "9"],
             "sweep delta": ["sweep", "--conjecture", "delta", "--max-n", "4"],
             "sweep diameter": ["sweep", "--conjecture", "diameter", "--max-n", "4"]}[command]
@@ -115,9 +118,10 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     elif command.startswith("chi --exact"):
         assert "nlcoloring.solver" in ours
         assert not ours & {"nlcoloring.construct", "nlcoloring.sweeps"}
-        # the memo loads once a search passes CHECK_EVERY nodes: C23 does
-        # (53,674 nodes), C9 does not
-        assert ("nlcoloring._memo" in ours) == (command == "chi --exact C23")
+        # the memo loads once a search passes CHECK_EVERY nodes: P24 does
+        # (20,375 nodes), C9 and C23 (58, as the lower bound starts it at
+        # its value) do not
+        assert ("nlcoloring._memo" in ours) == (command == "chi --exact P24")
     elif command == "color":
         assert "nlcoloring.construct" in ours
         assert not ours & {"nlcoloring.solver", "nlcoloring.sweeps"}

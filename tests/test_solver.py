@@ -147,6 +147,11 @@ ANCHOR_TREE_20 = Graph(20, [
     (0, 8), (0, 9), (0, 17), (1, 6), (1, 14), (2, 3), (2, 7), (2, 8), (3, 5),
     (3, 14), (4, 6), (5, 16), (6, 19), (9, 13), (10, 16), (11, 19), (12, 16),
     (15, 18), (18, 19)])
+# a tree whose lower bound (4) is one below its value: 5,443 of its 5,473
+# nodes refute k = 4, so the memo of failed states is on for most of them
+TREE_16 = Graph(16, [
+    (0, 6), (1, 4), (1, 11), (1, 15), (2, 7), (3, 6), (5, 11), (6, 7), (6, 12),
+    (6, 13), (7, 10), (8, 12), (9, 12), (11, 13), (11, 14)])
 ANCHOR_UNICYCLIC_20 = Graph(20, [
     (0, 15), (0, 17), (1, 3), (1, 9), (1, 12), (1, 18), (2, 3), (2, 15),
     (3, 19), (4, 7), (4, 13), (5, 8), (5, 13), (5, 16), (5, 18), (6, 8),
@@ -154,7 +159,7 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
 
 
 @pytest.mark.parametrize("g,chi,nodes,colors", [
-    (family_graph(FamilySpec.cycle(23)), 5, 53_674,  # refutes k = 4 exhaustively
+    (family_graph(FamilySpec.cycle(23)), 5, 58,  # the lower bound starts it at k = 5
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 41,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
@@ -167,7 +172,9 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
      [1, 1, 3, 1, 3, 3, 2, 1, 2, 2, 1, 3, 2, 4, 4, 2, 4, 2, 3, 4]),
     (ANCHOR_UNICYCLIC_20, 4, 457,
      [3, 1, 1, 2, 4, 4, 3, 2, 1, 2, 1, 4, 3, 1, 2, 2, 3, 4, 2, 3]),
-], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20"])
+    (TREE_16, 5, 5_473,  # refutes k = 4 exhaustively, past CHECK_EVERY nodes
+     [2, 1, 1, 3, 4, 1, 1, 2, 4, 5, 3, 4, 2, 2, 2, 5]),
+], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20", "tree-16"])
 def test_node_counts_are_pinned(g, chi, nodes, colors):
     # a change to the search order or the prunes shows here; lower the pin
     # when a change makes the search smaller.  The witnesses are pinned too,
@@ -196,17 +203,19 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     assert total == 35_590
 
 
-@pytest.mark.parametrize("spec,nodes", [
-    (FamilySpec.wheel(12), 41), (FamilySpec.cycle(12), 26), (FamilySpec.fan(9), 102),
-    (FamilySpec.cycle(23), 53_674), (FamilySpec.cycle(8), 113),
-], ids=["W12", "C12", "F9", "C23", "C8"])
-def test_attempts_share_one_node_count(spec, nodes):
+@pytest.mark.parametrize("g,nodes", [
+    (family_graph(FamilySpec.wheel(12)), 41), (family_graph(FamilySpec.cycle(12)), 26),
+    (family_graph(FamilySpec.fan(9)), 102), (family_graph(FamilySpec.cycle(23)), 58),
+    (family_graph(FamilySpec.cycle(8)), 17), (family_graph(FamilySpec.cycle(6)), 55),
+    (TREE_16, 5_473),
+], ids=["W12", "C12", "F9", "C23", "C8", "C6", "tree-16"])
+def test_attempts_share_one_node_count(g, nodes):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
     # is the same search as chi_nl_exact: the per-k replay of the benchmark
-    # depends on that.  C23 and C8 refute one k first (W12 and F9 start at
-    # their value, by the cone step); C23 is the one search here past
-    # CHECK_EVERY nodes, where the memo of failed states is on
-    g = family_graph(spec)
+    # depends on that.  C6 and the order-16 tree refute one k first (the
+    # lower bound starts the others at their value); the tree is the one
+    # search here past CHECK_EVERY nodes, where the memo of failed states
+    # is on
     result = chi_nl_exact(g)
     budget = _Budget(None)
     found = [exists_nl_coloring(g, k, budget=budget)
@@ -240,6 +249,21 @@ def test_search_alone_refutes_one_color_below_fans_and_wheels(spec):
     # of the lower bound; exists_nl_coloring reads no lower bound, so the
     # paper's values are still checked by an exhausted search
     assert exists_nl_coloring(family_graph(spec), chi_closed_form(spec) - 1)[0] is False
+
+
+@pytest.mark.parametrize("check_every", [solver.CHECK_EVERY, 1], ids=["memo", "memo-first"])
+@pytest.mark.parametrize("n,k,nodes", [(8, 3, (96, 87)), (23, 4, (53_616, 49_472))],
+                         ids=["C8", "C23"])
+def test_search_alone_refutes_the_exceptional_cycles(n, k, nodes, check_every, monkeypatch):
+    # chi_nl_exact starts the cycle of order ell(k) - 1 at k + 1, by the
+    # cycle bound of the lower bound; exists_nl_coloring reads no lower
+    # bound, so the paper's value is still checked by an exhausted search,
+    # with the memo of failed states on past CHECK_EVERY nodes and from the
+    # first node
+    monkeypatch.setattr(solver, "CHECK_EVERY", check_every)
+    budget = _Budget(None)
+    assert exists_nl_coloring(family_graph(FamilySpec.cycle(n)), k, budget=budget) == (False, None)
+    assert budget.nodes == nodes[check_every == 1]
 
 
 # every connected graph up to order 6: stars, complete and complete

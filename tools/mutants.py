@@ -1,9 +1,9 @@
 """Hand-made mutations that the tests must kill: of the solver and its
-schedule, its memo's key and renamed comparison, the lower bound and its
-cone step, the cycle pipeline's edge scan, the constructions' self-checks
-and the extremal graphs' splice, the CLI parser, graph validation,
-distances and degrees, the atlas count check, the delta sweep's degree,
-and the coloring type and verifier.
+schedule, its memo's key and renamed comparison, the lower bound, its
+cycle bound and its cone step, the cycle pipeline's edge scan, the
+constructions' self-checks and the extremal graphs' splice, the CLI
+parser, graph validation, distances and degrees, the atlas count check,
+the delta sweep's degree, and the coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -160,6 +160,18 @@ MUTATIONS = [
     Mutation("no unicyclic order bound", "bounds.py", (
         ('if unicyclic and k >= 3 and n > class_order_bound(k, "unicyclic"):', "if False:"),
     ), ("tests/test_bounds.py",)),
+    # the cycle bound of the lower bound: at order ell(k) - 1 only, on
+    # cycles only (a vertex of degree 3 lets a unicyclic graph of that
+    # order take k colors), and the bound taken at all
+    Mutation("cycle bound one order low", "bounds.py", (
+        ("and n == ell(k) - 1:  # a cycle", "and n == ell(k) - 2:  # a cycle"),
+    ), ("tests/test_bounds.py",)),
+    Mutation("cycle bound on every unicyclic graph", "bounds.py", (
+        ("if unicyclic and delta == 2 and k >= 3", "if unicyclic and k >= 3"),
+    ), ("tests/test_bounds.py",)),
+    Mutation("no cycle bound", "bounds.py", (
+        ("if unicyclic and delta == 2 and k >= 3 and n == ell(k) - 1:", "if False:"),
+    ), ("tests/test_solver.py",)),
     # the cone step of the lower bound: one color per peeled universal
     # vertex, the last one kept where the rest falls apart, and the step
     # taken at all

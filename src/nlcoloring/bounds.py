@@ -4,14 +4,19 @@ Capacity counts a1/a2/ell, order bounds for general / degree-bounded /
 unicyclic / tree inputs, the derived lower bound for arbitrary connected
 graphs, and the exact values for the named families (paths,
 cycles, fans, wheels, stars, double stars and the extremal
-unicyclic/caterpillar instances).  The lower bound joins four proved
+unicyclic/caterpillar instances).  The lower bound joins five proved
 bounds: the paper's order bounds, the twin bound, the cycle bound (no
-cycle of order ell(k) - 1 has a k-NL-coloring) and the cone step over
-universal vertices; each is proved in ``chi_lower_bound``.  All but the
-cone step's connectivity check is integer arithmetic.
+cycle of order ell(k) - 1 has a k-NL-coloring, nor one of even order a
+3-NL-coloring), the neighbour bound (the degrees of a vertex's
+neighbours cap how many it has) and the cone step over universal
+vertices; each is proved in ``chi_lower_bound``.  Everything but the
+cone step's connectivity check and the neighbour bound's sorts is
+integer arithmetic.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .graphs import FamilySpec, Graph, distances, twin_classes
 
@@ -99,19 +104,19 @@ def bounds_report(k: int, max_degree: int | None = None) -> dict:
 
 def chi_lower_bound(g: Graph) -> int:
     """Largest lower bound on the NL-chromatic number implied by the order
-    bounds, the twin classes, the exceptional cycles and the universal
-    vertices.
+    bounds, the twin classes, the cycles, the neighbours' degrees and the
+    universal vertices.
 
-    The floor of a graph is the smallest k passing every applicable
-    necessary condition: the general order bound, the degree-bounded order
-    bound (when the degree cap applies, which for paths and cycles is the
-    ell bound), and the tree order bound for n-1 edges and the unicyclic
-    one for n edges; for a cycle, k >= 3 with n = ell(k) - 1 fails too;
-    and at least min(t + 1, n) for a class of t >= 2 twins.  Never below 2
-    for graphs of order >= 2.  Where g has a universal vertex, the cone
-    step below may raise it.  The bound equals the NL-chromatic number on
-    every path and fan, on every cycle but C4 and C6, and on every wheel
-    but W5 and W7.
+    The floor of a graph is the smallest k >= min(t + 1, n), for its
+    largest class of t twins (t = 1 without twins), passing every
+    applicable necessary condition: the general order bound, the
+    degree-bounded order bound (when the degree cap applies, which for
+    paths and cycles is the ell bound), and the tree order bound for n-1
+    edges and the unicyclic one for n edges; for a cycle, k >= 3 with
+    n = ell(k) - 1 fails too, and so does k = 3 with n even; and the
+    neighbour bound.  Never below 2 for graphs of order >= 2.  Where g has
+    a universal vertex, the cone step below may raise it.  The bound
+    equals the NL-chromatic number on every path, cycle, fan and wheel.
 
     Twin bound: two twins of one color would have equal signatures (false
     twins) or be adjacent (true twins), so a class takes t colors.  A class
@@ -133,6 +138,25 @@ def chi_lower_bound(g: Graph) -> int:
     the same number.  Order ell(k) - 1 leaves out exactly one pair (c, S).
     Then for a in S the count from c's side is k - 2 or k - 1, while a
     uses all its pairs and counts k toward c: no such coloring exists.
+    At k = 3 a cycle of even order n >= 4 has none either.  Let y_c say
+    whether c's pair (c, {a, b}) is used; the two counts for c and a read
+    2 [(c, {a}) used] + y_c = 2 [(a, {c}) used] + y_a, so all y_c are
+    equal and (c, {a}) is used iff (a, {c}) is.  If all are 0, every
+    vertex sees one color, so the colors alternate along the cycle and two
+    vertices of one color share a signature.  If all are 1, n is 3 plus
+    the number of pairs (c, {a}) used, which come two at a time: n is odd.
+
+    Neighbour bound: in a k-NL-coloring, a neighbour w of v has a color
+    other than v's, and a signature that holds v's color, not its own, and
+    at most deg(w) colors.  As w -> (color, signature) is one-to-one, at
+    most cap(d) = (k - 1) sum_{j < min(d, k - 1)} C(k - 2, j) neighbours
+    of v have degree <= d.  So, with v's neighbour degrees sorted
+    d_1 <= d_2 <= ..., every i has i <= cap(d_i).  Only a vertex of degree
+    above (k - 1)^2 can fail it once k is at least the twin bound: its
+    neighbours of degree 1 are false twins, at most k - 1 = cap(1), and
+    cap(d) >= (k - 1)^2 for d >= 2.  In particular every vertex has degree
+    <= cap(k - 1) = (k - 1) 2^(k - 2), which is (k - 1)^2 for k <= 3: every
+    graph with chi <= 3 has maximum degree <= (chi - 1)^2.
 
     Cone step: let u be adjacent to every other vertex, with g - u
     connected.  In an NL-coloring of g no other vertex takes u's color, as
@@ -151,10 +175,11 @@ def chi_lower_bound(g: Graph) -> int:
     there is: a universal vertex of g - U would be universal in g.
     g - P is not built.  With p = |P| and m edges in g, it has order
     n - p and m - p(p - 1)/2 - p(n - p) edges; its degrees are those of g
-    less p, and its twin classes those of g other than U.  U is a class
-    of true twins when |U| >= 2, no other vertex is a twin of a universal
-    one, and removing P, which every vertex left sees, keeps equal
-    neighbourhoods equal and distinct ones distinct.  The bound is the
+    less p, its neighbourhoods those of g less P, and its twin classes
+    those of g other than U.  U is a class of true twins when |U| >= 2, no
+    other vertex is a twin of a universal one, and removing P, which every
+    vertex left sees, keeps equal neighbourhoods equal and distinct ones
+    distinct.  The bound is the
     larger of floor(g) and p + floor(g - P); a graph with no universal
     vertex pays one comparison for the step.
     """
@@ -165,7 +190,7 @@ def _chi_lower_bound(g: Graph, twins: list[list[int]]) -> int:
     """``chi_lower_bound(g)``, given ``twins = twin_classes(g)`` (the solver's)."""
     n, adj = g.n, g.adj
     delta = max(map(len, adj))
-    bound = _floor(n, len(g.edges), delta, max(map(len, twins), default=1))
+    bound = _floor(n, len(g.edges), delta, max(map(len, twins), default=1), adj)
     if delta < n - 1:
         return bound
     universal = [v for v, near in enumerate(adj) if len(near) == delta]
@@ -180,16 +205,18 @@ def _chi_lower_bound(g: Graph, twins: list[list[int]]) -> int:
         return bound
     twin = max((len(c) for c in twins if len(adj[c[0]]) < delta), default=1)
     edges = len(g.edges) - peel * (peel - 1) // 2 - peel * (n - peel)
-    return max(bound, peel + _floor(n - peel, edges, rest_delta - peel, twin))
+    rest = _floor(n - peel, edges, rest_delta - peel, twin, adj, set(universal[:peel]))
+    return max(bound, peel + rest)
 
 
-def _floor(n: int, m: int, delta: int, twin: int) -> int:
-    """The floor of ``chi_lower_bound`` for a connected graph of order n with
+def _floor(n: int, m: int, delta: int, twin: int, adj: tuple[tuple[int, ...], ...],
+           peeled: set[int] | tuple = ()) -> int:
+    """The bound without the cone step for a connected graph of order n with
     m edges, maximum degree delta and a largest twin class of twin vertices
-    (1 when it has none)."""
+    (1 when it has none): adj less the vertices peeled, which see all of it."""
     twin_bound = min(twin + 1, n)
     tree, unicyclic = m == n - 1, m == n  # as ``is_tree`` decides it
-    for k in range(2, n + 1):
+    for k in range(max(twin_bound, 2), n + 1):
         if n > max_order(k):
             continue
         if delta <= k - 1 and n > max_order(k, delta):
@@ -198,10 +225,25 @@ def _floor(n: int, m: int, delta: int, twin: int) -> int:
             continue
         if unicyclic and k >= 3 and n > class_order_bound(k, "unicyclic"):
             continue
-        if unicyclic and delta == 2 and k >= 3 and n == ell(k) - 1:  # a cycle
+        if unicyclic and delta == 2 and k >= 3 and (n == ell(k) - 1 or k == 3 and n % 2 == 0):
+            continue  # a cycle
+        if delta > (k - 1) ** 2 and (delta > (k - 1) << k - 2  # above cap(k - 1)
+                                     or not _neighbours_fit(k, adj, peeled)):
             continue
-        return max(k, twin_bound)
+        return k
     return n
+
+
+def _neighbours_fit(k: int, adj: tuple[tuple[int, ...], ...], peeled: set[int] | tuple) -> bool:
+    """Whether every vertex of adj less peeled has, for each i, its i-th
+    smallest neighbour degree d_i with i <= cap(d_i) at k colors."""
+    p, cap = len(peeled), [(k - 1) * sum(comb(k - 2, j) for j in range(d)) for d in range(k)]
+    for v, near in enumerate(adj):
+        if len(near) - p > (k - 1) ** 2 and v not in peeled:
+            degrees = sorted(len(adj[w]) - p for w in near if w not in peeled)
+            if not all(i <= cap[min(d, k - 1)] for i, d in enumerate(degrees, 1)):
+                return False
+    return True
 
 
 def bracket(n: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlcoloring import (
+    Coloring,
     FamilySpec,
     Graph,
     a1,
@@ -22,6 +23,7 @@ from nlcoloring import (
     ell,
     enumerate_trees,
     family_graph,
+    is_nl_coloring,
     max_order,
     tree_max_degree,
     twin_classes,
@@ -96,11 +98,17 @@ def test_chi_lower_bound_examples():
     with pytest.raises(TypeError):  # the bound finds the twin classes itself
         chi_lower_bound(family_graph(FamilySpec.path(5)), [[0, 1, 2, 3, 4]])
     # a tree of order 119 needs at least 7 colors (tree bound at 6 is 118):
-    # the spider with 59 legs of length 2, which has no twins and whose
-    # maximum degree 59 lets no degree-bounded order bound apply
+    # the spider with 6 legs of lengths 19 and 20, which has no twins and
+    # whose maximum degree 6 lets no degree-bounded order bound apply at 6
+    legs = Graph(119, [(0 if i in (1, 20, 39, 59, 79, 99) else i - 1, i) for i in range(1, 119)])
+    assert twin_classes(legs) == [] and max(map(len, legs.adj)) == 6
+    assert chi_lower_bound(legs) == 7
+    # the spider with 59 legs of length 2 has the same order and no twins,
+    # but its centre's 59 neighbours of degree 2 need cap(2) = (k - 1)^2
+    # >= 59 by the neighbour bound, so k >= 9
     spider = Graph(119, [(0, i) for i in range(1, 60)] + [(i, i + 59) for i in range(1, 60)])
     assert twin_classes(spider) == []
-    assert chi_lower_bound(spider) == 7
+    assert chi_lower_bound(spider) == 9
     # C_65 with three pendant 2-paths at vertex 0: n = m = 71 lies above the
     # unicyclic bound 70 at k = 5 but not the general one (75), and the
     # maximum degree 5 lets no degree-bounded bound apply at k = 5
@@ -121,36 +129,34 @@ def _complete(n: int, missing: tuple[tuple[int, int], ...] = ()) -> Graph:
 
 
 def _floor_of(g: Graph) -> int:
-    """The order and twin bounds of g alone, without the cone step."""
+    """The lower bound of g without the cone step."""
     return _floor(g.n, len(g.edges), max(map(len, g.adj)),
-                  max(map(len, twin_classes(g)), default=1))
+                  max(map(len, twin_classes(g)), default=1), g.adj)
 
 
 @pytest.mark.parametrize("universe", [
     [family_graph(FamilySpec.path(n)) for n in range(2, 61)],
     [family_graph(FamilySpec.cycle(n)) for n in range(3, 61)],
     [t for n in range(1, 11) for t in enumerate_trees(n)],
-], ids=["paths", "cycles", "trees"])
+    # legs of length 2 on one centre: from 10 legs the neighbour bound sorts
+    # the centre's neighbour degrees, below its hub in the cone
+    [Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
+     for legs in range(3, 12)],
+], ids=["paths", "cycles", "trees", "spiders"])
 def test_a_universal_vertex_raises_the_lower_bound_by_one(universe):
     for h in universe:
         assert chi_lower_bound(cone(h)) >= 1 + chi_lower_bound(h), h.sorted_edges()
 
 
-def test_lower_bound_is_the_value_of_the_families_but_four():
-    # the cycle bound settles each cycle of order ell(k) - 1, and the cone
-    # step carries it to the wheels: the lower bound is the paper's value
-    # on every path, cycle, fan and wheel but C4, C6 and their cones, and
-    # never above it
-    below = []
+def test_lower_bound_is_the_value_of_every_path_cycle_fan_and_wheel():
+    # the cycle bound settles each cycle of order ell(k) - 1 and, at k = 3,
+    # C4 and C6, and the cone step carries them to the wheels: the lower
+    # bound is the paper's value on every path, cycle, fan and wheel
     for family, orders in (("path", range(2, 401)), ("cycle", range(3, 401)),
                            ("fan", range(4, 121)), ("wheel", range(4, 121))):
         for n in orders:
             spec = FamilySpec(family, (n,))
-            bound, value = chi_lower_bound(family_graph(spec)), chi_closed_form(spec)
-            assert bound <= value, spec.label()
-            if bound < value:
-                below.append(spec.label())
-    assert below == ["cycle(4)", "cycle(6)", "wheel(5)", "wheel(7)"]
+            assert chi_lower_bound(family_graph(spec)) == chi_closed_form(spec), spec.label()
 
 
 def test_cycle_bound_reads_only_cycles():
@@ -162,12 +168,29 @@ def test_cycle_bound_reads_only_cycles():
 
 
 def test_cone_step_examples():
-    # W30 = cone(C29) and F30 = cone(P29): 29 > ell(4) = 24 needs 5 colors
-    # below the hub, where the order and twin bounds of the cone give 5
-    for spec in (FamilySpec.wheel(30), FamilySpec.fan(30)):
+    # W29 = cone(C28) and F29 = cone(P28): 28 > ell(4) = 24 needs 5 colors
+    # below the hub, where the bound of the cone itself gives 5: its order
+    # is above max_order(4) = 28, and its hub has no more neighbours of
+    # degree <= 3 than cap(3) = 28 allows at k = 5
+    for spec in (FamilySpec.wheel(29), FamilySpec.fan(29)):
         g = family_graph(spec)
         assert _floor_of(g) == 5
         assert chi_lower_bound(g) == chi_closed_form(spec) == 6
+
+
+def test_neighbour_bound_is_tight():
+    # a hub of color 1 with all 12 neighbours that 4 colors allow it: for
+    # each color c of 2-4, a leaf (signature {1}), two vertices of the
+    # edges between colors (signatures {1, x}) and a corner of a triangle
+    # (signature {1, x, y}).  So its sorted neighbour degrees 1, 1, 1, 2 x 6,
+    # 3 x 3 meet cap(d) = 3, 9, 12 at k = 4 with equality, and the bound,
+    # the twin bound of the three leaves, is the value
+    g = Graph(13, [(0, v) for v in range(1, 13)]
+              + [(4, 5), (6, 7), (8, 9), (10, 11), (10, 12), (11, 12)])
+    colors = (1, 2, 3, 4, 2, 3, 2, 4, 3, 4, 2, 3, 4)
+    assert is_nl_coloring(g, Coloring(4, colors)).ok
+    assert sorted(len(g.adj[w]) for w in g.adj[0]) == [1] * 3 + [2] * 6 + [3] * 3
+    assert chi_lower_bound(g) == 4
 
 
 def _friendship(blades: int) -> Graph:

@@ -10,6 +10,7 @@ pair.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import pytest
@@ -295,6 +296,42 @@ def test_solver_matches_oracle_on_twin_rich_graphs(g):
 def test_memo_keeps_the_oracle_values_on_twin_rich_graphs(g):
     # the twin order reads colors that the memo's key must hold
     _check_against_oracle(g)
+
+
+def _caterpillar(leaves: tuple[int, ...]) -> Graph:
+    """A spine path with ``leaves[i]`` leaves on its i-th vertex."""
+    edges, n = [(i, i + 1) for i in range(len(leaves) - 1)], len(leaves)
+    for i, count in enumerate(leaves):
+        edges += [(i, n + j) for j in range(count)]
+        n += count
+    return Graph(n, edges)
+
+
+# trees where the neighbour bound of chi_lower_bound fires (a centre of
+# degree 5 with neighbours of degree 2 or more fails cap(2) = 4 at k = 3)
+# and trees where it does not: every caterpillar of order <= 10 with a
+# spine of 2-4 vertices and up to 3 leaves on each, and the complete
+# binary trees of depth 1-3
+BOUND_TREES = [
+    pytest.param([_spider(legs) for legs in [(1, 1, 2, 2, 2), (1, 2, 2, 2, 2), (2, 2, 2, 2, 2),
+                                             (1, 1, 1, 2, 2, 2), (2, 2, 2, 2), (1, 2, 3, 4)]],
+                 id="spiders"),
+    pytest.param([_caterpillar(leaves) for spine in (2, 3, 4)
+                  for leaves in itertools.product(range(4), repeat=spine)
+                  if spine + sum(leaves) <= 10], id="caterpillars"),
+    pytest.param([Graph(2 ** levels - 1, [((v - 1) // 2, v) for v in range(1, 2 ** levels - 1)])
+                  for levels in (2, 3, 4)], id="complete-binary-trees"),
+]
+
+
+@pytest.mark.parametrize("universe", BOUND_TREES)
+def test_oracle_refutes_every_k_below_the_lower_bound(universe):
+    # the lower bound is never above chi: no partition into fewer blocks
+    # than it is an NL-coloring
+    for g in universe:
+        for k in range(1, chi_lower_bound(g)):
+            assert not any(is_nl_coloring(g, c).ok for c in _partition_colorings(g, k)), \
+                (g.sorted_edges(), k)
 
 
 @st.composite

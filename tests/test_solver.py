@@ -192,7 +192,7 @@ def test_node_total_over_small_trees_is_pinned():
     # decides how soon signatures close; lower the pin when it shrinks
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(1, 12) for g in enumerate_trees(n))
-    assert total == 19_155
+    assert total == 19_097
 
 
 def test_node_total_over_small_connected_graphs_is_pinned():
@@ -200,22 +200,35 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     # where dense graphs make the properness prune fire
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(2, 8) for g in connected_graphs(n))
-    assert total == 35_590
+    assert total == 31_618
+
+
+@pytest.mark.parametrize("legs,nodes", [(10, 38_045), (11, 140_136)])
+def test_spiders_start_at_their_value(legs, nodes):
+    # the spider of 10 or 11 legs of length 2 has order <= max_order(4),
+    # but its centre has more neighbours of degree 2 than cap(2) = 9 allows
+    # at k = 4, so the neighbour bound starts the search at chi = 5.
+    # Refuting k = 4 by search took 584,302 / 1,774,332 nodes in all
+    g = Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
+    result = chi_nl_exact(g)
+    assert (chi_lower_bound(g), result.chi, result.status) == (5, 5, "Exact")
+    assert result.nodes_explored == nodes
 
 
 @pytest.mark.parametrize("g,nodes", [
     (family_graph(FamilySpec.wheel(12)), 41), (family_graph(FamilySpec.cycle(12)), 26),
     (family_graph(FamilySpec.fan(9)), 102), (family_graph(FamilySpec.cycle(23)), 58),
-    (family_graph(FamilySpec.cycle(8)), 17), (family_graph(FamilySpec.cycle(6)), 55),
+    (family_graph(FamilySpec.cycle(8)), 17),
+    (Graph(6, [(u, 3 + v) for u in range(3) for v in range(3)]), 27),
     (TREE_16, 5_473),
-], ids=["W12", "C12", "F9", "C23", "C8", "C6", "tree-16"])
+], ids=["W12", "C12", "F9", "C23", "C8", "K3,3", "tree-16"])
 def test_attempts_share_one_node_count(g, nodes):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
     # is the same search as chi_nl_exact: the per-k replay of the benchmark
-    # depends on that.  C6 and the order-16 tree refute one k first (the
-    # lower bound starts the others at their value); the tree is the one
-    # search here past CHECK_EVERY nodes, where the memo of failed states
-    # is on
+    # depends on that.  K3,3 refutes two k first (lower bound 4, value 6)
+    # and the order-16 tree one (the lower bound starts the others at their
+    # value); the tree is the one search here past CHECK_EVERY nodes, where
+    # the memo of failed states is on
     result = chi_nl_exact(g)
     budget = _Budget(None)
     found = [exists_nl_coloring(g, k, budget=budget)
@@ -252,14 +265,15 @@ def test_search_alone_refutes_one_color_below_fans_and_wheels(spec):
 
 
 @pytest.mark.parametrize("check_every", [solver.CHECK_EVERY, 1], ids=["memo", "memo-first"])
-@pytest.mark.parametrize("n,k,nodes", [(8, 3, (96, 87)), (23, 4, (53_616, 49_472))],
-                         ids=["C8", "C23"])
+@pytest.mark.parametrize("n,k,nodes", [
+    (4, 3, (6, 6)), (6, 3, (42, 42)), (8, 3, (96, 87)), (23, 4, (53_616, 49_472)),
+], ids=["C4", "C6", "C8", "C23"])
 def test_search_alone_refutes_the_exceptional_cycles(n, k, nodes, check_every, monkeypatch):
-    # chi_nl_exact starts the cycle of order ell(k) - 1 at k + 1, by the
-    # cycle bound of the lower bound; exists_nl_coloring reads no lower
-    # bound, so the paper's value is still checked by an exhausted search,
-    # with the memo of failed states on past CHECK_EVERY nodes and from the
-    # first node
+    # chi_nl_exact starts the cycle of order ell(k) - 1, and at k = 3 each
+    # cycle of even order, at k + 1, by the cycle bound of the lower bound;
+    # exists_nl_coloring reads no lower bound, so the paper's value is
+    # still checked by an exhausted search, with the memo of failed states
+    # on past CHECK_EVERY nodes and from the first node
     monkeypatch.setattr(solver, "CHECK_EVERY", check_every)
     budget = _Budget(None)
     assert exists_nl_coloring(family_graph(FamilySpec.cycle(n)), k, budget=budget) == (False, None)

@@ -1,9 +1,10 @@
 """Hand-made mutations that the tests must kill: of the solver and its
 schedule, its memo's key and renamed comparison, the lower bound, its
-cycle bound and its cone step, the cycle pipeline's edge scan, the
-constructions' self-checks and the extremal graphs' splice, the CLI
-parser, graph validation, distances and degrees, the atlas count check,
-the delta sweep's degree, and the coloring type and verifier.
+cycle bound and parity clause, its neighbour bound and its cone step,
+the cycle pipeline's edge scan, the constructions' self-checks and the
+extremal graphs' splice, the CLI parser, graph validation, distances and
+degrees, the atlas count check, the delta sweep's degree, and the
+coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -141,7 +142,7 @@ MUTATIONS = [
     ), SEARCH),
     # the twin bound of the lower bound: dropped, and one too high
     Mutation("no twin bound", "bounds.py", (
-        ("return max(k, twin_bound)", "return k"),
+        ("for k in range(max(twin_bound, 2), n + 1):", "for k in range(2, n + 1):"),
     ), ("tests/test_bounds.py", "tests/test_solver.py")),
     Mutation("twin bound one too high", "bounds.py", (
         ("twin_bound = min(twin + 1, n)", "twin_bound = min(twin + 2, n)"),
@@ -162,21 +163,48 @@ MUTATIONS = [
     ), ("tests/test_bounds.py",)),
     # the cycle bound of the lower bound: at order ell(k) - 1 only, on
     # cycles only (a vertex of degree 3 lets a unicyclic graph of that
-    # order take k colors), and the bound taken at all
+    # order take k colors), and the bound taken at all; its parity clause
+    # at k = 3 only (C10-C24 have 4-NL-colorings) and taken at all
     Mutation("cycle bound one order low", "bounds.py", (
-        ("and n == ell(k) - 1:  # a cycle", "and n == ell(k) - 2:  # a cycle"),
+        ("(n == ell(k) - 1 or", "(n == ell(k) - 2 or"),
     ), ("tests/test_bounds.py",)),
     Mutation("cycle bound on every unicyclic graph", "bounds.py", (
         ("if unicyclic and delta == 2 and k >= 3", "if unicyclic and k >= 3"),
     ), ("tests/test_bounds.py",)),
     Mutation("no cycle bound", "bounds.py", (
-        ("if unicyclic and delta == 2 and k >= 3 and n == ell(k) - 1:", "if False:"),
+        ("(n == ell(k) - 1 or", "(False or"),
     ), ("tests/test_solver.py",)),
+    Mutation("no parity clause", "bounds.py", (
+        ("or k == 3 and n % 2 == 0)", "or False)"),
+    ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    Mutation("parity clause at every k", "bounds.py", (
+        ("or k == 3 and n % 2 == 0)", "or n % 2 == 0)"),
+    ), ("tests/test_bounds.py",)),
+    # the neighbour bound of the lower bound: cap(d) exact, i <= cap(d_i)
+    # and not i < cap(d_i) (a hub with all 12 neighbours that 4 colors
+    # allow meets it with equality, as it meets the degree cap
+    # (k - 1) 2^(k - 2)), taken at all, and taken on g - P in the cone step
+    # (a tree's bound must carry over to its cone)
+    Mutation("neighbour cap one too large", "bounds.py", (
+        ("for j in range(d)) for d in range(k)]", "for j in range(d)) + 1 for d in range(k)]"),
+    ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    Mutation("neighbour bound strict", "bounds.py", (
+        ("if not all(i <= cap[", "if not all(i < cap["),
+    ), ("tests/test_bounds.py",)),
+    Mutation("no neighbour bound", "bounds.py", (
+        ("if delta > (k - 1) ** 2 and (", "if False and ("),
+    ), ("tests/test_bounds.py", "tests/test_solver.py")),
+    Mutation("neighbour degree cap one too low", "bounds.py", (
+        ("delta > (k - 1) << k - 2", "delta >= (k - 1) << k - 2"),
+    ), ("tests/test_bounds.py",)),
+    Mutation("no neighbour sort in the cone step", "bounds.py", (
+        ("twin, adj, set(universal[:peel]))", "twin, ())"),
+    ), ("tests/test_bounds.py",)),
     # the cone step of the lower bound: one color per peeled universal
     # vertex, the last one kept where the rest falls apart, and the step
     # taken at all
     Mutation("cone step adds 2 per peeled vertex", "bounds.py", (
-        ("return max(bound, peel + _floor(", "return max(bound, 2 * peel + _floor("),
+        ("return max(bound, peel + rest)", "return max(bound, 2 * peel + rest)"),
     ), ("tests/test_bounds.py", "tests/test_oracle.py")),
     Mutation("cone step peels all of U over a disconnected rest", "bounds.py", (
         ("if distances(g, start, universal).count(-1) == len(universal):", "if True:"),

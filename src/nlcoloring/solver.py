@@ -5,15 +5,18 @@ with four prunes: properness, signature clashes among vertices whose
 whole neighborhood is colored, color-symmetry breaking (of the unused
 colors a vertex may take only the lowest), and twin order (of two twins,
 vertices with equal open or closed neighbourhoods, the later in the order
-takes the higher color).  Past ``CHECK_EVERY`` nodes, a memo of the
-states found to fail, keyed by all that the rest of the search can see up
-to a renaming of the colors in use, backs the search off from any of them
-it meets again (failed-state caching, B. M. Smith, CP 2005; up to a
-symmetry, as in dominance detection, Fahle, Schamberger and Sellmann, CP
-2001).  The memo lives in ``_memo``, which a search imports only when it
-first passes ``CHECK_EVERY`` nodes, so a process whose searches all stay
-smaller (every sweep, every small ``chi --exact``) never loads it; why a
-hit skips no solution is argued in ``_search``.  The order is
+takes the higher color).  A depth that runs out of colors jumps back to
+the last depth that its failures read (conflict-directed backjumping,
+Prosser 1993), skipping only subtrees without a solution; ``_search``
+argues why.  Past ``CHECK_EVERY`` nodes, a memo of the states found to
+fail, keyed by all that the rest of the search can see up to a renaming
+of the colors in use, backs the search off from any of them it meets
+again (failed-state caching, B. M. Smith, CP 2005; up to a symmetry, as
+in dominance detection, Fahle, Schamberger and Sellmann, CP 2001).  The
+memo lives in ``_memo``, which a search imports only when it first passes
+``CHECK_EVERY`` nodes, so a process whose searches all stay smaller
+(every sweep, every small ``chi --exact``) never loads it; why a hit
+skips no solution is argued in ``_search``.  The order is
 breadth-first from the highest-degree vertex, lowest index on ties, and
 visits each vertex's neighbours by descending degree, then index; so
 every vertex after the first has a colored neighbour, and signatures
@@ -84,38 +87,56 @@ class _OutOfTime(TimeoutError):
 CHECK_EVERY = 4096  # nodes between two deadline checks; the first switches the memo on
 
 
-_Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int]]
+_Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int], list[int], list[int]]
 
 
 def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     """What ``_search`` does at each depth, whatever k is: (order, earlier,
-    final_at, twin).  ``twins`` is ``twin_classes(g)``, computed here unless
-    the caller has it.  One walk of the order places each vertex and finds
-    its earlier neighbours; it also sets ``closing[w]``, the largest depth
-    in w's closed neighbourhood, by raising it to d for ``order[d]`` and
-    each of its neighbours, as the depths only grow."""
+    final_at, twin, closed, reasons).  ``twins`` is ``twin_classes(g)``,
+    computed here unless the caller has it.  One walk places the vertices
+    breadth-first from the highest-degree vertex, lowest index on ties,
+    visiting each vertex's neighbours by descending degree, then index, so
+    every vertex after the first has a neighbour before it (the graph is
+    connected).  The walk's order grows while it is walked: at depth d it
+    places the unplaced neighbours of ``order[d]``, notes the placed ones as
+    its earlier neighbours, and adds d to ``closed[u]`` for each neighbour u
+    and ``order[d]`` itself, so ``closed[w]`` ends as the depths of w's
+    closed neighbourhood as a mask, the highest of them w's closing depth.
+    Once ``order[d]`` is walked, its ``closed`` holds the depths of its
+    earlier neighbours and its own: that is ``reasons[d]``, to which a
+    twin adds its earlier twin's depth."""
     n, adj = g.n, g.adj
-    order = _search_order(g)
+    degree = list(map(len, adj))
+    by_degree = degree.__getitem__
+    first = degree.index(max(degree))
+    order = [first]
     pos = [n] * n  # n: not placed yet
-    closing = [0] * n
-    earlier = []
-    for d, v in enumerate(order):
-        pos[v] = closing[v] = d
+    pos[first] = 0
+    closed = [0] * n
+    earlier, reasons = [], []
+    for d, v in enumerate(order):  # grows while it is walked
+        bit = 1 << d
         before = []
-        for u in adj[v]:
-            closing[u] = d
+        for u in sorted(adj[v], key=by_degree, reverse=True):  # stable: index on ties
+            closed[u] |= bit
             if pos[u] < d:
                 before.append(u)
+            elif pos[u] == n:
+                pos[u] = len(order)
+                order.append(u)
         earlier.append(before)
+        closed[v] |= bit
+        reasons.append(closed[v])
     final_at: list[list[int]] = [[] for _ in range(n)]
-    for w, d in enumerate(closing):
-        final_at[d].append(w)
+    for w, depths in enumerate(closed):
+        final_at[depths.bit_length() - 1].append(w)
     twin = [n] * n  # n: no earlier twin, and bits[n] stays 0
     for members in twin_classes(g) if twins is None else twins:
         members = sorted(members, key=pos.__getitem__)
         for u, w in zip(members, members[1:]):
             twin[pos[w]] = u
-    return order, earlier, final_at, twin
+            reasons[pos[w]] |= 1 << pos[u]
+    return order, earlier, final_at, twin, closed, reasons
 
 
 def _search(g: Graph, k: int, budget: _Budget,
@@ -125,13 +146,14 @@ def _search(g: Graph, k: int, budget: _Budget,
 
     The vertex order is breadth-first from the highest-degree vertex (lowest
     index on ties), visiting each vertex's neighbours by descending degree,
-    then index (``_search_order``).  It is fixed, so everything that depends
-    only on the depth is scheduled first, once per graph (``_schedule``,
-    built here unless the caller has it): ``earlier[d]``, the neighbours of
-    ``order[d]`` colored before it (the properness check), ``final_at[d]``,
-    the vertices whose closed neighbourhood is complete once ``order[d]`` is
-    colored (the signature check), and ``twin[d]``, the twin of ``order[d]``
-    last before it in the order (the twin check), or n where it has none.
+    then index.  It is fixed, so everything that depends only on the depth
+    is scheduled first, once per graph (``_schedule``, built here unless
+    the caller has it): ``earlier[d]``, the neighbours of ``order[d]``
+    colored before it (the properness check), ``final_at[d]``, the vertices
+    whose closed neighbourhood is complete once ``order[d]`` is colored (the
+    signature check), ``twin[d]``, the twin of ``order[d]`` last before it
+    in the order (the twin check), or n where it has none, and the masks of
+    depths that backjumping reads, ``closed[w]`` and ``reasons[d]``.
     Colors are bits, and ``bits`` is the search's only record of them:
     ``bits[v] = 1 << color``, 0 while v is uncolored and always at v = n,
     and a signature is the OR of ``bits`` over a neighbourhood.
@@ -175,6 +197,40 @@ def _search(g: Graph, k: int, budget: _Budget,
     disjoint classes and the chain of one pointer per depth orders each
     class completely.
 
+    A depth that runs out of colors sends the search back to the last depth
+    that explains why, not merely to the one before it (conflict-directed
+    backjumping: Prosser, Computational Intelligence 9(3), 1993, after
+    Gaschnig, 1979).  Each depth d keeps ``conflict[d]``, a mask of the
+    depths behind its failures.  It starts as ``reasons[d]``: d itself,
+    its earlier neighbours' depths (properness) and its earlier twin's
+    (twin order).  A signature clash at a closing vertex w adds the depths
+    of N[w] and of N[h], for h the vertex that holds the pair already
+    (``held`` keeps ``closed[h]`` under each pair as it is added).  Out of
+    colors, d jumps to the highest depth j in the rest of its mask, merges
+    that rest into ``conflict[j]`` and clears the colors of the depths it
+    skips, as the memo reads the uncolored vertices' signatures so far; an
+    empty rest ends the call.  Two cases step back one depth, as if every
+    depth before d were in the mask (-1): a depth whose limit is below k,
+    and a memo hit.
+
+    Why a jump skips no solution.  Call a solution a coloring the search
+    accepts: proper, with distinct (signature, color) pairs, colors opened
+    in order up to k and twins in order.  Each color that d rejects breaks
+    one of these conditions, and the condition reads only d and the depths
+    that the rejection added to ``conflict[d]``: properness the earlier
+    neighbours', twin order the twin's, and a clash the colors of N[w] and
+    N[h], which fix both pairs (h closes by depth d, so any prefix that
+    agrees on them and reaches w has the pair in use).  A color that went
+    deeper failed there, for reasons that by induction on the depth read
+    only the depths merged back into ``conflict[d]``.  So every prefix that
+    agrees with this one on ``conflict[d]``, among them each that differs
+    only strictly between j and d, fails at d: the subtrees a jump skips
+    hold no solution, and the first witness is unchanged.  The rule that
+    opens colors in order reads every depth before d, through the highest
+    color used there, so where it cut colors (the limit is below k) the
+    failure reads them all; at the limit k it cuts none, as no color is
+    above k.  A memo hit reads the whole state too.
+
     Past ``CHECK_EVERY`` nodes of this call the search imports ``_memo``
     and switches on its ``Memo``.  From then on, entering depth d asks
     ``Memo.seen`` whether the state has failed before, and backs off
@@ -188,8 +244,10 @@ def _search(g: Graph, k: int, budget: _Budget,
     a new pair must miss ``used``, ``limit[d]`` fixes which colors may
     open, and twin order reads colors in the front.  A state the memo has
     not met is remembered at once, as the search only comes back above the
-    depth once its subtree holds no solution (a witness ends the call, and
-    by induction the hits below it skipped none).
+    depth once its subtree holds no solution: a witness ends the call, by
+    induction the hits below it skipped none, and a jump from below it to
+    above it leaves a subtree that holds no valid completion of the current
+    prefix, which is the set that the key fixes.
 
     The memo compares keys up to renaming the colors in use, 1..m: each
     shows in the key, as a colored vertex is in the front or its pair is in
@@ -212,44 +270,49 @@ def _search(g: Graph, k: int, budget: _Budget,
     the earlier one's value, which a renaming does not keep.  At those
     depths the memo compares keys as they are.
     """
-    order, earlier, final_at, twin = schedule or _schedule(g)
+    order, earlier, final_at, twin, closed, reasons = schedule or _schedule(g)
     n, adj = g.n, g.adj
-    slot: dict[int, int] = {}  # (signature, color bit) -> its bit in used
+    shift = k + 1  # a pair is its signature shifted past the color bits, OR its color bit
+    slot: dict[int, int] = {}  # pair -> its bit in used
+    held: dict[int, int] = {}  # pair -> closed[w] of the vertex w that added it last
     used = 0
     base = [0] * n  # used on entry to each depth
     bits = [0] * (n + 1)  # bits[n] stays 0: the color of no twin
     cands = [0b10] * n  # depth 0 may take color 1 only; deeper ones are set on entry
     tried = [0] * n
     limit = [1] * n
+    conflict = [-1] * n  # the depths behind each depth's failures; -1: every one before it
     memo = None  # the memo, once it is on
     nodes = 0
     next_check = CHECK_EVERY
     depth = 0
     try:
-        while depth >= 0:
+        while True:
             v = order[depth]
             if bits[v]:  # undo the color that led deeper
                 used = base[depth]
             last = tried[depth]
-            rest = cands[depth] >> (last + 1) << (last + 1)
+            rest = cands[depth] & -2 << last  # the candidates above the last color tried
             closing = final_at[depth]
             while rest:  # the lowest candidate whose signatures are all new
                 bit = rest & -rest
                 rest ^= bit
-                color = bit.bit_length() - 1
                 bits[v] = bit
                 now = used
                 for w in closing:
                     sig = 0
                     for u in adj[w]:
                         sig |= bits[u]
-                    pair = sig << k + 1 | bits[w]  # a new pair takes the next bit
+                    pair = sig << shift | bits[w]  # a new pair takes the next bit
                     b = slot.get(pair) or slot.setdefault(pair, 1 << len(slot))
                     if now & b:
+                        conflict[depth] |= closed[w] | held[pair]
                         break
                     now |= b
+                    held[pair] = closed[w]
                 else:
                     used = now
+                    color = bit.bit_length() - 1
                     break  # every signature is new: keep this color
             else:  # no candidate left: pass over the colors up to the limit
                 color = limit[depth]
@@ -263,14 +326,29 @@ def _search(g: Graph, k: int, budget: _Budget,
                     from ._memo import Memo  # here, so small searches never load it
 
                     memo = Memo(g, k, slot, order, final_at, twin)
-            if not bits[v]:
-                depth -= 1
+            if not bits[v]:  # jump back to the last depth that explains the failure
+                why = conflict[depth]
+                if why < 0:
+                    back = depth - 1
+                else:
+                    why ^= 1 << depth
+                    back = why.bit_length() - 1
+                if back < 0:
+                    return None
+                conflict[back] |= why
+                for u in order[back + 1:depth]:
+                    bits[u] = 0
+                depth = back
                 continue
             if depth + 1 == n:
                 return tuple(bit.bit_length() - 1 for bit in bits[:n])
             depth += 1
             base[depth] = used
-            top = limit[depth] = min(k, max(limit[depth - 1], color + 1))
+            top = limit[depth - 1]
+            if color == top < k:  # the depth before opened a color: one more may open
+                top += 1
+            limit[depth] = top
+            conflict[depth] = reasons[depth] if top == k else -1
             tried[depth] = (bits[twin[depth]] >> 1).bit_length()  # 0: no twin
             forbidden = 0
             for u in earlier[depth]:
@@ -278,28 +356,9 @@ def _search(g: Graph, k: int, budget: _Budget,
             cands[depth] = ((2 << top) - 2) & ~forbidden
             if memo is not None and memo.seen(depth, tried, bits, top, used):
                 tried[depth] = top  # back off as if exhausted, passing no color
-        return None
+                conflict[depth] = -1
     finally:
         budget.nodes += nodes
-
-
-def _search_order(g: Graph) -> list[int]:
-    """Breadth-first order from the highest-degree vertex, lowest index on
-    ties, visiting each vertex's neighbours by descending degree, then
-    index.  The graph is connected, so every vertex after the first has a
-    neighbour before it."""
-    adj = g.adj
-    keys = [(-len(near), v) for v, near in enumerate(adj)]  # v's sort key
-    by_degree = keys.__getitem__
-    order = [min(keys)[1]]
-    seen = [False] * g.n
-    seen[order[0]] = True
-    for v in order:  # grows while it is walked
-        for u in sorted(adj[v], key=by_degree):
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-    return order
 
 
 def exists_nl_coloring(g: Graph, k: int, *,

@@ -31,7 +31,6 @@ from nlcoloring import (
 )
 from nlcoloring import _memo, solver
 from nlcoloring.graphs import cone
-from nlcoloring.solver import _search_order
 
 
 def _partition_colorings(g: Graph, k: int) -> Iterator[Coloring]:
@@ -66,6 +65,11 @@ def oracle_chi(g: Graph) -> int:
     return k
 
 
+def _search_order(g: Graph) -> list[int]:
+    """The order in which ``solver._search`` colors the vertices."""
+    return solver._schedule(g)[0]
+
+
 def _check_against_oracle(g: Graph) -> None:
     chi = oracle_chi(g)
     result = chi_nl_exact(g)
@@ -89,6 +93,44 @@ def test_oracle_on_known_values():
 def _cones_over_trees(n: int) -> list[Graph]:
     """Every tree of order n with a universal vertex added (``cone``)."""
     return [cone(t) for t in enumerate_trees(n)]
+
+
+def _spider(legs: tuple[int, ...]) -> Graph:
+    """A centre (vertex 0) with one path of each given length hanging off it."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Graph(n, edges)
+
+
+def _caterpillar(leaves: tuple[int, ...]) -> Graph:
+    """A spine path with ``leaves[i]`` leaves on its i-th vertex."""
+    edges, n = [(i, i + 1) for i in range(len(leaves) - 1)], len(leaves)
+    for i, count in enumerate(leaves):
+        edges += [(i, n + j) for j in range(count)]
+        n += count
+    return Graph(n, edges)
+
+
+def _spiders(n: int) -> list[Graph]:
+    """Every spider of order at most n: three or more legs on one centre."""
+    return [_spider(legs) for count in range(3, n) for legs in
+            itertools.combinations_with_replacement(range(1, n - 2), count) if sum(legs) < n]
+
+
+def _caterpillars(n: int) -> list[Graph]:
+    """Every caterpillar of order at most n with a spine of 2-4 vertices and
+    up to 3 leaves on each, one of each pair of mirror images."""
+    return [_caterpillar(leaves) for spine in (2, 3, 4)
+            for leaves in itertools.product(range(4), repeat=spine)
+            if spine + sum(leaves) <= n and leaves <= leaves[::-1]]
+
+
+def _complete_binary_trees(n: int) -> list[Graph]:
+    """The complete binary trees of order at most n."""
+    return [Graph(2 ** levels - 1, [((v - 1) // 2, v) for v in range(1, 2 ** levels - 1)])
+            for levels in range(2, (n + 1).bit_length())]
 
 
 # every tree up to order 9 (ids 1..9), every connected graph up to order 7
@@ -151,10 +193,15 @@ def _least_in_search_order(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-# every connected graph up to order 6 and every tree of order 7 and 8
+# every connected graph up to order 6, every tree of order 7 and 8, and
+# the spiders, caterpillars and complete binary trees up to order 10, where
+# the search jumps back past legs and branches that a failure does not read
 WITNESS_UNIVERSES = [
     *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 7)),
     *(pytest.param(enumerate_trees, n, id=str(n)) for n in (7, 8)),
+    pytest.param(_spiders, 10, id="spiders-10"),
+    pytest.param(_caterpillars, 10, id="caterpillars-10"),
+    pytest.param(_complete_binary_trees, 10, id="complete-binary-trees-10"),
 ]
 
 
@@ -242,15 +289,6 @@ def test_memo_renames_used_as_the_definition_does(universe, n, monkeypatch):
     assert calls
 
 
-def _spider(legs: tuple[int, ...]) -> Graph:
-    """A centre (vertex 0) with one path of each given length hanging off it."""
-    edges, n = [], 1
-    for length in legs:
-        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
-        n += length
-    return Graph(n, edges)
-
-
 def _complete(n: int, missing: tuple[tuple[int, int], ...] = ()) -> Graph:
     return Graph(n, [(u, v) for v in range(n) for u in range(v) if (u, v) not in missing])
 
@@ -298,15 +336,6 @@ def test_memo_keeps_the_oracle_values_on_twin_rich_graphs(g):
     _check_against_oracle(g)
 
 
-def _caterpillar(leaves: tuple[int, ...]) -> Graph:
-    """A spine path with ``leaves[i]`` leaves on its i-th vertex."""
-    edges, n = [(i, i + 1) for i in range(len(leaves) - 1)], len(leaves)
-    for i, count in enumerate(leaves):
-        edges += [(i, n + j) for j in range(count)]
-        n += count
-    return Graph(n, edges)
-
-
 # trees where the neighbour bound of chi_lower_bound fires (a centre of
 # degree 5 with neighbours of degree 2 or more fails cap(2) = 4 at k = 3)
 # and trees where it does not: every caterpillar of order <= 10 with a
@@ -316,11 +345,8 @@ BOUND_TREES = [
     pytest.param([_spider(legs) for legs in [(1, 1, 2, 2, 2), (1, 2, 2, 2, 2), (2, 2, 2, 2, 2),
                                              (1, 1, 1, 2, 2, 2), (2, 2, 2, 2), (1, 2, 3, 4)]],
                  id="spiders"),
-    pytest.param([_caterpillar(leaves) for spine in (2, 3, 4)
-                  for leaves in itertools.product(range(4), repeat=spine)
-                  if spine + sum(leaves) <= 10], id="caterpillars"),
-    pytest.param([Graph(2 ** levels - 1, [((v - 1) // 2, v) for v in range(1, 2 ** levels - 1)])
-                  for levels in (2, 3, 4)], id="complete-binary-trees"),
+    pytest.param(_caterpillars(10), id="caterpillars"),
+    pytest.param(_complete_binary_trees(15), id="complete-binary-trees"),
 ]
 
 

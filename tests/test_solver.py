@@ -147,8 +147,8 @@ ANCHOR_TREE_20 = Graph(20, [
     (0, 8), (0, 9), (0, 17), (1, 6), (1, 14), (2, 3), (2, 7), (2, 8), (3, 5),
     (3, 14), (4, 6), (5, 16), (6, 19), (9, 13), (10, 16), (11, 19), (12, 16),
     (15, 18), (18, 19)])
-# a tree whose lower bound (4) is one below its value: 5,443 of its 5,473
-# nodes refute k = 4, so the memo of failed states is on for most of them
+# a tree whose lower bound (4) is one below its value: 2,892 of its 2,922
+# nodes refute k = 4
 TREE_16 = Graph(16, [
     (0, 6), (1, 4), (1, 11), (1, 15), (2, 7), (3, 6), (5, 11), (6, 7), (6, 12),
     (6, 13), (7, 10), (8, 12), (9, 12), (11, 13), (11, 14)])
@@ -168,11 +168,11 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
     (family_graph(FamilySpec.fan(30)), 6, 142,
      [6, 2, 3, 2, 3, 4, 2, 3, 5, 2, 3, 6, 2, 4, 2, 4, 5, 2, 4, 6, 2, 5, 2, 5, 6, 3, 4, 3,
       5, 1]),
-    (ANCHOR_TREE_20, 4, 111,
+    (ANCHOR_TREE_20, 4, 87,
      [1, 1, 3, 1, 3, 3, 2, 1, 2, 2, 1, 3, 2, 4, 4, 2, 4, 2, 3, 4]),
-    (ANCHOR_UNICYCLIC_20, 4, 457,
+    (ANCHOR_UNICYCLIC_20, 4, 98,
      [3, 1, 1, 2, 4, 4, 3, 2, 1, 2, 1, 4, 3, 1, 2, 2, 3, 4, 2, 3]),
-    (TREE_16, 5, 5_473,  # refutes k = 4 exhaustively, past CHECK_EVERY nodes
+    (TREE_16, 5, 2_922,  # refutes k = 4 exhaustively
      [2, 1, 1, 3, 4, 1, 1, 2, 4, 5, 3, 4, 2, 2, 2, 5]),
 ], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20", "tree-16"])
 def test_node_counts_are_pinned(g, chi, nodes, colors):
@@ -192,7 +192,7 @@ def test_node_total_over_small_trees_is_pinned():
     # decides how soon signatures close; lower the pin when it shrinks
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(1, 12) for g in enumerate_trees(n))
-    assert total == 19_097
+    assert total == 15_148
 
 
 def test_node_total_over_small_connected_graphs_is_pinned():
@@ -200,42 +200,50 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     # where dense graphs make the properness prune fire
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(2, 8) for g in connected_graphs(n))
-    assert total == 31_618
+    assert total == 31_091
 
 
-@pytest.mark.parametrize("legs,nodes", [(10, 38_045), (11, 140_136)])
+def _spider(legs: int) -> Graph:
+    """The spider of ``legs`` legs of length 2 on centre 0."""
+    return Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
+
+
+@pytest.mark.parametrize("legs,nodes", [(10, 4_882), (11, 7_553)], ids=["10-legs", "11-legs"])
 def test_spiders_start_at_their_value(legs, nodes):
     # the spider of 10 or 11 legs of length 2 has order <= max_order(4),
     # but its centre has more neighbours of degree 2 than cap(2) = 9 allows
-    # at k = 4, so the neighbour bound starts the search at chi = 5.
+    # at k = 4, so the neighbour bound starts the search at chi = 5.  The
+    # witness search jumps back past the legs that a clash does not read.
     # Refuting k = 4 by search took 584,302 / 1,774,332 nodes in all
-    g = Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
+    g = _spider(legs)
     result = chi_nl_exact(g)
     assert (chi_lower_bound(g), result.chi, result.status) == (5, 5, "Exact")
     assert result.nodes_explored == nodes
 
 
 @pytest.mark.parametrize("g,nodes", [
-    (family_graph(FamilySpec.wheel(12)), 41), (family_graph(FamilySpec.cycle(12)), 26),
-    (family_graph(FamilySpec.fan(9)), 102), (family_graph(FamilySpec.cycle(23)), 58),
-    (family_graph(FamilySpec.cycle(8)), 17),
-    (Graph(6, [(u, 3 + v) for u in range(3) for v in range(3)]), 27),
-    (TREE_16, 5_473),
+    (family_graph(FamilySpec.wheel(12)), (41, 41)), (family_graph(FamilySpec.cycle(12)), (26, 26)),
+    (family_graph(FamilySpec.fan(9)), (95, 91)), (family_graph(FamilySpec.cycle(23)), (58, 58)),
+    (family_graph(FamilySpec.cycle(8)), (17, 17)),
+    (Graph(6, [(u, 3 + v) for u in range(3) for v in range(3)]), (27, 27)),
+    (TREE_16, (2_922, 1_750)),
 ], ids=["W12", "C12", "F9", "C23", "C8", "K3,3", "tree-16"])
-def test_attempts_share_one_node_count(g, nodes):
+def test_attempts_share_one_node_count(g, nodes, monkeypatch):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
     # is the same search as chi_nl_exact: the per-k replay of the benchmark
     # depends on that.  K3,3 refutes two k first (lower bound 4, value 6)
     # and the order-16 tree one (the lower bound starts the others at their
-    # value); the tree is the one search here past CHECK_EVERY nodes, where
-    # the memo of failed states is on
-    result = chi_nl_exact(g)
-    budget = _Budget(None)
-    found = [exists_nl_coloring(g, k, budget=budget)
-             for k in range(chi_lower_bound(g), result.chi + 1)]
-    assert [ok for ok, _ in found] == [False] * (len(found) - 1) + [True]
-    assert found[-1][1] == result.witness
-    assert budget.nodes == result.nodes_explored == nodes
+    # value).  No search here passes CHECK_EVERY nodes, so each runs once
+    # as it is and once with the memo of failed states on from the first node
+    for check_every, pinned in zip((solver.CHECK_EVERY, 1), nodes):
+        monkeypatch.setattr(solver, "CHECK_EVERY", check_every)
+        result = chi_nl_exact(g)
+        budget = _Budget(None)
+        found = [exists_nl_coloring(g, k, budget=budget)
+                 for k in range(chi_lower_bound(g), result.chi + 1)]
+        assert [ok for ok, _ in found] == [False] * (len(found) - 1) + [True]
+        assert found[-1][1] == result.witness
+        assert budget.nodes == result.nodes_explored == pinned
 
 
 @pytest.mark.parametrize("spec", [
@@ -298,9 +306,13 @@ def test_a_color_cap_decides_as_exists_does(g):
 
 def _schedule_by_definition(g: Graph) -> solver._Schedule:
     """``_schedule(g)`` recomputed from its definition, vertex by vertex."""
-    order = solver._search_order(g)
+    key = {v: (-len(g.adj[v]), v) for v in range(g.n)}  # descending degree, then index
+    order = [min(range(g.n), key=key.__getitem__)]
+    for v in order:  # breadth-first; grows while it is walked
+        order += [u for u in sorted(g.adj[v], key=key.__getitem__) if u not in order]
     pos = {v: d for d, v in enumerate(order)}
-    earlier = [[u for u in g.adj[v] if pos[u] < d] for d, v in enumerate(order)]
+    earlier = [sorted((u for u in g.adj[v] if pos[u] < d), key=key.__getitem__)
+               for d, v in enumerate(order)]
     final_at = [[] for _ in range(g.n)]
     for w in range(g.n):  # increasing w, so each list is in increasing order
         final_at[max(pos[u] for u in (w, *g.adj[w]))].append(w)
@@ -309,15 +321,26 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
     for d, v in enumerate(order):
         before = [u for u in twin_class.get(v, ()) if pos[u] < d]
         twin.append(max(before, key=pos.__getitem__) if before else g.n)
-    return order, earlier, final_at, twin
+    closed = [sum(1 << pos[u] for u in (w, *g.adj[w])) for w in range(g.n)]
+    reasons = []
+    for d in range(g.n):
+        depths = {d, *(pos[u] for u in earlier[d])}
+        if twin[d] < g.n:
+            depths.add(pos[twin[d]])
+        reasons.append(sum(1 << e for e in depths))
+    return order, earlier, final_at, twin, closed, reasons
 
 
 @pytest.mark.parametrize("universe", ["atlas", "trees", "C23", "F30", "P3000"])
 def test_schedule_matches_its_definition(universe):
-    # earlier[d]: the neighbours of order[d] placed before depth d, in adj
+    # order: breadth-first from the highest-degree vertex, lowest index on
+    # ties, each vertex's neighbours by descending degree, then index;
+    # earlier[d]: the neighbours of order[d] placed before depth d, in that
     # order; final_at[d]: the vertices, in increasing order, whose closed
     # neighbourhood has its largest position at d; twin[d]: the twin of
-    # order[d] last before it in the order, or n
+    # order[d] last before it in the order, or n; closed[w]: the depths of
+    # w's closed neighbourhood as a mask; reasons[d]: the depths of order[d],
+    # its earlier neighbours and its earlier twin
     graphs = {
         "atlas": [g for n in range(1, 8) for g in connected_graphs(n)],
         "trees": [g for n in range(1, 11) for g in enumerate_trees(n)],
@@ -338,7 +361,7 @@ def test_memo_schedule_reads_the_twins(g):
     # before the depth and a later one is not.  Every color that the key
     # reads at a depth was placed at since[depth] or later, so the colors
     # placed from there on fix the key
-    order, _, final_at, twin = solver._schedule(g)
+    order, _, final_at, twin, *_ = solver._schedule(g)
     front, exact, since = _memo.memo_schedule(g, order, final_at, twin)
     pos = {v: d for d, v in enumerate(order)}
     checked_at, spans = {}, []
@@ -371,7 +394,7 @@ def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
     monkeypatch.setattr(_memo, "Memo", Spy)
     monkeypatch.setattr(solver, "CHECK_EVERY", 1)
     chi_nl_exact(g)
-    order, _, final_at, twin = solver._schedule(g)
+    order, _, final_at, twin, *_ = solver._schedule(g)
     _, exact, _ = _memo.memo_schedule(g, order, final_at, twin)
     for memo in memos:
         for (front_key, _, depth), (shape, _) in memo.groups.items():
@@ -379,6 +402,27 @@ def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
                 assert shape is memo.shapes[front_key], (depth, g.sorted_edges())
             elif shape is not None:  # a group with one front key
                 assert front_key == shape[0], (depth, g.sorted_edges())
+
+
+@pytest.mark.parametrize("g", [_spider(10), TREE_16, ANCHOR_UNICYCLIC_20],
+                         ids=["spider-10", "tree-16", "anchor-unicyclic-20"])
+def test_memo_reads_no_color_at_or_past_its_depth(g, monkeypatch):
+    # the memo keys the state entering a depth by, among others, the
+    # signatures so far of vertices colored from that depth on, so those
+    # must all be uncolored: a jump back clears the colors of the depths it
+    # skips.  These searches jump, and the memo is on from the first node
+    order = solver._schedule(g)[0]
+    seen, depths = _memo.Memo.seen, []
+
+    def checked(memo, depth, tried, bits, top, used):
+        assert not any(bits[v] for v in order[depth:]), (depth, g.sorted_edges())
+        depths.append(depth)
+        return seen(memo, depth, tried, bits, top, used)
+
+    monkeypatch.setattr(_memo.Memo, "seen", checked)
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+    chi_nl_exact(g)
+    assert depths
 
 
 def test_universal_vertex_law_small():

@@ -1,10 +1,10 @@
-"""Hand-made mutations that the tests must kill: of the solver and its
-schedule, its memo's key and renamed comparison, the lower bound, its
-cycle bound and parity clause, its neighbour bound and its cone step,
-the cycle pipeline's edge scan, the constructions' self-checks and the
-extremal graphs' splice, the CLI parser, graph validation, distances and
-degrees, the atlas count check, the delta sweep's degree, and the
-coloring type and verifier.
+"""Hand-made mutations that the tests must kill: of the solver, its
+schedule and its backjumping, its memo's key and renamed comparison, the
+lower bound, its cycle bound and parity clause, its neighbour bound and
+its cone step, the cycle pipeline's edge scan, the constructions'
+self-checks and the extremal graphs' splice, the CLI parser, graph
+validation, distances and degrees, the atlas count check, the delta
+sweep's degree, and the coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -112,14 +112,29 @@ MUTATIONS = [
     Mutation("first renaming sums the bits high to low", "_memo.py", (
         ('format(used, "b")[::-1]', 'format(used, "b")'),
     ), ORACLE),
-    # the per-depth schedule: a vertex's closing depth is the last depth
-    # of its closed neighbourhood, so it must rise with the vertex and with
-    # each neighbour
+    # the per-depth schedule: a vertex's closed neighbourhood, whose last
+    # depth is its closing depth, must gain the vertex and each neighbour
     Mutation("schedule closing depth skips the neighbours", "solver.py", (
-        ("            closing[u] = d\n", ""),
+        ("            closed[u] |= bit\n", ""),
     ), SEARCH),
     Mutation("schedule closing depth skips the vertex", "solver.py", (
-        ("pos[v] = closing[v] = d", "pos[v] = d"),
+        ("        closed[v] |= bit\n", ""),
+    ), SEARCH),
+    # backjumping: a clash reads the holder's neighbourhood too, twin order
+    # reads the earlier twin's depth, a memo hit steps back one depth, and a
+    # jump clears the colors of the depths it skips, which the memo's key
+    # reads as signatures so far
+    Mutation("backjump without the holder's neighbourhood", "solver.py", (
+        ("conflict[depth] |= closed[w] | held[pair]", "conflict[depth] |= closed[w]"),
+    ), ORACLE),
+    Mutation("backjump without the twin's depth", "solver.py", (
+        ("            reasons[pos[w]] |= 1 << pos[u]\n", ""),
+    ), ORACLE),
+    Mutation("backjump past a memo hit", "solver.py", (
+        ("passing no color\n                conflict[depth] = -1\n", "passing no color\n"),
+    ), ORACLE),
+    Mutation("backjump keeps the skipped colors", "solver.py", (
+        ("                for u in order[back + 1:depth]:\n                    bits[u] = 0\n", ""),
     ), SEARCH),
     # the four prunes of the search
     Mutation("no properness prune", "solver.py", (
@@ -129,8 +144,7 @@ MUTATIONS = [
         ("if now & b:", "if False:"),
     ), SEARCH),
     Mutation("no color symmetry breaking", "solver.py", (
-        ("top = limit[depth] = min(k, max(limit[depth - 1], color + 1))",
-         "top = limit[depth] = k"),
+        ("            limit[depth] = top\n", "            top = limit[depth] = k\n"),
     ), SEARCH),
     Mutation("no twin order", "solver.py", (
         ("tried[depth] = (bits[twin[depth]] >> 1).bit_length()", "tried[depth] = 0"),

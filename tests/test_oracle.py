@@ -121,10 +121,11 @@ def _spiders(n: int) -> list[Graph]:
 
 def _caterpillars(n: int) -> list[Graph]:
     """Every caterpillar of order at most n with a spine of 2-4 vertices and
-    up to 3 leaves on each, one of each pair of mirror images."""
+    up to 3 leaves on each, both mirror images of each: they are labelled
+    differently, so the search meets them in different orders."""
     return [_caterpillar(leaves) for spine in (2, 3, 4)
             for leaves in itertools.product(range(4), repeat=spine)
-            if spine + sum(leaves) <= n and leaves <= leaves[::-1]]
+            if spine + sum(leaves) <= n]
 
 
 def _complete_binary_trees(n: int) -> list[Graph]:

@@ -203,11 +203,6 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     assert total == 31_091
 
 
-def _spider(legs: int) -> Graph:
-    """The spider of ``legs`` legs of length 2 on centre 0."""
-    return Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
-
-
 @pytest.mark.parametrize("legs,nodes", [(10, 4_882), (11, 7_553)], ids=["10-legs", "11-legs"])
 def test_spiders_start_at_their_value(legs, nodes):
     # the spider of 10 or 11 legs of length 2 has order <= max_order(4),
@@ -215,7 +210,7 @@ def test_spiders_start_at_their_value(legs, nodes):
     # at k = 4, so the neighbour bound starts the search at chi = 5.  The
     # witness search jumps back past the legs that a clash does not read.
     # Refuting k = 4 by search took 584,302 / 1,774,332 nodes in all
-    g = _spider(legs)
+    g = Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
     result = chi_nl_exact(g)
     assert (chi_lower_bound(g), result.chi, result.status) == (5, 5, "Exact")
     assert result.nodes_explored == nodes
@@ -404,7 +399,8 @@ def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
                 assert front_key == shape[0], (depth, g.sorted_edges())
 
 
-@pytest.mark.parametrize("g", [_spider(10), TREE_16, ANCHOR_UNICYCLIC_20],
+@pytest.mark.parametrize("g", [Graph(21, [(0 if i % 2 else i - 1, i) for i in range(1, 21)]),
+                               TREE_16, ANCHOR_UNICYCLIC_20],
                          ids=["spider-10", "tree-16", "anchor-unicyclic-20"])
 def test_memo_reads_no_color_at_or_past_its_depth(g, monkeypatch):
     # the memo keys the state entering a depth by, among others, the

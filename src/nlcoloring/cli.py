@@ -3,11 +3,10 @@
 Subcommands: gen, color, verify, chi, bounds, sweep, export.  Each prints
 one JSON document on stdout with stable key order (``export`` prints the
 format it is asked for); identical invocations produce byte-identical
-payloads.  ``chi --exact`` and ``sweep`` take a time budget from
-``--budget`` alone.  Exit codes: 0 success, 1 computation succeeded with a
-negative verdict (failed verification, infeasible within caps, conjecture
-violated), 2 usage or input errors, 3 internal fault (the traceback goes
-to stderr).
+payloads.  ``chi --exact`` takes a time budget from ``--budget`` alone.
+Exit codes: 0 success, 1 computation succeeded with a negative verdict
+(failed verification, infeasible within caps, conjecture violated), 2
+usage or input errors, 3 internal fault (the traceback goes to stderr).
 
 The parser is one table, ``_COMMANDS``, read by getopt, so no command
 imports argparse.  Each subcommand imports the modules it runs when it
@@ -232,8 +231,8 @@ def _cmd_sweep(args) -> int:
     from . import sweeps
 
     try:
-        report = sweeps.conjecture_sweep(args.conjecture, args.max_n, time_budget=args.budget)
-    except (ValueError, sweeps.SweepBudgetExhausted) as exc:
+        report = sweeps.conjecture_sweep(args.conjecture, args.max_n)
+    except ValueError as exc:
         raise CliError(str(exc))
     if args.report:
         _write_text(args.report, json.dumps(report, indent=2) + "\n")
@@ -292,8 +291,7 @@ _COMMANDS = {
     "sweep": (_cmd_sweep, "exhaustively test a conjecture", {
         "conjecture": (("delta", "diameter"), True, "the conjecture"),
         "max-n": (int, True, "largest order tested"),
-        "report": (str, False, "write the full per-instance report here"),
-        "budget": (float, False, "wall-clock budget in seconds per instance")}),
+        "report": (str, False, "write the full per-instance report here")}),
     "export": (_cmd_export, "convert graph formats", {
         "input": (str, True, "graph file, '-' for stdin"),
         "to": (("json", "edgelist", "dot"), True, "output format"),

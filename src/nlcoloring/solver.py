@@ -9,18 +9,13 @@ takes the higher color).  A depth that runs out of colors jumps back to
 the last depth that its failures read (conflict-directed backjumping,
 Prosser 1993), skipping only subtrees without a solution; ``_search``
 argues why.  Past ``CHECK_EVERY`` nodes, a memo of the states found to
-fail, keyed by all that the rest of the search can see up to a renaming
-of the colors in use, backs the search off from any of them it meets
-again (failed-state caching, B. M. Smith, CP 2005; up to a symmetry, as
-in dominance detection, Fahle, Schamberger and Sellmann, CP 2001).  The
-memo lives in ``_memo``, which a search imports only when it first passes
-``CHECK_EVERY`` nodes, so a process whose searches all stay smaller
-(every sweep, every small ``chi --exact``) never loads it; why a hit
-skips no solution is argued in ``_search``.  The order is
-breadth-first from the highest-degree vertex, lowest index on ties, and
-visits each vertex's neighbours by descending degree, then index; so
-every vertex after the first has a colored neighbour, and signatures
-close soon after their vertex is colored.  The per-depth work
+fail, keyed by all that the rest of the search can see, backs the search
+off from any of them it meets again (failed-state caching, B. M. Smith,
+CP 2005); why a hit skips no solution is argued in ``_search``.  The
+order is breadth-first from the highest-degree vertex, lowest index on
+ties, and visits each vertex's neighbours by descending degree, then
+index; so every vertex after the first has a colored neighbour, and
+signatures close soon after their vertex is colored.  The per-depth work
 is scheduled once per graph, and colors, signatures, color sets and the
 (color, signature) pairs in use are bitmasks.  Properness depends only on
 the colors already placed, so each depth decides it once, when the search
@@ -139,6 +134,49 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     return order, earlier, final_at, twin, closed, reasons
 
 
+class _Memo:
+    """The failed states of one ``_search`` call, each filed under its key:
+    the depth, the limit, ``used`` and the (signature so far, color bit)
+    pair of each vertex in the depth's front, written as the search writes
+    pairs.  ``front[d]`` holds the vertices w that a depth before d touched,
+    the lowest depth of ``closed[w]``, and that a depth from d on reads:
+    the highest depth of ``closed[w]`` closes w's signature, and the depth
+    whose ``twin`` w is checks w's color."""
+
+    __slots__ = ("adj", "shift", "front", "failed")
+
+    def __init__(self, adj: list[list[int]], k: int, closed: list[int], twin: list[int]):
+        n = len(adj)
+        read = [depths.bit_length() - 1 for depths in closed]
+        for d, u in enumerate(twin):
+            if u < n and read[u] < d:
+                read[u] = d
+        self.front: list[list[int]] = [[] for _ in range(n)]
+        for w, depths in enumerate(closed):
+            for d in range((depths & -depths).bit_length(), read[w] + 1):
+                self.front[d].append(w)
+        self.adj, self.shift = adj, k + 1
+        self.failed: set[tuple[int, ...]] = set()
+
+    def seen(self, depth: int, bits: list[int], top: int, used: int) -> bool:
+        """Whether the state entering the depth has failed before, filing it
+        if not: the search comes back above the depth only once the state
+        has failed.  The state is the colors (``bits``, by vertex), the
+        limit ``top`` and the pairs in use, ``used``."""
+        adj, shift = self.adj, self.shift
+        key = [depth, top, used]
+        for w in self.front[depth]:
+            sig = 0
+            for u in adj[w]:
+                sig |= bits[u]
+            key.append(sig << shift | bits[w])
+        key = tuple(key)
+        if key in self.failed:
+            return True
+        self.failed.add(key)
+        return False
+
+
 def _search(g: Graph, k: int, budget: _Budget,
             schedule: _Schedule | None = None) -> tuple[int, ...] | None:
     """Colors (indexed by vertex) of the first NL-coloring of g with at most
@@ -170,13 +208,13 @@ def _search(g: Graph, k: int, budget: _Budget,
     bit length, which is 0 where there is no twin, and the next color tried
     is the lowest candidate above it.  Only the signatures are tested per
     color: each (signature, color) pair has a bit of ``used`` (``slot``
-    numbers the pairs as the search or the memo's renaming meets them), so
-    a clash is an AND, and undoing a depth restores ``base[d]``, ``used``
-    as the depth found it.  Only a color that passes goes deeper.  Each
-    color up to the highest allowed is one node when the search passes over
-    it, whether the candidate mask or a signature clash rejected it, and
-    the nodes are added to ``budget.nodes``; the deadline is checked each
-    time the count crosses a multiple of ``CHECK_EVERY``.
+    numbers the pairs as the search meets them), so a clash is an AND, and
+    undoing a depth restores ``base[d]``, ``used`` as the depth found it.
+    Only a color that passes goes deeper.  Each color up to the highest
+    allowed is one node when the search passes over it, whether the
+    candidate mask or a signature clash rejected it, and the nodes are
+    added to ``budget.nodes``; the deadline is checked each time the count
+    crosses a multiple of ``CHECK_EVERY``.
 
     The two symmetry prunes keep the search complete, and they leave its
     first answer unchanged: each only drops colorings that are not the
@@ -231,44 +269,25 @@ def _search(g: Graph, k: int, budget: _Budget,
     failure reads them all; at the limit k it cuts none, as no color is
     above k.  A memo hit reads the whole state too.
 
-    Past ``CHECK_EVERY`` nodes of this call the search imports ``_memo``
-    and switches on its ``Memo``.  From then on, entering depth d asks
-    ``Memo.seen`` whether the state has failed before, and backs off
-    passing over no color where it has.  The memo keys the state by d,
-    ``limit[d]``, ``used`` and the (signature so far, color) pair of each
-    vertex in the front at d: the vertices that a depth before d touched
-    (colored them or a neighbour) and that a depth from d on reads (closes
-    their signature, or checks them as a twin).  The key fixes every valid
-    completion: an uncolored vertex's properness reads its signature so
-    far, a signature still open ends as that plus colors of the completion,
-    a new pair must miss ``used``, ``limit[d]`` fixes which colors may
-    open, and twin order reads colors in the front.  A state the memo has
-    not met is remembered at once, as the search only comes back above the
-    depth once its subtree holds no solution: a witness ends the call, by
-    induction the hits below it skipped none, and a jump from below it to
-    above it leaves a subtree that holds no valid completion of the current
-    prefix, which is the set that the key fixes.
-
-    The memo compares keys up to renaming the colors in use, 1..m: each
-    shows in the key, as a colored vertex is in the front or its pair is in
-    ``used``.  It renames them in order of first appearance in the front
-    and keeps the colors above m, so two states whose renamed keys agree
-    are one renaming π of 1..m apart.  π maps an NL-coloring to an
-    NL-coloring, keeps signatures distinct, fixes the colors above m and so
-    the limit rule, and maps the pairs of ``used`` onto those of the other
-    state.  So π carries a valid completion c of the later state to an
-    NL-coloring that extends the earlier one, except that twin order may
-    fail for two uncolored twins, whose colors π may swap in value.  Take
-    the least coloring, in search order, of its orbit under permutations
-    of the unused colors (above m) and swaps of uncolored twins: both keep
-    the colored prefix and the NL property, and the least element opens
-    colors in order and sets twins in order, by the argument above.  The
-    search from the earlier state accepts it, so a hit still skips only
-    subtrees without a solution, and the first witness is unchanged.  The
-    argument fails where a twin class straddles d, with a member colored
-    before d and a later one not: the later twin must take a color above
-    the earlier one's value, which a renaming does not keep.  At those
-    depths the memo compares keys as they are.
+    Past ``CHECK_EVERY`` nodes of this call the search switches on a
+    ``_Memo``.  From then on, entering depth d asks ``_Memo.seen`` whether
+    the state has failed before, and backs off passing over no color where
+    it has.  The memo keys the state by d, ``limit[d]``, ``used`` and the
+    (signature so far, color) pair of each vertex in the front at d: the
+    vertices that a depth before d touched (colored them or a neighbour)
+    and that a depth from d on reads (closes their signature, or checks
+    them as a twin).  The key fixes every valid completion: an uncolored
+    vertex's properness reads its signature so far, a signature still open
+    ends as that plus colors of the completion, a new pair must miss
+    ``used``, ``limit[d]`` fixes which colors may open, and twin order
+    reads colors in the front.  So two states with one key have the same
+    valid completions.  A state the memo has not met is remembered at
+    once, as the search only comes back above the depth once its subtree
+    holds no solution: a witness ends the call, by induction the hits
+    below it skipped none, and a jump from below it to above it leaves a
+    subtree that holds no valid completion of the current prefix, which is
+    the set that the key fixes.  So a hit skips only subtrees without a
+    solution, and the first witness is unchanged.
     """
     order, earlier, final_at, twin, closed, reasons = schedule or _schedule(g)
     n, adj = g.n, g.adj
@@ -323,9 +342,7 @@ def _search(g: Graph, k: int, budget: _Budget,
                 budget.check()
                 next_check = nodes - nodes % CHECK_EVERY + CHECK_EVERY
                 if memo is None:  # switch the memo on
-                    from ._memo import Memo  # here, so small searches never load it
-
-                    memo = Memo(g, k, slot, order, final_at, twin)
+                    memo = _Memo(adj, k, closed, twin)
             if not bits[v]:  # jump back to the last depth that explains the failure
                 why = conflict[depth]
                 if why < 0:
@@ -354,7 +371,7 @@ def _search(g: Graph, k: int, budget: _Budget,
             for u in earlier[depth]:
                 forbidden |= bits[u]
             cands[depth] = ((2 << top) - 2) & ~forbidden
-            if memo is not None and memo.seen(depth, tried, bits, top, used):
+            if memo is not None and memo.seen(depth, bits, top, used):
                 tried[depth] = top  # back off as if exhausted, passing no color
                 conflict[depth] = -1
     finally:

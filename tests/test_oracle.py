@@ -3,9 +3,7 @@
 The oracle shares no code with the solver's search.  It lists the set
 partitions of the vertices as restricted growth strings and checks each
 complete one with the independent verifier, so it has no capacity,
-signature or symmetry prune that could hide a solver bug.  The memo's
-renaming of used is checked against the renaming by definition, pair by
-pair.
+signature or symmetry prune that could hide a solver bug.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from nlcoloring import (
     family_graph,
     is_nl_coloring,
 )
-from nlcoloring import _memo, solver
+from nlcoloring import solver
 from nlcoloring.graphs import cone
 
 
@@ -240,54 +238,6 @@ def test_memo_keeps_the_least_witness(universe, n):
         result = chi_nl_exact(g)
         assert result.witness.colors == _least_in_search_order(g, result.chi), \
             g.sorted_edges()
-
-
-def _renamed_by_definition(memo: _memo.Memo, used: int, names: tuple[int, ...]) -> int:
-    """``used`` renamed one pair at a time: the i-th name becomes color i
-    and the other colors follow in increasing order, in the signature and
-    in the color of each pair of ``used``; each renamed pair is looked up in
-    the search's ``slot``, which numbers the pairs as bits of ``used``."""
-    k = memo.k
-    to = {c: i for i, c in enumerate((*names, *(c for c in range(1, k + 1) if c not in names)), 1)}
-    pair_of = {bit: pair for pair, bit in memo.slot.items()}
-    out = 0
-    for i in range(used.bit_length()):
-        if used >> i & 1:
-            pair = pair_of[1 << i]
-            sig, color = pair >> k + 1, (pair & (1 << k + 1) - 1).bit_length() - 1
-            renamed_sig = sum(1 << to[c] for c in range(1, k + 1) if sig >> c & 1)
-            out |= memo.slot[renamed_sig << k + 1 | 1 << to[color]]
-    return out
-
-
-# searches whose memo renames used on the first use of a renaming, through
-# tables of one to three bytes, and after slot outgrows a table: about
-# 7,000 renamings, 6,582 of them on P24
-RENAMING_UNIVERSES = [
-    pytest.param(enumerate_trees, 10, id="10"),
-    pytest.param(lambda n: [family_graph(FamilySpec.cycle(m)) for m in range(8, n + 1)], 22,
-                 id="cycles-8-22"),
-    pytest.param(lambda n: [family_graph(FamilySpec.path(n))], 24, id="P24"),
-]
-
-
-@pytest.mark.parametrize("universe,n", RENAMING_UNIVERSES)
-@pytest.mark.usefixtures("memo_from_the_first_node")
-def test_memo_renames_used_as_the_definition_does(universe, n, monkeypatch):
-    # the memo renames used through per-renaming images of the pairs and
-    # byte tables; each renaming must give the pairs renamed one by one
-    renamed, calls = _memo.Memo._renamed, []
-
-    def checked(memo, used, shape):
-        out = renamed(memo, used, shape)
-        assert out == _renamed_by_definition(memo, used, shape[1]), (used, shape)
-        calls.append(used)
-        return out
-
-    monkeypatch.setattr(_memo.Memo, "_renamed", checked)
-    for g in universe(n):
-        chi_nl_exact(g)
-    assert calls
 
 
 def _complete(n: int, missing: tuple[tuple[int, int], ...] = ()) -> Graph:

@@ -118,19 +118,13 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     elif command.startswith("chi --exact"):
         assert "nlcoloring.solver" in ours
         assert not ours & {"nlcoloring.construct", "nlcoloring.sweeps"}
-        # the memo loads once a search passes CHECK_EVERY nodes: P24 does
-        # (20,375 nodes), C9 and C23 (58, as the lower bound starts it at
-        # its value) do not
-        assert ("nlcoloring._memo" in ours) == (command == "chi --exact P24")
     elif command == "color":
         assert "nlcoloring.construct" in ours
         assert not ours & {"nlcoloring.solver", "nlcoloring.sweeps"}
     else:
-        # the trees and the atlas table are the package's own, not networkx's;
-        # every search of a sweep stays below CHECK_EVERY nodes
+        # the trees and the atlas table are the package's own, not networkx's
         assert "nlcoloring.sweeps" in ours
         assert ("nlcoloring._atlas" in ours) == (command == "sweep diameter")
-        assert "nlcoloring._memo" not in ours
 
 
 @pytest.mark.parametrize("make,message", [

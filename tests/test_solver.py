@@ -12,7 +12,6 @@ from nlcoloring import (
     chi_closed_form,
     chi_lower_bound,
     chi_nl_exact,
-    conjecture_sweep,
     connected_graphs,
     enumerate_trees,
     exists_nl_coloring,
@@ -20,7 +19,7 @@ from nlcoloring import (
     is_nl_coloring,
     twin_classes,
 )
-from nlcoloring import _memo, solver
+from nlcoloring import solver
 from nlcoloring.solver import CHECK_EVERY, _Budget
 
 
@@ -77,10 +76,7 @@ def test_timed_out():
     (lambda g: chi_nl_exact(g, max_k=-3), "max_k"),
     (lambda g: chi_nl_exact(g, time_budget=float("nan")), "budget"),
     (lambda g: chi_nl_exact(g, time_budget=-1.0), "budget"),
-    (lambda g: conjecture_sweep("delta", 4, time_budget=float("nan")), "budget"),
-    (lambda g: conjecture_sweep("diameter", 4, time_budget=-1.0), "budget"),
-], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative",
-        "sweep-budget-nan", "sweep-budget-negative"])
+], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative"])
 def test_options_out_of_range_are_rejected(solve, match, monkeypatch):
     # nan would never expire, a negative budget would time out at once, and
     # no graph can meet a cap below one color.  Each is refused before any
@@ -114,8 +110,9 @@ def test_timed_out_inside_the_search():
 @pytest.mark.parametrize("spec,chi,nodes,digest", [
     (FamilySpec.path(1100), 14, 8_254,
      "a0bce12b6ba123e08e8fde79a330c88a2045b363b257004acd72baa5d0baeb06"),
-    # the one pinned search whose memo renames a large used (821 pairs)
-    (FamilySpec.cycle(1100), 14, 7_915,
+    # the memo files 452 states here, each with up to 1,104 pairs in used,
+    # and has no hit
+    (FamilySpec.cycle(1100), 14, 7_943,
      "42d073e5f75022f573551bc35254f09a0ef33614066ea6002d791388d80fb040"),
     (FamilySpec.path(3000), 19, 29_959,
      "1f83a0c53f7344da4851445b5204d4a73d04c78c55229344c526f1302657731f"),
@@ -156,6 +153,10 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
     (0, 15), (0, 17), (1, 3), (1, 9), (1, 12), (1, 18), (2, 3), (2, 15),
     (3, 19), (4, 7), (4, 13), (5, 8), (5, 13), (5, 16), (5, 18), (6, 8),
     (6, 17), (10, 16), (11, 15), (14, 16)])
+# the spider of 7 legs of length 3: its lower bound (4) is one below its
+# value, and refuting k = 4 passes CHECK_EVERY nodes, so the memo is on for
+# most of it
+SPIDER_7X3 = Graph(22, [(0 if i % 3 == 1 else i - 1, i) for i in range(1, 22)])
 
 
 @pytest.mark.parametrize("g,chi,nodes,colors", [
@@ -163,7 +164,7 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 41,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
-    (family_graph(FamilySpec.path(24)), 4, 20_375,
+    (family_graph(FamilySpec.path(24)), 4, 28_727,
      [3, 1, 2, 1, 2, 3, 1, 4, 1, 2, 4, 1, 4, 3, 2, 3, 2, 4, 2, 4, 3, 4, 3, 1]),
     (family_graph(FamilySpec.fan(30)), 6, 142,
      [6, 2, 3, 2, 3, 4, 2, 3, 5, 2, 3, 6, 2, 4, 2, 4, 5, 2, 4, 6, 2, 5, 2, 5, 6, 3, 4, 3,
@@ -174,7 +175,10 @@ ANCHOR_UNICYCLIC_20 = Graph(20, [
      [3, 1, 1, 2, 4, 4, 3, 2, 1, 2, 1, 4, 3, 1, 2, 2, 3, 4, 2, 3]),
     (TREE_16, 5, 2_922,  # refutes k = 4 exhaustively
      [2, 1, 1, 3, 4, 1, 1, 2, 4, 5, 3, 4, 2, 2, 2, 5]),
-], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20", "tree-16"])
+    (SPIDER_7X3, 5, 613_905,  # refutes k = 4 exhaustively, with the memo on
+     [1, 2, 1, 4, 2, 3, 2, 2, 4, 1, 2, 5, 1, 3, 1, 5, 3, 2, 4, 3, 4, 2]),
+], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20", "tree-16",
+        "spider-7x3"])
 def test_node_counts_are_pinned(g, chi, nodes, colors):
     # a change to the search order or the prunes shows here; lower the pin
     # when a change makes the search smaller.  The witnesses are pinned too,
@@ -203,7 +207,7 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     assert total == 31_091
 
 
-@pytest.mark.parametrize("legs,nodes", [(10, 4_882), (11, 7_553)], ids=["10-legs", "11-legs"])
+@pytest.mark.parametrize("legs,nodes", [(10, 4_893), (11, 7_625)], ids=["10-legs", "11-legs"])
 def test_spiders_start_at_their_value(legs, nodes):
     # the spider of 10 or 11 legs of length 2 has order <= max_order(4),
     # but its centre has more neighbours of degree 2 than cap(2) = 9 allows
@@ -221,7 +225,7 @@ def test_spiders_start_at_their_value(legs, nodes):
     (family_graph(FamilySpec.fan(9)), (95, 91)), (family_graph(FamilySpec.cycle(23)), (58, 58)),
     (family_graph(FamilySpec.cycle(8)), (17, 17)),
     (Graph(6, [(u, 3 + v) for u in range(3) for v in range(3)]), (27, 27)),
-    (TREE_16, (2_922, 1_750)),
+    (TREE_16, (2_922, 2_922)),
 ], ids=["W12", "C12", "F9", "C23", "C8", "K3,3", "tree-16"])
 def test_attempts_share_one_node_count(g, nodes, monkeypatch):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
@@ -269,7 +273,7 @@ def test_search_alone_refutes_one_color_below_fans_and_wheels(spec):
 
 @pytest.mark.parametrize("check_every", [solver.CHECK_EVERY, 1], ids=["memo", "memo-first"])
 @pytest.mark.parametrize("n,k,nodes", [
-    (4, 3, (6, 6)), (6, 3, (42, 42)), (8, 3, (96, 87)), (23, 4, (53_616, 49_472)),
+    (4, 3, (6, 6)), (6, 3, (42, 42)), (8, 3, (96, 96)), (23, 4, (271_336, 267_584)),
 ], ids=["C4", "C6", "C8", "C23"])
 def test_search_alone_refutes_the_exceptional_cycles(n, k, nodes, check_every, monkeypatch):
     # chi_nl_exact starts the cycle of order ell(k) - 1, and at k = 3 each
@@ -347,56 +351,57 @@ def test_schedule_matches_its_definition(universe):
         assert solver._schedule(g) == _schedule_by_definition(g), g.sorted_edges()
 
 
-@pytest.mark.parametrize("g", SMALL_GRAPHS)
-def test_memo_schedule_reads_the_twins(g):
-    # the memo's front holds each vertex from the first depth after one
-    # that touches it (colors it or a neighbour) to the last that reads it:
-    # where its signature closes, or where its next twin checks its color.
-    # Exact depths are those a twin class straddles: a member is colored
-    # before the depth and a later one is not.  Every color that the key
-    # reads at a depth was placed at since[depth] or later, so the colors
-    # placed from there on fix the key
-    order, _, final_at, twin, *_ = solver._schedule(g)
-    front, exact, since = _memo.memo_schedule(g, order, final_at, twin)
+def _front_by_definition(g: Graph) -> list[set[int]]:
+    """The memo's front at each depth, from its definition: each vertex from
+    the first depth after one that touches it (colors it or a neighbour) to
+    the last that reads it, where its signature closes or where its next
+    twin checks its color."""
+    order = solver._schedule(g)[0]
     pos = {v: d for d, v in enumerate(order)}
-    checked_at, spans = {}, []
+    checked_at = {}
     for members in twin_classes(g):
         members = sorted(members, key=pos.__getitem__)
         checked_at.update((u, pos[w]) for u, w in zip(members, members[1:]))
-        spans.append((pos[members[0]], pos[members[-1]]))
     reach = {w: [pos[u] for u in (w, *g.adj[w])] for w in range(g.n)}
-    for d in range(g.n):
-        assert set(front[d]) == {
-            w for w in range(g.n)
-            if min(reach[w]) < d <= max(max(reach[w]), checked_at.get(w, 0))}, d
-        assert exact[d] == any(first < d <= last for first, last in spans), d
-        assert all(since[d] <= p for w in front[d] for p in reach[w] if p < d), d
+    return [{w for w in range(g.n)
+             if min(reach[w]) < d <= max(max(reach[w]), checked_at.get(w, 0))}
+            for d in range(g.n)]
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS)
+def test_memo_schedule_reads_the_twins(g):
+    _, _, _, twin, closed, _ = solver._schedule(g)
+    front = solver._Memo(g.adj, g.n, closed, twin).front  # k sets only the pair shift
+    assert list(map(set, front)) == _front_by_definition(g)
 
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS)
 def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
-    # twin order compares color values, so where a twin class straddles the
-    # depth the memo keys the state without renaming its colors: each group
-    # there holds one front key, and its class is that key.  Elsewhere the
-    # class is the renamed key
-    memos = []
+    # a state hits the memo exactly when a state of the same call with the
+    # same depth, limit, used and (signature so far, color) pairs of the
+    # front was filed before it.  The colors are compared as they are at
+    # every depth: where a twin class straddles the depth, twin order reads
+    # color values, so a key up to renaming the colors would be unsound
+    front, seen, filed = _front_by_definition(g), solver._Memo.seen, {}
 
-    class Spy(_memo.Memo):
-        def __init__(self, *args):
-            super().__init__(*args)
-            memos.append(self)
+    def checked(memo, depth, bits, top, used):
+        pairs = []
+        for w in sorted(front[depth]):
+            sig = 0
+            for u in g.adj[w]:
+                sig |= bits[u]
+            pairs.append((sig, bits[w]))
+        key = (depth, top, used, tuple(pairs))
+        met = filed.setdefault(memo, set())
+        hit = seen(memo, depth, bits, top, used)
+        assert hit == (key in met), (depth, g.sorted_edges())
+        met.add(key)
+        return hit
 
-    monkeypatch.setattr(_memo, "Memo", Spy)
+    monkeypatch.setattr(solver._Memo, "seen", checked)
     monkeypatch.setattr(solver, "CHECK_EVERY", 1)
     chi_nl_exact(g)
-    order, _, final_at, twin, *_ = solver._schedule(g)
-    _, exact, _ = _memo.memo_schedule(g, order, final_at, twin)
-    for memo in memos:
-        for (front_key, _, depth), (shape, _) in memo.groups.items():
-            if exact[depth]:
-                assert shape is memo.shapes[front_key], (depth, g.sorted_edges())
-            elif shape is not None:  # a group with one front key
-                assert front_key == shape[0], (depth, g.sorted_edges())
+    assert filed or g.n == 1  # a single vertex enters no depth past the first
 
 
 @pytest.mark.parametrize("g", [Graph(21, [(0 if i % 2 else i - 1, i) for i in range(1, 21)]),
@@ -408,14 +413,14 @@ def test_memo_reads_no_color_at_or_past_its_depth(g, monkeypatch):
     # must all be uncolored: a jump back clears the colors of the depths it
     # skips.  These searches jump, and the memo is on from the first node
     order = solver._schedule(g)[0]
-    seen, depths = _memo.Memo.seen, []
+    seen, depths = solver._Memo.seen, []
 
-    def checked(memo, depth, tried, bits, top, used):
+    def checked(memo, depth, bits, top, used):
         assert not any(bits[v] for v in order[depth:]), (depth, g.sorted_edges())
         depths.append(depth)
-        return seen(memo, depth, tried, bits, top, used)
+        return seen(memo, depth, bits, top, used)
 
-    monkeypatch.setattr(_memo.Memo, "seen", checked)
+    monkeypatch.setattr(solver._Memo, "seen", checked)
     monkeypatch.setattr(solver, "CHECK_EVERY", 1)
     chi_nl_exact(g)
     assert depths

@@ -1,10 +1,10 @@
 """Hand-made mutations that the tests must kill: of the solver, its
-schedule and its backjumping, its memo's key and renamed comparison, the
-lower bound, its cycle bound and parity clause, its neighbour bound and
-its cone step, the cycle pipeline's edge scan, the constructions'
-self-checks and the extremal graphs' splice, the CLI parser, graph
-validation, distances and degrees, the atlas count check, the delta
-sweep's degree, and the coloring type and verifier.
+schedule and its backjumping, its memo's key and front, the lower bound,
+its cycle bound and parity clause, its neighbour bound and its cone step,
+the cycle pipeline's edge scan, the constructions' self-checks and the
+extremal graphs' splice, the CLI parser, graph validation, distances and
+degrees, the atlas count check, the delta sweep's degree, and the
+coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -48,70 +48,30 @@ class Mutation(NamedTuple):
 
 
 MUTATIONS = [
-    # the memo of failed states: its key and where it compares as it is
-    Mutation("memo key without used", "_memo.py", (
-        ("self.groups[cls] = [shape, {used}]", "self.groups[cls] = [shape, {0}]"),
-        ("count = (used & self.by_color", "count = (0 & self.by_color"),
-        ("parts[count] = [shape, {used}]", "parts[count] = [shape, {0}]"),
-        ("if used in members:", "if 0 in members:"),
-        ("members.add(used)", "members.add(0)"),
+    # the memo of failed states: its key and its front.  The key's depth and
+    # limit are not mutated, as used and the front's pairs fix both, so a key
+    # without either gives the same answers.  Each colored vertex shows its
+    # color in the front or, once closed, in its pair in used, which fixes
+    # the limit.  used holds one pair per closed vertex, and a closed vertex
+    # leaves the front only past its next twin's depth, where that twin
+    # closes; so two states of one search with the same used and front
+    # pairs have as many colored vertices, which is their depth
+    Mutation("memo key without used", "solver.py", (
+        ("key = [depth, top, used]", "key = [depth, top, 0]"),
     ), SEARCH),
-    Mutation("memo key without the signatures", "_memo.py", (
-        ("pairs.append(sig << k + 1 | bits[w])", "pairs.append(bits[w])"),
+    Mutation("memo key without the signatures", "solver.py", (
+        ("key.append(sig << shift | bits[w])", "key.append(bits[w])"),
     ), SEARCH),
-    Mutation("memo key without the colors", "_memo.py", (
-        ("pairs.append(sig << k + 1 | bits[w])", "pairs.append(sig << k + 1)"),
+    Mutation("memo key without the colors", "solver.py", (
+        ("key.append(sig << shift | bits[w])", "key.append(sig << shift)"),
     ), SEARCH),
-    Mutation("memo front one depth short", "_memo.py", (
-        ("for d in range(first + 1, last + 1):", "for d in range(first + 1, last):"),
+    Mutation("memo front one depth short", "solver.py", (
+        ("range((depths & -depths).bit_length(), read[w] + 1)",
+         "range((depths & -depths).bit_length(), read[w])"),
     ), SEARCH),
-    Mutation("memo front without the twins", "_memo.py", (
-        ("        read[earlier_twin] = d\n", ""),
+    Mutation("memo front without the twins", "solver.py", (
+        ("                read[u] = d\n", "                pass\n"),
     ), SEARCH),
-    Mutation("memo renames at exact depths", "_memo.py", (
-        ("(key if self.exact[depth] else shape[0], shape)", "(shape[0], shape)"),
-    ), SEARCH),
-    # the memo's renamed comparison: the class looked up by a view of the
-    # colors that fix the key, a part's second shape renaming the new state
-    # and the members, and used renamed through the images of its pairs, a
-    # byte table at a time or, on a renaming's first use, bit by bit.  Each
-    # but the first makes the memo unsound, which the oracle's memo tests
-    # show; the view one depth short only weakens it on the graphs tried,
-    # and the schedule's definition test shows it
-    Mutation("memo view one depth short", "_memo.py", (
-        ("span = max(map(sub, read[:n], touch[:n]))",
-         "span = max(map(sub, read[:n], touch[:n])) - 1"),
-    ), ("tests/test_solver.py",)),
-    Mutation("memo view without its colors", "_memo.py", (
-        ("[0] * span + list(range(n - span))", "list(range(n))"),
-    ), ORACLE),
-    Mutation("memo compares a second shape's used as it is", "_memo.py", (
-        ("        if first is not shape:\n", "        if first is None:\n"),
-    ), ORACLE),
-    Mutation("renamed comparison without renaming used", "_memo.py", (
-        ("            used = self._renamed(used, shape)\n", ""),
-    ), ORACLE),
-    Mutation("renamed comparison renames the members as the new shape", "_memo.py", (
-        ("{self._renamed(u, first) for u in members}",
-         "{self._renamed(u, shape) for u in members}"),
-    ), ORACLE),
-    Mutation("renaming ignores the names", "_memo.py", (
-        ("enumerate((*names, *(c for c in range(1, k + 1) if c not in names)), 1)",
-         "enumerate(range(1, k + 1), 1)"),
-    ), ORACLE),
-    Mutation("renamed pair keeps its color", "_memo.py", (
-        ("[0, 0, *(1 << t for t in to[1:])]", "[0, 0, *(1 << c for c in range(1, len(to)))]"),
-    ), ORACLE),
-    Mutation("renamed signature keeps its colors", "_memo.py", (
-        ("sum(1 << to[c] + shift for c in self._colors(sig))",
-         "sum(1 << c + shift for c in self._colors(sig))"),
-    ), ORACLE),
-    Mutation("renaming tables skip every other byte", "_memo.py", (
-        ("                    rest >>= 8\n", "                    rest >>= 16\n"),
-    ), ORACLE),
-    Mutation("first renaming sums the bits high to low", "_memo.py", (
-        ('format(used, "b")[::-1]', 'format(used, "b")'),
-    ), ORACLE),
     # the per-depth schedule: a vertex's closed neighbourhood, whose last
     # depth is its closing depth, must gain the vertex and each neighbour
     Mutation("schedule closing depth skips the neighbours", "solver.py", (

@@ -235,9 +235,18 @@ def test_graph_with_too_few_edges_is_rejected_cheaply(text, name, tmp_path, caps
     assert err.startswith("error: ") and "not connected" in err
 
 
-@pytest.mark.parametrize("flag", ["nan", "-1"], ids=["chi-flag-nan", "chi-flag-negative"])
-def test_budget_must_be_a_number_of_seconds(flag, tmp_path, capsys):
-    # nan would never expire and a negative budget would act as 0
+@pytest.mark.parametrize("flag", ["nan", "-1"], ids=["flag-nan", "flag-negative"])
+@pytest.mark.parametrize("command", ["chi", "sweep"])
+def test_budget_must_be_a_number_of_seconds(command, flag, tmp_path, capsys):
+    # nan would never expire and a negative budget would act as 0.  A sweep
+    # takes no budget at all, so the flag is refused whatever its value
+    if command == "sweep":
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--conjecture", "delta", "--max-n", "4", f"--budget={flag}"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--budget" in err
+        return
     graph_file = tmp_path / "p3.json"
     graph_file.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
     code, out, err = run(capsys, "chi", "--graph", str(graph_file), "--exact",
@@ -275,12 +284,9 @@ def test_no_parallel_flag(command, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--pretty", "chi", "--family", "path", "--n", "10"],
     ["bounds", "--k", "6", "--class", "tree"],
-    ["sweep", "--conjecture", "delta", "--max-n", "4", "--budget", "5"],
-], ids=["pretty", "bounds-class", "sweep-budget"])
+], ids=["pretty", "bounds-class"])
 def test_removed_flags_are_usage_errors(argv, capsys):
-    # each result has one output format, every class bound is in the
-    # payload, and a sweep at its cap takes at most a few hundred nodes an
-    # instance, so it takes no budget
+    # each result has one output format, and every class bound is in the payload
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -575,6 +581,16 @@ def test_sweep_writes_report(tmp_path, capsys):
     assert code == 0 and summary["holds"] is True
     report = json.loads(report_file.read_text())
     assert {"canonical", "n", "chi", "delta", "verdict"} <= set(report["instances"][0])
+
+
+def test_sweep_out_of_budget_is_a_usage_error(capsys):
+    # a sweep at its cap takes at most a few hundred nodes an instance, so it
+    # takes no budget: the flag is a usage error, as other removed flags are
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--conjecture", "delta", "--max-n", "9", "--budget", "1e-6"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--budget" in err
 
 
 @pytest.mark.parametrize("conjecture,max_n,message", [

@@ -12,6 +12,7 @@ from nlcoloring import (
     chi_closed_form,
     chi_lower_bound,
     chi_nl_exact,
+    conjecture_sweep,
     connected_graphs,
     enumerate_trees,
     exists_nl_coloring,
@@ -71,21 +72,25 @@ def test_timed_out():
     assert result.chi is None
 
 
-@pytest.mark.parametrize("solve,match", [
-    (lambda g: chi_nl_exact(g, max_k=0), "max_k"),
-    (lambda g: chi_nl_exact(g, max_k=-3), "max_k"),
-    (lambda g: chi_nl_exact(g, time_budget=float("nan")), "budget"),
-    (lambda g: chi_nl_exact(g, time_budget=-1.0), "budget"),
-], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative"])
-def test_options_out_of_range_are_rejected(solve, match, monkeypatch):
+@pytest.mark.parametrize("solve,error,match", [
+    (lambda g: chi_nl_exact(g, max_k=0), ValueError, "max_k"),
+    (lambda g: chi_nl_exact(g, max_k=-3), ValueError, "max_k"),
+    (lambda g: chi_nl_exact(g, time_budget=float("nan")), ValueError, "budget"),
+    (lambda g: chi_nl_exact(g, time_budget=-1.0), ValueError, "budget"),
+    (lambda g: conjecture_sweep("delta", 4, time_budget=float("nan")), TypeError, "budget"),
+    (lambda g: conjecture_sweep("diameter", 4, time_budget=-1.0), TypeError, "budget"),
+], ids=["max-k-0", "max-k-negative", "budget-nan", "budget-negative",
+        "sweep-budget-nan", "sweep-budget-negative"])
+def test_options_out_of_range_are_rejected(solve, error, match, monkeypatch):
     # nan would never expire, a negative budget would time out at once, and
     # no graph can meet a cap below one color.  Each is refused before any
-    # search: a search that starts fails the test
+    # search: a search that starts fails the test.  A sweep takes no budget
+    # at all, so its call is refused whatever the value
     def no_search(*args):
         raise AssertionError("searched with a cap or budget out of range")
 
     monkeypatch.setattr(solver, "_search", no_search)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(error, match=match):
         solve(family_graph(FamilySpec.cycle(7)))
 
 

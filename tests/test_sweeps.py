@@ -141,12 +141,9 @@ def test_diameter_sweep_small():
 def test_sweep_rejects_unknown():
     with pytest.raises(ValueError):
         conjecture_sweep("girth", 5)
-    # sweeps run sequentially and take no parallel switch, and no time
-    # budget: the largest instance at the caps takes 317 nodes
+    # sweeps run sequentially and take no parallel switch
     with pytest.raises(TypeError):
         conjecture_sweep("delta", 5, parallel=True)
-    with pytest.raises(TypeError):
-        conjecture_sweep("delta", 5, time_budget=1.0)
     # the name is checked before the order range
     with pytest.raises(ValueError, match="unknown conjecture"):
         conjecture_sweep("girth", 100)

@@ -1,26 +1,30 @@
 """Exact search oracle for the neighbor-locating chromatic number.
 
 Complete backtracking over vertex color assignments in a fixed order
-with four prunes: properness, signature clashes among vertices whose
+with five prunes: properness, signature clashes among vertices whose
 whole neighborhood is colored, color-symmetry breaking (of the unused
-colors a vertex may take only the lowest), and twin order (of two twins,
+colors a vertex may take only the lowest), twin order (of two twins,
 vertices with equal open or closed neighbourhoods, the later in the order
-takes the higher color).  A depth that runs out of colors jumps back to
-the last depth that its failures read (conflict-directed backjumping,
-Prosser 1993), skipping only subtrees without a solution; ``_search``
-argues why.  Past ``CHECK_EVERY`` nodes, a memo of the states found to
-fail, keyed by all that the rest of the search can see, backs the search
-off from any of them it meets again (failed-state caching, B. M. Smith,
-CP 2005); why a hit skips no solution is argued in ``_search``.  The
-order is breadth-first from the highest-degree vertex, lowest index on
-ties, and visits each vertex's neighbours by descending degree, then
-index; so every vertex after the first has a colored neighbour, and
-signatures close soon after their vertex is colored.  The per-depth work
-is scheduled once per graph, and colors, signatures, color sets and the
-(color, signature) pairs in use are bitmasks.  Properness depends only on
-the colors already placed, so each depth decides it once, when the search
-enters it, as a mask of candidate colors; only the signature test runs
-per color.  The search is one loop over the depth with its state in
+takes the higher color), and a leaf check (the leaves on the vertices of
+one color c all have the signature {c}, so a color that leaves fewer
+pairs ({c}, x) free than leaves still to take them is rejected at once:
+forward checking, Haralick and Elliott 1980).  A depth that runs out of
+colors jumps back to the last depth that its failures read
+(conflict-directed backjumping, Prosser 1993), skipping only subtrees
+without a solution; ``_search`` argues why.  Past ``CHECK_EVERY`` nodes,
+a memo of the states found to fail, keyed by all that the rest of the
+search can see, backs the search off from any of them it meets again
+(failed-state caching, B. M. Smith, CP 2005); why a hit skips no
+solution is argued in ``_search``.  The order is breadth-first from the
+highest-degree vertex, lowest index on ties, and visits each vertex's
+neighbours by descending degree, then index; so every vertex after the
+first has a colored neighbour, and signatures close soon after their
+vertex is colored.  The per-depth work is scheduled once per graph, and
+colors, signatures, color sets and the (color, signature) pairs in use
+are bitmasks.  Properness depends only on the colors already placed, so
+each depth decides it once, when the search enters it, as a mask of
+candidate colors; only the signature test and, where leaves wait, the
+leaf check run per color.  The search is one loop over the depth with its state in
 per-depth lists (see ``_search``), so it has no recursion and no depth
 limit.  The search is deliberately simple and fully exhaustive: it is the
 independent check the constructions are measured against, so completeness
@@ -31,6 +35,8 @@ color cap always give the same witness and node count.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
+from functools import cache
 from typing import NamedTuple
 
 from .bounds import _chi_lower_bound
@@ -82,13 +88,14 @@ class _OutOfTime(TimeoutError):
 CHECK_EVERY = 4096  # nodes between two deadline checks; the first switches the memo on
 
 
-_Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int], list[int], list[int]]
+_Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int], list[int], list[int],
+                  list[list[int]]]
 
 
 def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     """What ``_search`` does at each depth, whatever k is: (order, earlier,
-    final_at, twin, closed, reasons).  ``twins`` is ``twin_classes(g)``,
-    computed here unless the caller has it.  One walk places the vertices
+    final_at, twin, closed, reasons, waiting).  ``twins`` is
+    ``twin_classes(g)``, computed here unless the caller has it.  One walk places the vertices
     breadth-first from the highest-degree vertex, lowest index on ties,
     visiting each vertex's neighbours by descending degree, then index, so
     every vertex after the first has a neighbour before it (the graph is
@@ -109,6 +116,7 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     pos[first] = 0
     closed = [0] * n
     earlier, reasons = [], []
+    hanging, leaf_at = [], []  # e and f of each leaf, in the order of f (and so of e)
     for d, v in enumerate(order):  # grows while it is walked
         bit = 1 << d
         before = []
@@ -119,9 +127,15 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
             elif pos[u] == n:
                 pos[u] = len(order)
                 order.append(u)
+                if degree[u] == 1:
+                    hanging.append(d)
+                    leaf_at.append(pos[u])
         earlier.append(before)
         closed[v] |= bit
         reasons.append(closed[v])
+    waiting: list[list[int]] = [[]] * n  # one shared empty list where no leaf hangs
+    for e in set(hanging):  # the leaves with f > e whose neighbour's depth is at most e
+        waiting[e] = hanging[bisect_right(leaf_at, e):bisect_right(hanging, e)]
     final_at: list[list[int]] = [[] for _ in range(n)]
     for w, depths in enumerate(closed):
         final_at[depths.bit_length() - 1].append(w)
@@ -131,7 +145,7 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
         for u, w in zip(members, members[1:]):
             twin[pos[w]] = u
             reasons[pos[w]] |= 1 << pos[u]
-    return order, earlier, final_at, twin, closed, reasons
+    return order, earlier, final_at, twin, closed, reasons, waiting
 
 
 class _Memo:
@@ -177,6 +191,15 @@ class _Memo:
         return False
 
 
+@cache  # one per k, shared by every search with k colors
+def _leaf_pairs(k: int) -> dict[int, tuple[int, ...]]:
+    """The pairs that leaves on a vertex of color c can take, for each color
+    bit 1 << c: ({c}, x) for each color x != c up to k, as ``_search``
+    writes pairs."""
+    return {1 << c: tuple(2 << c + k | 1 << x for x in range(1, k + 1) if x != c)
+            for c in range(1, k + 1)}
+
+
 def _search(g: Graph, k: int, budget: _Budget,
             schedule: _Schedule | None = None) -> tuple[int, ...] | None:
     """Colors (indexed by vertex) of the first NL-coloring of g with at most
@@ -190,8 +213,10 @@ def _search(g: Graph, k: int, budget: _Budget,
     colored before it (the properness check), ``final_at[d]``, the vertices
     whose closed neighbourhood is complete once ``order[d]`` is colored (the
     signature check), ``twin[d]``, the twin of ``order[d]`` last before it
-    in the order (the twin check), or n where it has none, and the masks of
-    depths that backjumping reads, ``closed[w]`` and ``reasons[d]``.
+    in the order (the twin check), or n where it has none, ``waiting[d]``,
+    the neighbours' depths of the leaves still uncolored once a depth with
+    leaves on it is colored (the leaf check), and the masks of depths that
+    backjumping reads, ``closed[w]`` and ``reasons[d]``.
     Colors are bits, and ``bits`` is the search's only record of them:
     ``bits[v] = 1 << color``, 0 while v is uncolored and always at v = n,
     and a signature is the OR of ``bits`` over a neighbourhood.
@@ -206,15 +231,16 @@ def _search(g: Graph, k: int, budget: _Budget,
     tried starts at the color of ``twin[d]`` (so that a twin takes a higher
     color than the twin before it), read from its bit b as ``(b >> 1)``'s
     bit length, which is 0 where there is no twin, and the next color tried
-    is the lowest candidate above it.  Only the signatures are tested per
-    color: each (signature, color) pair has a bit of ``used`` (``slot``
-    numbers the pairs as the search meets them), so a clash is an AND, and
-    undoing a depth restores ``base[d]``, ``used`` as the depth found it.
-    Only a color that passes goes deeper.  Each color up to the highest
-    allowed is one node when the search passes over it, whether the
-    candidate mask or a signature clash rejected it, and the nodes are
-    added to ``budget.nodes``; the deadline is checked each time the count
-    crosses a multiple of ``CHECK_EVERY``.
+    is the lowest candidate above it.  Only the signatures, and where leaves
+    wait the leaf check, are tested per color: each (signature, color) pair
+    has a bit of ``used`` (``slot`` numbers the pairs as the search meets
+    them), so a clash is an AND, and undoing a depth restores ``base[d]``,
+    ``used`` as the depth found it.  Only a color that passes goes deeper.
+    Each color up to the highest allowed is one node when the search passes
+    over it, whether the candidate mask, a signature clash or the leaf
+    check rejected it, and the nodes are added to ``budget.nodes``; the
+    deadline is checked each time the count crosses a multiple of
+    ``CHECK_EVERY``.
 
     The two symmetry prunes keep the search complete, and they leave its
     first answer unchanged: each only drops colorings that are not the
@@ -235,6 +261,28 @@ def _search(g: Graph, k: int, budget: _Budget,
     disjoint classes and the chain of one pointer per depth orders each
     class completely.
 
+    The leaf check looks ahead.  A leaf's signature is its one neighbour's
+    color, so the leaves on vertices of color c all have the signature
+    {c}, and they need distinct colors other than c: at most k - 1 of them,
+    one fewer for each pair ({c}, x) already in use (the per-color form of
+    the paper's count a1(k) = k(k - 1) of color-degree-1 vertices).  At a
+    depth d with leaves on ``order[d]``, a color c that passes the
+    signature test is checked (forward checking: Haralick and Elliott,
+    Artificial Intelligence 14, 1980): ``need`` counts the entries of
+    ``waiting[d]`` whose vertex has color c, the leaves of ``order[d]``
+    among them, and ``room`` the pairs ({c}, x) that ``used``, with the
+    pairs that d adds, does not hold, counted only up to ``need``.  Where
+    room < need, every completion gives two of those leaves one pair, so c
+    is rejected, one node as a clash is, and the rejection adds to
+    ``conflict[d]`` the depths of the waiting leaves' neighbours of color c
+    and ``held`` of each pair ({c}, x) in use.  The
+    leaves that wait at d are fixed by d, so a prefix that agrees on these
+    depths has at least this need and at most this room, and fails the
+    check too: the check removes only subtrees without a solution, and the
+    first witness is unchanged.  The memo stays sound as well: the check
+    reads ``used`` and the colors of vertices whose leaves are uncolored,
+    whose signatures are still open, so the memo's key holds both.
+
     A depth that runs out of colors sends the search back to the last depth
     that explains why, not merely to the one before it (conflict-directed
     backjumping: Prosser, Computational Intelligence 9(3), 1993, after
@@ -254,13 +302,14 @@ def _search(g: Graph, k: int, budget: _Budget,
     Why a jump skips no solution.  Call a solution a coloring the search
     accepts: proper, with distinct (signature, color) pairs, colors opened
     in order up to k and twins in order.  Each color that d rejects breaks
-    one of these conditions, and the condition reads only d and the depths
-    that the rejection added to ``conflict[d]``: properness the earlier
-    neighbours', twin order the twin's, and a clash the colors of N[w] and
-    N[h], which fix both pairs (h closes by depth d, so any prefix that
-    agrees on them and reaches w has the pair in use).  A color that went
-    deeper failed there, for reasons that by induction on the depth read
-    only the depths merged back into ``conflict[d]``.  So every prefix that
+    one of these conditions, or leaves no completion that meets them, and
+    that reads only d and the depths that the rejection added to
+    ``conflict[d]``: properness the earlier neighbours', twin order the
+    twin's, a clash the colors of N[w] and N[h], which fix both pairs (h
+    closes by depth d, so any prefix that agrees on them and reaches w has
+    the pair in use), and the leaf check the depths argued above.  A color
+    that went deeper failed there, for reasons that by induction on the
+    depth read only the depths merged back into ``conflict[d]``.  So every prefix that
     agrees with this one on ``conflict[d]``, among them each that differs
     only strictly between j and d, fails at d: the subtrees a jump skips
     hold no solution, and the first witness is unchanged.  The rule that
@@ -289,9 +338,10 @@ def _search(g: Graph, k: int, budget: _Budget,
     the set that the key fixes.  So a hit skips only subtrees without a
     solution, and the first witness is unchanged.
     """
-    order, earlier, final_at, twin, closed, reasons = schedule or _schedule(g)
+    order, earlier, final_at, twin, closed, reasons, waiting = schedule or _schedule(g)
     n, adj = g.n, g.adj
     shift = k + 1  # a pair is its signature shifted past the color bits, OR its color bit
+    leaf_pairs = _leaf_pairs(k)
     slot: dict[int, int] = {}  # pair -> its bit in used
     held: dict[int, int] = {}  # pair -> closed[w] of the vertex w that added it last
     used = 0
@@ -330,6 +380,28 @@ def _search(g: Graph, k: int, budget: _Budget,
                     now |= b
                     held[pair] = closed[w]
                 else:
+                    if waiting[depth]:  # leaves wait: pairs ({c}, x) must be free for them
+                        wait = waiting[depth]
+                        need = 0
+                        for e in wait:
+                            if bits[order[e]] == bit:
+                                need += 1
+                        room = 0
+                        for pair in leaf_pairs[bit]:
+                            if not now & slot.get(pair, 0):
+                                room += 1
+                                if room >= need:
+                                    break
+                        else:  # fewer free pairs than leaves to take them
+                            why = 0
+                            for e in wait:
+                                if bits[order[e]] == bit:
+                                    why |= 1 << e
+                            for pair in leaf_pairs[bit]:
+                                if now & slot.get(pair, 0):
+                                    why |= held[pair]
+                            conflict[depth] |= why
+                            continue
                     used = now
                     color = bit.bit_length() - 1
                     break  # every signature is new: keep this color

@@ -126,20 +126,52 @@ def _caterpillars(n: int) -> list[Graph]:
             if spine + sum(leaves) <= n]
 
 
+def _stars(n: int) -> list[Graph]:
+    """The stars K_{1,m} of order at most n, m >= 1."""
+    return [_caterpillar((m,)) for m in range(1, n)]
+
+
+def _double_stars(n: int) -> list[Graph]:
+    """The double stars of order at most n, r and s >= 1 leaves on the two
+    centres, both mirror images of each."""
+    return [_caterpillar((r, s)) for r in range(1, n) for s in range(1, n - r - 1)]
+
+
+def _brooms(n: int) -> list[Graph]:
+    """The brooms of order at most n: a path of 3 or more vertices with 2 or
+    more leaves on one end, both mirror images of each."""
+    return [_caterpillar(leaves) for spine in range(2, n - 2) for b in range(2, n - spine)
+            for leaves in ((0,) * spine + (b,), (b,) + (0,) * spine)]
+
+
+def _combs(n: int) -> list[Graph]:
+    """The combs of order at most n: one leaf on each vertex of a path."""
+    return [_caterpillar((1,) * spine) for spine in range(1, n // 2 + 1)]
+
+
 def _complete_binary_trees(n: int) -> list[Graph]:
     """The complete binary trees of order at most n."""
     return [Graph(2 ** levels - 1, [((v - 1) // 2, v) for v in range(1, 2 ** levels - 1)])
             for levels in range(2, (n + 1).bit_length())]
 
 
+def _leafy(n: int) -> list:
+    """Trees whose leaves crowd onto few vertices, where the leaf check of the
+    search rejects colors early: the stars, double stars, brooms and combs
+    up to order n."""
+    return [pytest.param(universe, n, id=f"{universe.__name__[1:].replace('_', '-')}-{n}")
+            for universe in (_stars, _double_stars, _brooms, _combs)]
+
+
 # every tree up to order 9 (ids 1..9), every connected graph up to order 7
-# (ids atlas-1..atlas-7, the networkx graph atlas), and the cones over the
+# (ids atlas-1..atlas-7, the networkx graph atlas), the cones over the
 # trees of order 7 and 8 (ids cone-7, cone-8), where the cone step of
-# chi_lower_bound applies
+# chi_lower_bound applies, and the leafy trees up to order 9
 UNIVERSES = [
     *(pytest.param(enumerate_trees, n, id=str(n)) for n in range(1, 10)),
     *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 8)),
     *(pytest.param(_cones_over_trees, n, id=f"cone-{n}") for n in (7, 8)),
+    *_leafy(9),
 ]
 
 
@@ -192,15 +224,17 @@ def _least_in_search_order(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-# every connected graph up to order 6, every tree of order 7 and 8, and
-# the spiders, caterpillars and complete binary trees up to order 10, where
-# the search jumps back past legs and branches that a failure does not read
+# every connected graph up to order 6, every tree of order 7 and 8, the
+# spiders, caterpillars and complete binary trees up to order 10, where the
+# search jumps back past legs and branches that a failure does not read,
+# and the leafy trees up to order 10
 WITNESS_UNIVERSES = [
     *(pytest.param(connected_graphs, n, id=f"atlas-{n}") for n in range(1, 7)),
     *(pytest.param(enumerate_trees, n, id=str(n)) for n in (7, 8)),
     pytest.param(_spiders, 10, id="spiders-10"),
     pytest.param(_caterpillars, 10, id="caterpillars-10"),
     pytest.param(_complete_binary_trees, 10, id="complete-binary-trees-10"),
+    *_leafy(10),
 ]
 
 

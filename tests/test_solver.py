@@ -149,7 +149,7 @@ ANCHOR_TREE_20 = Graph(20, [
     (0, 8), (0, 9), (0, 17), (1, 6), (1, 14), (2, 3), (2, 7), (2, 8), (3, 5),
     (3, 14), (4, 6), (5, 16), (6, 19), (9, 13), (10, 16), (11, 19), (12, 16),
     (15, 18), (18, 19)])
-# a tree whose lower bound (4) is one below its value: 2,892 of its 2,922
+# a tree whose lower bound (4) is one below its value: 814 of its 844
 # nodes refute k = 4
 TREE_16 = Graph(16, [
     (0, 6), (1, 4), (1, 11), (1, 15), (2, 7), (3, 6), (5, 11), (6, 7), (6, 12),
@@ -169,18 +169,18 @@ SPIDER_7X3 = Graph(22, [(0 if i % 3 == 1 else i - 1, i) for i in range(1, 22)])
      [1, 2, 1, 3, 1, 4, 1, 2, 4, 2, 4, 3, 5, 2, 3, 2, 4, 1, 4, 3, 1, 3, 2]),
     (family_graph(FamilySpec.wheel(12)), 5, 41,
      [2, 3, 2, 3, 4, 2, 3, 5, 2, 4, 5, 1]),
-    (family_graph(FamilySpec.path(24)), 4, 28_727,
+    (family_graph(FamilySpec.path(24)), 4, 28_671,
      [3, 1, 2, 1, 2, 3, 1, 4, 1, 2, 4, 1, 4, 3, 2, 3, 2, 4, 2, 4, 3, 4, 3, 1]),
     (family_graph(FamilySpec.fan(30)), 6, 142,
      [6, 2, 3, 2, 3, 4, 2, 3, 5, 2, 3, 6, 2, 4, 2, 4, 5, 2, 4, 6, 2, 5, 2, 5, 6, 3, 4, 3,
       5, 1]),
-    (ANCHOR_TREE_20, 4, 87,
+    (ANCHOR_TREE_20, 4, 73,
      [1, 1, 3, 1, 3, 3, 2, 1, 2, 2, 1, 3, 2, 4, 4, 2, 4, 2, 3, 4]),
-    (ANCHOR_UNICYCLIC_20, 4, 98,
+    (ANCHOR_UNICYCLIC_20, 4, 56,
      [3, 1, 1, 2, 4, 4, 3, 2, 1, 2, 1, 4, 3, 1, 2, 2, 3, 4, 2, 3]),
-    (TREE_16, 5, 2_922,  # refutes k = 4 exhaustively
+    (TREE_16, 5, 844,  # refutes k = 4 exhaustively
      [2, 1, 1, 3, 4, 1, 1, 2, 4, 5, 3, 4, 2, 2, 2, 5]),
-    (SPIDER_7X3, 5, 613_905,  # refutes k = 4 exhaustively, with the memo on
+    (SPIDER_7X3, 5, 143_675,  # refutes k = 4 exhaustively, with the memo on
      [1, 2, 1, 4, 2, 3, 2, 2, 4, 1, 2, 5, 1, 3, 1, 5, 3, 2, 4, 3, 4, 2]),
 ], ids=["C23", "W12", "P24", "F30", "anchor-tree-20", "anchor-unicyclic-20", "tree-16",
         "spider-7x3"])
@@ -196,12 +196,42 @@ def test_node_counts_are_pinned(g, chi, nodes, colors):
     assert chi_nl_exact(g).to_dict() == first.to_dict()
 
 
+# three order-14 graphs of the exact benchmark workload (a tree of seed 4,
+# a unicyclic graph of seed 37 and a tree of seed 26), written out like the
+# anchors: a leaf check whose rejections read neither the holders of the
+# pairs in use (the first two) nor the depths of the waiting leaves'
+# neighbours (the third) jumps back past the first witness on them
+LEAF_JUMPS = [
+    Graph(14, [(0, 11), (1, 8), (1, 9), (1, 11), (2, 6), (3, 7), (3, 11), (4, 6), (5, 8),
+               (6, 10), (8, 13), (9, 12), (10, 13)]),
+    Graph(14, [(0, 3), (1, 2), (2, 10), (3, 4), (3, 12), (4, 9), (5, 7), (6, 10), (7, 10),
+               (7, 11), (8, 13), (9, 11), (10, 11), (11, 13)]),
+    Graph(14, [(0, 10), (0, 12), (1, 2), (1, 10), (1, 11), (2, 4), (2, 9), (3, 4), (4, 6),
+               (5, 6), (6, 8), (7, 12), (12, 13)]),
+]
+
+
+@pytest.mark.parametrize("g", LEAF_JUMPS, ids=["tree-4", "unicyclic-37", "tree-26"])
+def test_leaf_check_keeps_the_first_witness(g, monkeypatch):
+    # the leaf check cuts only subtrees without a solution, and so do the
+    # jumps back from its rejections: the search without it, its schedule
+    # listing no waiting leaf, finds the same chi and witness
+    found = chi_nl_exact(g)
+    schedule = solver._schedule
+
+    def without_leaves(g, twins=None):
+        return (*schedule(g, twins)[:-1], [[]] * g.n)
+
+    monkeypatch.setattr(solver, "_schedule", without_leaves)
+    assert chi_nl_exact(g)[:3] == found[:3]
+
+
 def test_node_total_over_small_trees_is_pinned():
     # witness search on every tree up to order 11, where the search order
     # decides how soon signatures close; lower the pin when it shrinks
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(1, 12) for g in enumerate_trees(n))
-    assert total == 15_148
+    assert total == 10_815
 
 
 def test_node_total_over_small_connected_graphs_is_pinned():
@@ -209,20 +239,46 @@ def test_node_total_over_small_connected_graphs_is_pinned():
     # where dense graphs make the properness prune fire
     total = sum(chi_nl_exact(g).nodes_explored
                 for n in range(2, 8) for g in connected_graphs(n))
-    assert total == 31_091
+    assert total == 31_016
 
 
-@pytest.mark.parametrize("legs,nodes", [(10, 4_893), (11, 7_625)], ids=["10-legs", "11-legs"])
+@pytest.mark.parametrize("legs,nodes", [(10, 57), (11, 64)], ids=["10-legs", "11-legs"])
 def test_spiders_start_at_their_value(legs, nodes):
     # the spider of 10 or 11 legs of length 2 has order <= max_order(4),
     # but its centre has more neighbours of degree 2 than cap(2) = 9 allows
     # at k = 4, so the neighbour bound starts the search at chi = 5.  The
-    # witness search jumps back past the legs that a clash does not read.
-    # Refuting k = 4 by search took 584,302 / 1,774,332 nodes in all
+    # witness search jumps back past the legs that a clash does not read,
+    # and the leaf check keeps each color on at most k - 1 legs' middles
     g = Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
     result = chi_nl_exact(g)
     assert (chi_lower_bound(g), result.chi, result.status) == (5, 5, "Exact")
     assert result.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("legs", [10, 11], ids=["10-legs", "11-legs"])
+def test_search_alone_refutes_four_colors_on_the_spiders(legs):
+    # exists_nl_coloring reads no lower bound.  The tips on the middles of
+    # one color need distinct other colors, so the leaf check rejects a
+    # fourth middle of a color at its own depth; without the check the
+    # refutation took 1,230,889 / 3,684,567 nodes
+    g = Graph(2 * legs + 1, [(0 if i % 2 else i - 1, i) for i in range(1, 2 * legs + 1)])
+    budget = _Budget(None)
+    assert exists_nl_coloring(g, 4, budget=budget) == (False, None)
+    assert budget.nodes == 3_504
+
+
+@pytest.mark.parametrize("m", range(1, 12))
+def test_leaves_on_one_vertex_fill_its_pairs(m):
+    # the m leaves of K_{1,m} all have the signature {c}, c the centre's
+    # color, so they need m distinct colors other than c: k = m + 1 is
+    # just enough, and at k = m the leaf check rejects the centre's one
+    # color at depth 0, in one node (m + 1 without the check)
+    g = Graph(m + 1, [(0, leaf) for leaf in range(1, m + 1)])
+    budget = _Budget(None)
+    assert exists_nl_coloring(g, m, budget=budget) == (False, None)
+    assert budget.nodes == 1
+    found, witness = exists_nl_coloring(g, m + 1)
+    assert found and witness.k == m + 1 and is_nl_coloring(g, witness).ok
 
 
 @pytest.mark.parametrize("g,nodes", [
@@ -230,7 +286,7 @@ def test_spiders_start_at_their_value(legs, nodes):
     (family_graph(FamilySpec.fan(9)), (95, 91)), (family_graph(FamilySpec.cycle(23)), (58, 58)),
     (family_graph(FamilySpec.cycle(8)), (17, 17)),
     (Graph(6, [(u, 3 + v) for u in range(3) for v in range(3)]), (27, 27)),
-    (TREE_16, (2_922, 2_922)),
+    (TREE_16, (844, 844)),
 ], ids=["W12", "C12", "F9", "C23", "C8", "K3,3", "tree-16"])
 def test_attempts_share_one_node_count(g, nodes, monkeypatch):
     # one exists_nl_coloring per k from the lower bound up, on one budget,
@@ -332,7 +388,11 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
         if twin[d] < g.n:
             depths.add(pos[twin[d]])
         reasons.append(sum(1 << e for e in depths))
-    return order, earlier, final_at, twin, closed, reasons
+    leaves = [(pos[g.adj[w][0]], pos[w]) for w in range(g.n)  # (neighbour's depth, own)
+              if len(g.adj[w]) == 1 and pos[g.adj[w][0]] < pos[w]]
+    waiting = [sorted(e for e, f in leaves if e <= d < f) if any(e == d for e, _ in leaves)
+               else [] for d in range(g.n)]
+    return order, earlier, final_at, twin, closed, reasons, waiting
 
 
 @pytest.mark.parametrize("universe", ["atlas", "trees", "C23", "F30", "P3000"])
@@ -344,7 +404,10 @@ def test_schedule_matches_its_definition(universe):
     # neighbourhood has its largest position at d; twin[d]: the twin of
     # order[d] last before it in the order, or n; closed[w]: the depths of
     # w's closed neighbourhood as a mask; reasons[d]: the depths of order[d],
-    # its earlier neighbours and its earlier twin
+    # its earlier neighbours and its earlier twin; waiting[d], where a leaf
+    # placed after order[d] hangs on it: the neighbour's depth of each leaf
+    # placed after depth d whose neighbour is placed by then, in increasing
+    # order, and empty elsewhere
     graphs = {
         "atlas": [g for n in range(1, 8) for g in connected_graphs(n)],
         "trees": [g for n in range(1, 11) for g in enumerate_trees(n)],
@@ -375,7 +438,7 @@ def _front_by_definition(g: Graph) -> list[set[int]]:
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS)
 def test_memo_schedule_reads_the_twins(g):
-    _, _, _, twin, closed, _ = solver._schedule(g)
+    _, _, _, twin, closed, _, _ = solver._schedule(g)
     front = solver._Memo(g.adj, g.n, closed, twin).front  # k sets only the pair shift
     assert list(map(set, front)) == _front_by_definition(g)
 

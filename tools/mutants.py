@@ -1,10 +1,10 @@
 """Hand-made mutations that the tests must kill: of the solver, its
-schedule and its backjumping, its memo's key and front, the lower bound,
-its cycle bound and parity clause, its neighbour bound and its cone step,
-the cycle pipeline's edge scan, the constructions' self-checks and the
-extremal graphs' splice, the CLI parser, graph validation, distances and
-degrees, the atlas count check, the delta sweep's degree, and the
-coloring type and verifier.
+schedule and its backjumping, its memo's key and front, its leaf check,
+the lower bound, its cycle bound and parity clause, its neighbour bound
+and its cone step, the cycle pipeline's edge scan, the constructions'
+self-checks and the extremal graphs' splice, the CLI parser, graph
+validation, distances and degrees, the atlas count check, the delta
+sweep's degree, and the coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -96,7 +96,31 @@ MUTATIONS = [
     Mutation("backjump keeps the skipped colors", "solver.py", (
         ("                for u in order[back + 1:depth]:\n                    bits[u] = 0\n", ""),
     ), SEARCH),
-    # the four prunes of the search
+    # the leaf check: a color passes while as many pairs ({c}, x) are free
+    # as leaves wait on vertices of color c, and not only while more are
+    # free; a leaf already colored holds its pair in used and waits no
+    # more; a rejection reads the depths of the waiting leaves' neighbours
+    # and the holders of the pairs in use; the pair ({c}, c) is not counted
+    # as free, and the check is made at all
+    Mutation("leaf check rejects at equal room", "solver.py", (
+        ("if room >= need:", "if room > need:"),
+    ), ORACLE),
+    Mutation("leaf check counts the colored leaves too", "solver.py", (
+        ("waiting[e] = hanging[bisect_right(leaf_at, e):", "waiting[e] = hanging[0:"),
+    ), ORACLE),
+    Mutation("leaf check conflict without the holders", "solver.py", (
+        ("why |= held[pair]", "pass"),
+    ), SEARCH),
+    Mutation("leaf check conflict without the neighbours' depths", "solver.py", (
+        ("why |= 1 << e", "pass"),
+    ), SEARCH),
+    Mutation("leaf check room starts at k", "solver.py", (
+        ("for x in range(1, k + 1) if x != c)", "for x in range(1, k + 1))"),
+    ), ("tests/test_solver.py",)),
+    Mutation("no leaf check", "solver.py", (
+        ("if waiting[depth]:", "if False:"),
+    ), ("tests/test_solver.py",)),
+    # the other four prunes of the search
     Mutation("no properness prune", "solver.py", (
         ("cands[depth] = ((2 << top) - 2) & ~forbidden", "cands[depth] = (2 << top) - 2"),
     ), SEARCH),

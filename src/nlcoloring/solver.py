@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from functools import cache
 from typing import NamedTuple
 
 from .bounds import _chi_lower_bound
@@ -191,15 +190,6 @@ class _Memo:
         return False
 
 
-@cache  # one per k, shared by every search with k colors
-def _leaf_pairs(k: int) -> dict[int, tuple[int, ...]]:
-    """The pairs that leaves on a vertex of color c can take, for each color
-    bit 1 << c: ({c}, x) for each color x != c up to k, as ``_search``
-    writes pairs."""
-    return {1 << c: tuple(2 << c + k | 1 << x for x in range(1, k + 1) if x != c)
-            for c in range(1, k + 1)}
-
-
 def _search(g: Graph, k: int, budget: _Budget,
             schedule: _Schedule | None = None) -> tuple[int, ...] | None:
     """Colors (indexed by vertex) of the first NL-coloring of g with at most
@@ -271,11 +261,13 @@ def _search(g: Graph, k: int, budget: _Budget,
     Artificial Intelligence 14, 1980): ``need`` counts the entries of
     ``waiting[d]`` whose vertex has color c, the leaves of ``order[d]``
     among them, and ``room`` the pairs ({c}, x) that ``used``, with the
-    pairs that d adds, does not hold, counted only up to ``need``.  Where
-    room < need, every completion gives two of those leaves one pair, so c
-    is rejected, one node as a clash is, and the rejection adds to
-    ``conflict[d]`` the depths of the waiting leaves' neighbours of color c
-    and ``held`` of each pair ({c}, x) in use.  The
+    pairs that d adds, does not hold, counted only up to ``need``.  Nothing
+    is counted where ``len(waiting[d])`` plus the pairs in use is below k,
+    as then at least ``len(waiting[d]) >= need`` of the k - 1 pairs ({c}, x)
+    are free.  Where room < need, every completion gives two of those
+    leaves one pair, so c is rejected, one node as a clash is, and the
+    rejection adds to ``conflict[d]`` the depths of the waiting leaves'
+    neighbours of color c and ``held`` of each pair ({c}, x) in use.  The
     leaves that wait at d are fixed by d, so a prefix that agrees on these
     depths has at least this need and at most this room, and fails the
     check too: the check removes only subtrees without a solution, and the
@@ -341,7 +333,6 @@ def _search(g: Graph, k: int, budget: _Budget,
     order, earlier, final_at, twin, closed, reasons, waiting = schedule or _schedule(g)
     n, adj = g.n, g.adj
     shift = k + 1  # a pair is its signature shifted past the color bits, OR its color bit
-    leaf_pairs = _leaf_pairs(k)
     slot: dict[int, int] = {}  # pair -> its bit in used
     held: dict[int, int] = {}  # pair -> closed[w] of the vertex w that added it last
     used = 0
@@ -380,15 +371,19 @@ def _search(g: Graph, k: int, budget: _Budget,
                     now |= b
                     held[pair] = closed[w]
                 else:
-                    if waiting[depth]:  # leaves wait: pairs ({c}, x) must be free for them
-                        wait = waiting[depth]
+                    color = bit.bit_length() - 1
+                    wait = waiting[depth]
+                    # leaves wait for pairs ({c}, x), x != c: count them, unless the
+                    # pairs in use leave at least len(wait) of the k - 1 free
+                    if wait and len(wait) + now.bit_count() >= k:
                         need = 0
                         for e in wait:
                             if bits[order[e]] == bit:
                                 need += 1
+                        sig = bit << shift  # the signature {c}, placed as in a pair
                         room = 0
-                        for pair in leaf_pairs[bit]:
-                            if not now & slot.get(pair, 0):
+                        for x in range(1, shift):
+                            if x != color and not now & slot.get(sig | 1 << x, 0):
                                 room += 1
                                 if room >= need:
                                     break
@@ -397,13 +392,13 @@ def _search(g: Graph, k: int, budget: _Budget,
                             for e in wait:
                                 if bits[order[e]] == bit:
                                     why |= 1 << e
-                            for pair in leaf_pairs[bit]:
+                            for x in range(1, shift):
+                                pair = sig | 1 << x
                                 if now & slot.get(pair, 0):
                                     why |= held[pair]
                             conflict[depth] |= why
                             continue
                     used = now
-                    color = bit.bit_length() - 1
                     break  # every signature is new: keep this color
             else:  # no candidate left: pass over the colors up to the limit
                 color = limit[depth]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -279,6 +280,23 @@ def test_leaves_on_one_vertex_fill_its_pairs(m):
     assert budget.nodes == 1
     found, witness = exists_nl_coloring(g, m + 1)
     assert found and witness.k == m + 1 and is_nl_coloring(g, witness).ok
+
+
+def test_leaf_check_memory_stays_linear_in_k():
+    # the twin bound starts K_{1,1499} at k = 1500, where the leaf check
+    # counts 1,499 pairs ({c}, x) at depth 0.  It builds each pair as it
+    # reads it: a table of all k(k - 1) pairs would hold about 2.2M ints of
+    # up to 3,000 bits (over 500 MB), where this solve peaks near 2 MB
+    n = 1_500
+    g = Graph(n, [(0, leaf) for leaf in range(1, n)])
+    tracemalloc.start()
+    try:
+        result = chi_nl_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.chi, result.status, result.nodes_explored) == (n, "Exact", n + 1)
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("g,nodes", [

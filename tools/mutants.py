@@ -101,7 +101,8 @@ MUTATIONS = [
     # free; a leaf already colored holds its pair in used and waits no
     # more; a rejection reads the depths of the waiting leaves' neighbours
     # and the holders of the pairs in use; the pair ({c}, c) is not counted
-    # as free, and the check is made at all
+    # as free; the count is skipped only where the pairs in use leave
+    # len(wait) free, and the check is made at all
     Mutation("leaf check rejects at equal room", "solver.py", (
         ("if room >= need:", "if room > need:"),
     ), ORACLE),
@@ -115,10 +116,13 @@ MUTATIONS = [
         ("why |= 1 << e", "pass"),
     ), SEARCH),
     Mutation("leaf check room starts at k", "solver.py", (
-        ("for x in range(1, k + 1) if x != c)", "for x in range(1, k + 1))"),
+        ("if x != color and not now", "if not now"),
+    ), ("tests/test_solver.py",)),
+    Mutation("leaf check skipped one pair too soon", "solver.py", (
+        ("len(wait) + now.bit_count() >= k:", "len(wait) + now.bit_count() > k:"),
     ), ("tests/test_solver.py",)),
     Mutation("no leaf check", "solver.py", (
-        ("if waiting[depth]:", "if False:"),
+        ("if wait and ", "if False and "),
     ), ("tests/test_solver.py",)),
     # the other four prunes of the search
     Mutation("no properness prune", "solver.py", (

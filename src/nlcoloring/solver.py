@@ -35,7 +35,6 @@ color cap always give the same witness and node count.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .bounds import _chi_lower_bound
@@ -94,18 +93,22 @@ _Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int], list[i
 def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     """What ``_search`` does at each depth, whatever k is: (order, earlier,
     final_at, twin, closed, reasons, waiting).  ``twins`` is
-    ``twin_classes(g)``, computed here unless the caller has it.  One walk places the vertices
-    breadth-first from the highest-degree vertex, lowest index on ties,
-    visiting each vertex's neighbours by descending degree, then index, so
-    every vertex after the first has a neighbour before it (the graph is
-    connected).  The walk's order grows while it is walked: at depth d it
-    places the unplaced neighbours of ``order[d]``, notes the placed ones as
-    its earlier neighbours, and adds d to ``closed[u]`` for each neighbour u
-    and ``order[d]`` itself, so ``closed[w]`` ends as the depths of w's
-    closed neighbourhood as a mask, the highest of them w's closing depth.
-    Once ``order[d]`` is walked, its ``closed`` holds the depths of its
-    earlier neighbours and its own: that is ``reasons[d]``, to which a
-    twin adds its earlier twin's depth."""
+    ``twin_classes(g)``, computed here unless the caller has it.  One walk
+    places the vertices breadth-first from the highest-degree vertex, lowest
+    index on ties, placing each vertex's unplaced neighbours by descending
+    degree, then index, so every vertex after the first has a neighbour
+    before it (the graph is connected).  The walk's order grows while it is
+    walked: at depth d it places the unplaced neighbours of ``order[d]``,
+    notes the placed ones, in increasing order, as its earlier neighbours,
+    and adds d to ``closed[u]`` for each neighbour u and ``order[d]``
+    itself, so ``closed[w]`` ends as the depths of w's closed neighbourhood
+    as a mask, the highest of them w's closing depth.  Once ``order[d]`` is
+    walked, its ``closed`` holds the depths of its earlier neighbours and
+    its own: that is ``reasons[d]``, to which a twin adds its earlier
+    twin's depth.  Each leaf that d places is noted with d, and where d
+    places one, ``waiting[d]`` lists the notes of the leaves still unwalked:
+    a leaf placed by d is placed after it, and only the first vertex of
+    K2 is a leaf that places one."""
     n, adj = g.n, g.adj
     degree = list(map(len, adj))
     by_degree = degree.__getitem__
@@ -115,26 +118,33 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     pos[first] = 0
     closed = [0] * n
     earlier, reasons = [], []
-    hanging, leaf_at = [], []  # e and f of each leaf, in the order of f (and so of e)
+    waiting: list[list[int]] = [[]] * n  # one shared empty list where no leaf hangs
+    hanging = []  # the neighbour's depth of each leaf placed after it, in the leaves' order
+    walked = 0  # how many of those leaves the walk has passed
     for d, v in enumerate(order):  # grows while it is walked
         bit = 1 << d
-        before = []
-        for u in sorted(adj[v], key=by_degree, reverse=True):  # stable: index on ties
+        before, new = [], []
+        for u in adj[v]:  # increasing index
             closed[u] |= bit
             if pos[u] < d:
                 before.append(u)
             elif pos[u] == n:
-                pos[u] = len(order)
-                order.append(u)
-                if degree[u] == 1:
-                    hanging.append(d)
-                    leaf_at.append(pos[u])
+                new.append(u)
+        if len(new) > 1:  # only the order of the vertices it places matters
+            new.sort(key=by_degree, reverse=True)  # stable: index on ties
+        for u in new:
+            pos[u] = len(order)
+            order.append(u)
+            if degree[u] == 1:
+                hanging.append(d)
         earlier.append(before)
         closed[v] |= bit
         reasons.append(closed[v])
-    waiting: list[list[int]] = [[]] * n  # one shared empty list where no leaf hangs
-    for e in set(hanging):  # the leaves with f > e whose neighbour's depth is at most e
-        waiting[e] = hanging[bisect_right(leaf_at, e):bisect_right(hanging, e)]
+        if hanging:  # no leaf hangs on a leaf placed after its neighbour
+            if hanging[-1] == d:  # leaves hang on order[d]: the unwalked ones wait
+                waiting[d] = hanging[walked:]
+            elif degree[v] == 1:
+                walked += 1
     final_at: list[list[int]] = [[] for _ in range(n)]
     for w, depths in enumerate(closed):
         final_at[depths.bit_length() - 1].append(w)
@@ -371,19 +381,18 @@ def _search(g: Graph, k: int, budget: _Budget,
                     now |= b
                     held[pair] = closed[w]
                 else:
-                    color = bit.bit_length() - 1
-                    wait = waiting[depth]
                     # leaves wait for pairs ({c}, x), x != c: count them, unless the
                     # pairs in use leave at least len(wait) of the k - 1 free
-                    if wait and len(wait) + now.bit_count() >= k:
+                    if waiting[depth] and len(waiting[depth]) + now.bit_count() >= k:
+                        wait = waiting[depth]
                         need = 0
                         for e in wait:
                             if bits[order[e]] == bit:
                                 need += 1
                         sig = bit << shift  # the signature {c}, placed as in a pair
-                        room = 0
+                        room = -1  # ({c}, c) counts below, but no vertex of color c has {c}
                         for x in range(1, shift):
-                            if x != color and not now & slot.get(sig | 1 << x, 0):
+                            if not now & slot.get(sig | 1 << x, 0):
                                 room += 1
                                 if room >= need:
                                     break
@@ -399,6 +408,7 @@ def _search(g: Graph, k: int, budget: _Budget,
                             conflict[depth] |= why
                             continue
                     used = now
+                    color = bit.bit_length() - 1
                     break  # every signature is new: keep this color
             else:  # no candidate left: pass over the colors up to the limit
                 color = limit[depth]
@@ -425,7 +435,7 @@ def _search(g: Graph, k: int, budget: _Budget,
                 depth = back
                 continue
             if depth + 1 == n:
-                return tuple(bit.bit_length() - 1 for bit in bits[:n])
+                return tuple([bit.bit_length() - 1 for bit in bits[:n]])
             depth += 1
             base[depth] = used
             top = limit[depth - 1]

@@ -389,8 +389,7 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
     for v in order:  # breadth-first; grows while it is walked
         order += [u for u in sorted(g.adj[v], key=key.__getitem__) if u not in order]
     pos = {v: d for d, v in enumerate(order)}
-    earlier = [sorted((u for u in g.adj[v] if pos[u] < d), key=key.__getitem__)
-               for d, v in enumerate(order)]
+    earlier = [[u for u in g.adj[v] if pos[u] < d] for d, v in enumerate(order)]
     final_at = [[] for _ in range(g.n)]
     for w in range(g.n):  # increasing w, so each list is in increasing order
         final_at[max(pos[u] for u in (w, *g.adj[w]))].append(w)
@@ -417,12 +416,12 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
 def test_schedule_matches_its_definition(universe):
     # order: breadth-first from the highest-degree vertex, lowest index on
     # ties, each vertex's neighbours by descending degree, then index;
-    # earlier[d]: the neighbours of order[d] placed before depth d, in that
-    # order; final_at[d]: the vertices, in increasing order, whose closed
-    # neighbourhood has its largest position at d; twin[d]: the twin of
-    # order[d] last before it in the order, or n; closed[w]: the depths of
-    # w's closed neighbourhood as a mask; reasons[d]: the depths of order[d],
-    # its earlier neighbours and its earlier twin; waiting[d], where a leaf
+    # earlier[d]: the neighbours of order[d] placed before depth d, in
+    # increasing order; final_at[d]: the vertices, in increasing order,
+    # whose closed neighbourhood has its largest position at d; twin[d]:
+    # the twin of order[d] last before it in the order, or n; closed[w]: the
+    # depths of w's closed neighbourhood as a mask; reasons[d]: the depths of
+    # order[d], its earlier neighbours and its earlier twin; waiting[d], where a leaf
     # placed after order[d] hangs on it: the neighbour's depth of each leaf
     # placed after depth d whose neighbour is placed by then, in increasing
     # order, and empty elsewhere

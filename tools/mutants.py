@@ -73,7 +73,11 @@ MUTATIONS = [
         ("                read[u] = d\n", "                pass\n"),
     ), SEARCH),
     # the per-depth schedule: a vertex's closed neighbourhood, whose last
-    # depth is its closing depth, must gain the vertex and each neighbour
+    # depth is its closing depth, must gain the vertex and each neighbour,
+    # and the walk places neighbours by descending degree
+    Mutation("schedule places neighbours by index", "solver.py", (
+        ("new.sort(key=by_degree, reverse=True)", "new.sort()"),
+    ), SEARCH),
     Mutation("schedule closing depth skips the neighbours", "solver.py", (
         ("            closed[u] |= bit\n", ""),
     ), SEARCH),
@@ -107,7 +111,7 @@ MUTATIONS = [
         ("if room >= need:", "if room > need:"),
     ), ORACLE),
     Mutation("leaf check counts the colored leaves too", "solver.py", (
-        ("waiting[e] = hanging[bisect_right(leaf_at, e):", "waiting[e] = hanging[0:"),
+        ("waiting[d] = hanging[walked:]", "waiting[d] = hanging[:]"),
     ), ORACLE),
     Mutation("leaf check conflict without the holders", "solver.py", (
         ("why |= held[pair]", "pass"),
@@ -116,13 +120,13 @@ MUTATIONS = [
         ("why |= 1 << e", "pass"),
     ), SEARCH),
     Mutation("leaf check room starts at k", "solver.py", (
-        ("if x != color and not now", "if not now"),
+        ("room = -1", "room = 0"),
     ), ("tests/test_solver.py",)),
     Mutation("leaf check skipped one pair too soon", "solver.py", (
-        ("len(wait) + now.bit_count() >= k:", "len(wait) + now.bit_count() > k:"),
+        ("len(waiting[depth]) + now.bit_count() >= k:", "len(waiting[depth]) + now.bit_count() > k:"),
     ), ("tests/test_solver.py",)),
     Mutation("no leaf check", "solver.py", (
-        ("if wait and ", "if False and "),
+        ("if waiting[depth] and ", "if False and "),
     ), ("tests/test_solver.py",)),
     # the other four prunes of the search
     Mutation("no properness prune", "solver.py", (

@@ -14,8 +14,6 @@ cone step's connectivity check and the neighbour bound's sorts is
 integer arithmetic.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .graphs import FamilySpec, Graph, distances, twin_classes

@@ -15,8 +15,6 @@ No subcommand loads networkx; the sweeps generate their trees and decode
 their atlas graphs themselves.
 """
 
-from __future__ import annotations
-
 import getopt
 import json
 import sys
@@ -94,7 +92,7 @@ def _refuse_params(args, owner: str, taken: tuple[str, ...] = ()) -> None:
         raise CliError(f"{owner} takes no {' or '.join(extra)}")
 
 
-def _family_spec(args) -> FamilySpec:
+def _family_spec(args) -> "FamilySpec":
     from .graphs import FAMILIES, FamilySpec
 
     fam = args.family
@@ -114,7 +112,7 @@ def _family_spec(args) -> FamilySpec:
 
 
 # bench/replay.py builds its colorings through this name
-def _colored_graph_for(spec: FamilySpec) -> ColoredGraph:
+def _colored_graph_for(spec: "FamilySpec") -> "ColoredGraph":
     from .construct import family_coloring
     return family_coloring(spec)
 

@@ -5,8 +5,6 @@ an invariant of the type: the solver needs to represent bad candidates, so
 the checks live in :func:`is_nl_coloring`.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .graphs import Graph

@@ -15,8 +15,6 @@ constructor verifies its output once and returns just that graph and
 coloring; a failure raises ConstructionError instead of shipping a bad one.
 """
 
-from __future__ import annotations
-
 from collections.abc import MutableSequence, Sequence
 from itertools import combinations
 from math import isqrt

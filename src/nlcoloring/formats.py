@@ -10,8 +10,6 @@ colors.  Vertex ids are 0-based everywhere.  In the JSON formats ``n``,
 ``"1"`` and ``true`` are rejected with ``FormatError``, not converted.
 """
 
-from __future__ import annotations
-
 import json
 
 from .coloring import Coloring

@@ -13,8 +13,6 @@ has n-1 edges, and has one cycle exactly when it has n), the twin classes
 parameters (``FAMILIES``).
 """
 
-from __future__ import annotations
-
 from bisect import bisect
 from typing import Callable, Collection, Iterable, NamedTuple
 

@@ -23,16 +23,15 @@ vertex is colored.  The per-depth work is scheduled once per graph, and
 colors, signatures, color sets and the (color, signature) pairs in use
 are bitmasks.  Properness depends only on the colors already placed, so
 each depth decides it once, when the search enters it, as a mask of
-candidate colors; only the signature test and, where leaves wait, the
-leaf check run per color.  The search is one loop over the depth with its state in
-per-depth lists (see ``_search``), so it has no recursion and no depth
-limit.  The search is deliberately simple and fully exhaustive: it is the
-independent check the constructions are measured against, so completeness
-beats speed.  It is also sequential and deterministic: the same graph and
-color cap always give the same witness and node count.
+candidate colors, from all its neighbours; only the signature test and,
+where leaves wait, the leaf check run per color.  The search is one loop
+over the depth with its state in per-depth lists (see ``_search``), so
+it has no recursion and no depth limit.  The search is deliberately
+simple and fully exhaustive: it is the independent check the
+constructions are measured against, so completeness beats speed.  It is
+also sequential and deterministic: the same graph and color cap always
+give the same witness and node count.
 """
-
-from __future__ import annotations
 
 import time
 from typing import NamedTuple
@@ -86,29 +85,28 @@ class _OutOfTime(TimeoutError):
 CHECK_EVERY = 4096  # nodes between two deadline checks; the first switches the memo on
 
 
-_Schedule = tuple[list[int], list[list[int]], list[list[int]], list[int], list[int], list[int],
+_Schedule = tuple[list[int], list[list[int]], list[int], list[int], list[int],
                   list[list[int]]]
 
 
 def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
-    """What ``_search`` does at each depth, whatever k is: (order, earlier,
-    final_at, twin, closed, reasons, waiting).  ``twins`` is
-    ``twin_classes(g)``, computed here unless the caller has it.  One walk
-    places the vertices breadth-first from the highest-degree vertex, lowest
-    index on ties, placing each vertex's unplaced neighbours by descending
-    degree, then index, so every vertex after the first has a neighbour
-    before it (the graph is connected).  The walk's order grows while it is
-    walked: at depth d it places the unplaced neighbours of ``order[d]``,
-    notes the placed ones, in increasing order, as its earlier neighbours,
-    and adds d to ``closed[u]`` for each neighbour u and ``order[d]``
-    itself, so ``closed[w]`` ends as the depths of w's closed neighbourhood
-    as a mask, the highest of them w's closing depth.  Once ``order[d]`` is
-    walked, its ``closed`` holds the depths of its earlier neighbours and
-    its own: that is ``reasons[d]``, to which a twin adds its earlier
-    twin's depth.  Each leaf that d places is noted with d, and where d
-    places one, ``waiting[d]`` lists the notes of the leaves still unwalked:
-    a leaf placed by d is placed after it, and only the first vertex of
-    K2 is a leaf that places one."""
+    """What ``_search`` does at each depth, whatever k is: (order, final_at,
+    twin, closed, reasons, waiting).  ``twins`` is ``twin_classes(g)``,
+    computed here unless the caller has it.  One walk places the vertices
+    breadth-first from the highest-degree vertex, lowest index on ties,
+    placing each vertex's unplaced neighbours by descending degree, then
+    index, so every vertex after the first has a neighbour before it (the
+    graph is connected).  The walk's order grows while it is walked: at
+    depth d it places the unplaced neighbours of ``order[d]`` and adds d to
+    ``closed[u]`` for each neighbour u and ``order[d]`` itself, so
+    ``closed[w]`` ends as the depths of w's closed neighbourhood as a mask,
+    the highest of them w's closing depth.  Once ``order[d]`` is walked, its
+    ``closed`` holds the depths of its earlier neighbours and its own: that
+    is ``reasons[d]``, to which a twin adds its earlier twin's depth.  Each
+    leaf that d places is noted with d, and where d places one,
+    ``waiting[d]`` lists the notes of the leaves still unwalked: a leaf
+    placed by d is placed after it, and only the first vertex of K2 is a
+    leaf that places one."""
     n, adj = g.n, g.adj
     degree = list(map(len, adj))
     by_degree = degree.__getitem__
@@ -117,18 +115,16 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
     pos = [n] * n  # n: not placed yet
     pos[first] = 0
     closed = [0] * n
-    earlier, reasons = [], []
+    reasons = []
     waiting: list[list[int]] = [[]] * n  # one shared empty list where no leaf hangs
     hanging = []  # the neighbour's depth of each leaf placed after it, in the leaves' order
     walked = 0  # how many of those leaves the walk has passed
     for d, v in enumerate(order):  # grows while it is walked
         bit = 1 << d
-        before, new = [], []
+        new = []
         for u in adj[v]:  # increasing index
             closed[u] |= bit
-            if pos[u] < d:
-                before.append(u)
-            elif pos[u] == n:
+            if pos[u] == n:
                 new.append(u)
         if len(new) > 1:  # only the order of the vertices it places matters
             new.sort(key=by_degree, reverse=True)  # stable: index on ties
@@ -137,7 +133,6 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
             order.append(u)
             if degree[u] == 1:
                 hanging.append(d)
-        earlier.append(before)
         closed[v] |= bit
         reasons.append(closed[v])
         if hanging:  # no leaf hangs on a leaf placed after its neighbour
@@ -154,17 +149,17 @@ def _schedule(g: Graph, twins: list[list[int]] | None = None) -> _Schedule:
         for u, w in zip(members, members[1:]):
             twin[pos[w]] = u
             reasons[pos[w]] |= 1 << pos[u]
-    return order, earlier, final_at, twin, closed, reasons, waiting
+    return order, final_at, twin, closed, reasons, waiting
 
 
 class _Memo:
     """The failed states of one ``_search`` call, each filed under its key:
-    the depth, the limit, ``used`` and the (signature so far, color bit)
-    pair of each vertex in the depth's front, written as the search writes
-    pairs.  ``front[d]`` holds the vertices w that a depth before d touched,
-    the lowest depth of ``closed[w]``, and that a depth from d on reads:
-    the highest depth of ``closed[w]`` closes w's signature, and the depth
-    whose ``twin`` w is checks w's color."""
+    ``used`` and the (signature so far, color bit) pair of each vertex in
+    the depth's front, written as the search writes pairs.  ``front[d]``
+    holds the vertices w that a depth before d touched, the lowest depth of
+    ``closed[w]``, and that a depth from d on reads: the highest depth of
+    ``closed[w]`` closes w's signature, and the depth whose ``twin`` w is
+    checks w's color."""
 
     __slots__ = ("adj", "shift", "front", "failed")
 
@@ -181,13 +176,13 @@ class _Memo:
         self.adj, self.shift = adj, k + 1
         self.failed: set[tuple[int, ...]] = set()
 
-    def seen(self, depth: int, bits: list[int], top: int, used: int) -> bool:
+    def seen(self, depth: int, bits: list[int], used: int) -> bool:
         """Whether the state entering the depth has failed before, filing it
         if not: the search comes back above the depth only once the state
-        has failed.  The state is the colors (``bits``, by vertex), the
-        limit ``top`` and the pairs in use, ``used``."""
+        has failed.  The state is the colors (``bits``, by vertex) and the
+        pairs in use, ``used``."""
         adj, shift = self.adj, self.shift
-        key = [depth, top, used]
+        key = [used]
         for w in self.front[depth]:
             sig = 0
             for u in adj[w]:
@@ -209,10 +204,9 @@ def _search(g: Graph, k: int, budget: _Budget,
     index on ties), visiting each vertex's neighbours by descending degree,
     then index.  It is fixed, so everything that depends only on the depth
     is scheduled first, once per graph (``_schedule``, built here unless
-    the caller has it): ``earlier[d]``, the neighbours of ``order[d]``
-    colored before it (the properness check), ``final_at[d]``, the vertices
-    whose closed neighbourhood is complete once ``order[d]`` is colored (the
-    signature check), ``twin[d]``, the twin of ``order[d]`` last before it
+    the caller has it): ``final_at[d]``, the vertices whose closed
+    neighbourhood is complete once ``order[d]`` is colored (the signature
+    check), ``twin[d]``, the twin of ``order[d]`` last before it
     in the order (the twin check), or n where it has none, ``waiting[d]``,
     the neighbours' depths of the leaves still uncolored once a depth with
     leaves on it is colored (the leaf check), and the masks of depths that
@@ -225,7 +219,7 @@ def _search(g: Graph, k: int, budget: _Budget,
     properness for every color at once, as the candidate mask ``cands[d]``:
     the colors up to the highest allowed (one above the highest used at the
     depths before, at most k, which breaks the symmetry between unused
-    colors), minus ``forbidden``, the colors its earlier neighbours hold.
+    colors), minus ``forbidden``, the colors of all its neighbours.
     The mask holds for the whole stay at the depth, because everything
     deeper is undone before the depth tries its next color.  The color last
     tried starts at the color of ``twin[d]`` (so that a twin takes a higher
@@ -296,10 +290,10 @@ def _search(g: Graph, k: int, budget: _Budget,
     (``held`` keeps ``closed[h]`` under each pair as it is added).  Out of
     colors, d jumps to the highest depth j in the rest of its mask, merges
     that rest into ``conflict[j]`` and clears the colors of the depths it
-    skips, as the memo reads the uncolored vertices' signatures so far; an
-    empty rest ends the call.  Two cases step back one depth, as if every
-    depth before d were in the mask (-1): a depth whose limit is below k,
-    and a memo hit.
+    skips, as properness reads the colors of all neighbours and the memo the
+    uncolored vertices' signatures so far; an empty rest ends the call.  Two
+    cases step back one depth, as if every depth before d were in the mask
+    (-1): a depth whose limit is below k, and a memo hit.
 
     Why a jump skips no solution.  Call a solution a coloring the search
     accepts: proper, with distinct (signature, color) pairs, colors opened
@@ -323,24 +317,29 @@ def _search(g: Graph, k: int, budget: _Budget,
     Past ``CHECK_EVERY`` nodes of this call the search switches on a
     ``_Memo``.  From then on, entering depth d asks ``_Memo.seen`` whether
     the state has failed before, and backs off passing over no color where
-    it has.  The memo keys the state by d, ``limit[d]``, ``used`` and the
-    (signature so far, color) pair of each vertex in the front at d: the
-    vertices that a depth before d touched (colored them or a neighbour)
-    and that a depth from d on reads (closes their signature, or checks
-    them as a twin).  The key fixes every valid completion: an uncolored
-    vertex's properness reads its signature so far, a signature still open
-    ends as that plus colors of the completion, a new pair must miss
-    ``used``, ``limit[d]`` fixes which colors may open, and twin order
-    reads colors in the front.  So two states with one key have the same
-    valid completions.  A state the memo has not met is remembered at
-    once, as the search only comes back above the depth once its subtree
-    holds no solution: a witness ends the call, by induction the hits
-    below it skipped none, and a jump from below it to above it leaves a
-    subtree that holds no valid completion of the current prefix, which is
-    the set that the key fixes.  So a hit skips only subtrees without a
-    solution, and the first witness is unchanged.
+    it has.  The memo keys the state by ``used`` and the (signature so far,
+    color) pair of each vertex in the front at d: the vertices that a depth
+    before d touched (colored them or a neighbour) and that a depth from d
+    on reads (closes their signature, or checks them as a twin).  The key
+    fixes every valid completion: an uncolored vertex's properness reads its
+    signature so far, a signature still open ends as that plus colors of the
+    completion, a new pair must miss ``used``, the limit fixes which colors
+    may open, and twin order reads colors in the front.  It fixes the depth
+    and the limit too, as each colored vertex shows its color in the front
+    or, once closed, in its one pair in ``used``.  Were two states with one
+    key at depths d < e, no vertex would close at d to e - 1, as ``used``
+    holds a pair per closed vertex, so no closed vertex would leave the
+    front: one leaves after its next twin's depth, where that twin closes,
+    being no neighbour (the vertex closed first) and so having the vertex's
+    neighbours.  So the front at e would show e - d more colors.  A state
+    the memo has not met is remembered at once, as the search only comes
+    back above the depth once its subtree holds no solution: a witness ends
+    the call, by induction the hits below it skipped none, and a jump from
+    below it to above it leaves a subtree that holds no valid completion of
+    the current prefix, which is the set that the key fixes.  So a hit skips
+    only subtrees without a solution, and the first witness is unchanged.
     """
-    order, earlier, final_at, twin, closed, reasons, waiting = schedule or _schedule(g)
+    order, final_at, twin, closed, reasons, waiting = schedule or _schedule(g)
     n, adj = g.n, g.adj
     shift = k + 1  # a pair is its signature shifted past the color bits, OR its color bit
     slot: dict[int, int] = {}  # pair -> its bit in used
@@ -445,10 +444,10 @@ def _search(g: Graph, k: int, budget: _Budget,
             conflict[depth] = reasons[depth] if top == k else -1
             tried[depth] = (bits[twin[depth]] >> 1).bit_length()  # 0: no twin
             forbidden = 0
-            for u in earlier[depth]:
+            for u in adj[order[depth]]:  # the later neighbours are uncolored
                 forbidden |= bits[u]
             cands[depth] = ((2 << top) - 2) & ~forbidden
-            if memo is not None and memo.seen(depth, bits, top, used):
+            if memo is not None and memo.seen(depth, bits, used):
                 tried[depth] = top  # back off as if exhausted, passing no color
                 conflict[depth] = -1
     finally:

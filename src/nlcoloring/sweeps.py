@@ -11,8 +11,6 @@ graphs.  Each conjecture supplies only its range check, its instance
 stream and the fields it measures on a solved instance.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from itertools import compress
 from typing import Iterator

@@ -389,7 +389,6 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
     for v in order:  # breadth-first; grows while it is walked
         order += [u for u in sorted(g.adj[v], key=key.__getitem__) if u not in order]
     pos = {v: d for d, v in enumerate(order)}
-    earlier = [[u for u in g.adj[v] if pos[u] < d] for d, v in enumerate(order)]
     final_at = [[] for _ in range(g.n)]
     for w in range(g.n):  # increasing w, so each list is in increasing order
         final_at[max(pos[u] for u in (w, *g.adj[w]))].append(w)
@@ -400,8 +399,8 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
         twin.append(max(before, key=pos.__getitem__) if before else g.n)
     closed = [sum(1 << pos[u] for u in (w, *g.adj[w])) for w in range(g.n)]
     reasons = []
-    for d in range(g.n):
-        depths = {d, *(pos[u] for u in earlier[d])}
+    for d, v in enumerate(order):
+        depths = {d, *(pos[u] for u in g.adj[v] if pos[u] < d)}
         if twin[d] < g.n:
             depths.add(pos[twin[d]])
         reasons.append(sum(1 << e for e in depths))
@@ -409,15 +408,14 @@ def _schedule_by_definition(g: Graph) -> solver._Schedule:
               if len(g.adj[w]) == 1 and pos[g.adj[w][0]] < pos[w]]
     waiting = [sorted(e for e, f in leaves if e <= d < f) if any(e == d for e, _ in leaves)
                else [] for d in range(g.n)]
-    return order, earlier, final_at, twin, closed, reasons, waiting
+    return order, final_at, twin, closed, reasons, waiting
 
 
 @pytest.mark.parametrize("universe", ["atlas", "trees", "C23", "F30", "P3000"])
 def test_schedule_matches_its_definition(universe):
     # order: breadth-first from the highest-degree vertex, lowest index on
     # ties, each vertex's neighbours by descending degree, then index;
-    # earlier[d]: the neighbours of order[d] placed before depth d, in
-    # increasing order; final_at[d]: the vertices, in increasing order,
+    # final_at[d]: the vertices, in increasing order,
     # whose closed neighbourhood has its largest position at d; twin[d]:
     # the twin of order[d] last before it in the order, or n; closed[w]: the
     # depths of w's closed neighbourhood as a mask; reasons[d]: the depths of
@@ -455,7 +453,7 @@ def _front_by_definition(g: Graph) -> list[set[int]]:
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS)
 def test_memo_schedule_reads_the_twins(g):
-    _, _, _, twin, closed, _, _ = solver._schedule(g)
+    _, _, twin, closed, _, _ = solver._schedule(g)
     front = solver._Memo(g.adj, g.n, closed, twin).front  # k sets only the pair shift
     assert list(map(set, front)) == _front_by_definition(g)
 
@@ -463,24 +461,27 @@ def test_memo_schedule_reads_the_twins(g):
 @pytest.mark.parametrize("g", SMALL_GRAPHS)
 def test_memo_keys_straddled_depths_as_they_are(g, monkeypatch):
     # a state hits the memo exactly when a state of the same call with the
-    # same depth, limit, used and (signature so far, color) pairs of the
-    # front was filed before it.  The colors are compared as they are at
-    # every depth: where a twin class straddles the depth, twin order reads
-    # color values, so a key up to renaming the colors would be unsound
+    # same used and (signature so far, color) pairs of the front was filed
+    # before it.  The colors are compared as they are at every depth: where
+    # a twin class straddles the depth, twin order reads color values, so a
+    # key up to renaming the colors would be unsound.  The key leaves out
+    # the depth and the limit, as these two fix them: each key is met at
+    # one depth and one limit, one above the highest color, at most k
     front, seen, filed = _front_by_definition(g), solver._Memo.seen, {}
 
-    def checked(memo, depth, bits, top, used):
+    def checked(memo, depth, bits, used):
         pairs = []
         for w in sorted(front[depth]):
             sig = 0
             for u in g.adj[w]:
                 sig |= bits[u]
             pairs.append((sig, bits[w]))
-        key = (depth, top, used, tuple(pairs))
-        met = filed.setdefault(memo, set())
-        hit = seen(memo, depth, bits, top, used)
+        key = (used, tuple(pairs))
+        top = min(max(bits).bit_length(), memo.shift - 1)  # shift is k + 1
+        met = filed.setdefault(memo, {})
+        hit = seen(memo, depth, bits, used)
         assert hit == (key in met), (depth, g.sorted_edges())
-        met.add(key)
+        assert met.setdefault(key, (depth, top)) == (depth, top), (depth, g.sorted_edges())
         return hit
 
     monkeypatch.setattr(solver._Memo, "seen", checked)
@@ -500,10 +501,10 @@ def test_memo_reads_no_color_at_or_past_its_depth(g, monkeypatch):
     order = solver._schedule(g)[0]
     seen, depths = solver._Memo.seen, []
 
-    def checked(memo, depth, bits, top, used):
+    def checked(memo, depth, bits, used):
         assert not any(bits[v] for v in order[depth:]), (depth, g.sorted_edges())
         depths.append(depth)
-        return seen(memo, depth, bits, top, used)
+        return seen(memo, depth, bits, used)
 
     monkeypatch.setattr(solver._Memo, "seen", checked)
     monkeypatch.setattr(solver, "CHECK_EVERY", 1)

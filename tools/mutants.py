@@ -48,16 +48,11 @@ class Mutation(NamedTuple):
 
 
 MUTATIONS = [
-    # the memo of failed states: its key and its front.  The key's depth and
-    # limit are not mutated, as used and the front's pairs fix both, so a key
-    # without either gives the same answers.  Each colored vertex shows its
-    # color in the front or, once closed, in its pair in used, which fixes
-    # the limit.  used holds one pair per closed vertex, and a closed vertex
-    # leaves the front only past its next twin's depth, where that twin
-    # closes; so two states of one search with the same used and front
-    # pairs have as many colored vertices, which is their depth
+    # the memo of failed states: its key and its front.  The key holds no
+    # depth and no limit, as used and the front's pairs fix both (the
+    # _search docstring argues it)
     Mutation("memo key without used", "solver.py", (
-        ("key = [depth, top, used]", "key = [depth, top, 0]"),
+        ("key = [used]", "key = [0]"),
     ), SEARCH),
     Mutation("memo key without the signatures", "solver.py", (
         ("key.append(sig << shift | bits[w])", "key.append(bits[w])"),
@@ -86,8 +81,8 @@ MUTATIONS = [
     ), SEARCH),
     # backjumping: a clash reads the holder's neighbourhood too, twin order
     # reads the earlier twin's depth, a memo hit steps back one depth, and a
-    # jump clears the colors of the depths it skips, which the memo's key
-    # reads as signatures so far
+    # jump clears the colors of the depths it skips, which properness reads
+    # as later neighbours and the memo's key as signatures so far
     Mutation("backjump without the holder's neighbourhood", "solver.py", (
         ("conflict[depth] |= closed[w] | held[pair]", "conflict[depth] |= closed[w]"),
     ), ORACLE),
@@ -99,7 +94,7 @@ MUTATIONS = [
     ), ORACLE),
     Mutation("backjump keeps the skipped colors", "solver.py", (
         ("                for u in order[back + 1:depth]:\n                    bits[u] = 0\n", ""),
-    ), SEARCH),
+    ), ORACLE),
     # the leaf check: a color passes while as many pairs ({c}, x) are free
     # as leaves wait on vertices of color c, and not only while more are
     # free; a leaf already colored holds its pair in used and waits no
@@ -128,10 +123,13 @@ MUTATIONS = [
     Mutation("no leaf check", "solver.py", (
         ("if waiting[depth] and ", "if False and "),
     ), ("tests/test_solver.py",)),
-    # the other four prunes of the search
+    # the other four prunes of the search; properness reads every neighbour
     Mutation("no properness prune", "solver.py", (
         ("cands[depth] = ((2 << top) - 2) & ~forbidden", "cands[depth] = (2 << top) - 2"),
     ), SEARCH),
+    Mutation("properness skips a neighbour", "solver.py", (
+        ("for u in adj[order[depth]]:", "for u in adj[order[depth]][1:]:"),
+    ), ORACLE),
     Mutation("no signature prune", "solver.py", (
         ("if now & b:", "if False:"),
     ), SEARCH),

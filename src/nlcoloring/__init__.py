@@ -17,21 +17,23 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(("a1", "a2", "bounds_report", "chi_closed_form", "chi_lower_bound",
-                     "class_order_bound", "ell", "max_order", "tree_max_degree"), "bounds"),
-    **dict.fromkeys(("Coloring", "NLVerdict", "color_degree", "extremal_audit",
-                     "is_1_paired", "is_nl_coloring", "neighbor_signature"), "coloring"),
+    **dict.fromkeys(("a1", "a2", "bounds_report", "chi_lower_bound", "class_order_bound",
+                     "ell", "max_order", "tree_max_degree"), "bounds"),
+    **dict.fromkeys(("Coloring", "NLVerdict", "color_degree", "is_nl_coloring",
+                     "neighbor_signature"), "coloring"),
     **dict.fromkeys(("ColoredGraph", "ConstructionError", "base_small_coloring",
                      "caterpillar_extremal", "comb_coloring", "cone_coloring",
-                     "cycle_coloring", "generic_tree_coloring", "one_paired_cycle_coloring",
-                     "path_coloring", "unicyclic_extremal"), "construct"),
-    **dict.fromkeys(("DegreeStats", "FamilySpec", "Graph", "GraphError", "classify",
-                     "degree_stats", "diameter", "distances", "family_graph", "is_tree",
-                     "twin_classes"), "graphs"),
+                     "cycle_coloring", "extremal_audit", "generic_tree_coloring",
+                     "is_1_paired", "one_paired_cycle_coloring", "path_coloring",
+                     "unicyclic_extremal"), "construct"),
+    **dict.fromkeys(("FamilySpec", "chi_closed_form", "family_graph"), "families"),
+    **dict.fromkeys(("DegreeStats", "Graph", "GraphError", "classify", "degree_stats",
+                     "diameter", "distances", "is_tree", "twin_classes"), "graphs"),
     **dict.fromkeys(("SolveResult", "chi_nl_exact", "exists_nl_coloring"), "solver"),
     **dict.fromkeys(("conjecture_sweep", "connected_graphs", "enumerate_trees"), "sweeps"),
 }
-_MODULES = ("bounds", "cli", "coloring", "construct", "formats", "graphs", "solver", "sweeps")
+_MODULES = ("bounds", "cli", "coloring", "construct", "families", "formats", "graphs", "solver",
+            "sweeps")
 
 __all__ = ["__version__", *_EXPORTS]
 

@@ -1,10 +1,9 @@
-"""Closed-form bounds and exact values for the neighbor-locating chromatic number.
+"""Closed-form bounds for the neighbor-locating chromatic number.
 
 Capacity counts a1/a2/ell, order bounds for general / degree-bounded /
-unicyclic / tree inputs, the derived lower bound for arbitrary connected
-graphs, and the exact values for the named families (paths,
-cycles, fans, wheels, stars, double stars and the extremal
-unicyclic/caterpillar instances).  The lower bound joins five proved
+unicyclic / tree inputs, and the derived lower bound for arbitrary
+connected graphs; the exact values of the named families are
+``families.chi_closed_form``.  The lower bound joins five proved
 bounds: the paper's order bounds, the twin bound, the cycle bound (no
 cycle of order ell(k) - 1 has a k-NL-coloring, nor one of even order a
 3-NL-coloring), the neighbour bound (the degrees of a vertex's
@@ -16,7 +15,7 @@ integer arithmetic.
 
 from math import comb
 
-from .graphs import FamilySpec, Graph, distances, twin_classes
+from .graphs import Graph, distances, twin_classes
 
 
 def a1(k: int) -> int:
@@ -242,52 +241,3 @@ def _neighbours_fit(k: int, adj: tuple[tuple[int, ...], ...], peeled: set[int] |
             if not all(i <= cap[min(d, k - 1)] for i, d in enumerate(degrees, 1)):
                 return False
     return True
-
-
-def bracket(n: int) -> int:
-    """The unique k >= 4 with ell(k-1) < n <= ell(k); defined for n >= 10."""
-    if n < 10:
-        raise ValueError("bracket lookup applies to orders of at least 10")
-    # ell(k) >= k^3 / 3 > n at k = 2^(n.bit_length() // 3 + 2), so bisect below it
-    lo, hi = 4, 2 ** (n.bit_length() // 3 + 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ell(mid) < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def chi_closed_form(spec: FamilySpec) -> int:
-    """Exact NL-chromatic number of a named family instance.
-
-    Covers paths, cycles, fans, wheels, stars, double stars and the
-    extremal unicyclic/caterpillar instances (which have value k by
-    construction).  Combs are not covered.
-    """
-    fam, args = spec.family, spec.args
-    if fam == "path":
-        n = args[0]
-        if n == 2:
-            return 2
-        if n <= 9:
-            return 3
-        return bracket(n)
-    if fam == "cycle":
-        n = args[0]
-        if n <= 9:
-            return 3 if n % 2 == 1 else 4
-        k = bracket(n)
-        return k + 1 if n == ell(k) - 1 else k
-    if fam == "fan":
-        return chi_closed_form(FamilySpec.path(args[0] - 1)) + 1
-    if fam == "wheel":
-        return chi_closed_form(FamilySpec.cycle(args[0] - 1)) + 1
-    if fam == "star":
-        return args[0]
-    if fam == "double-star":
-        return args[1] + 1
-    if fam in ("unicyclic", "caterpillar"):
-        return args[0]
-    raise ValueError(f"no closed-form value for family {fam!r}")

@@ -25,7 +25,7 @@ from . import __version__
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from .construct import ColoredGraph
-    from .graphs import FamilySpec
+    from .families import FamilySpec
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -93,7 +93,7 @@ def _refuse_params(args, owner: str, taken: tuple[str, ...] = ()) -> None:
 
 
 def _family_spec(args) -> "FamilySpec":
-    from .graphs import FAMILIES, FamilySpec
+    from .families import FAMILIES, FamilySpec
 
     fam = args.family
     if fam is None:
@@ -122,7 +122,7 @@ def _colored_graph_for(spec: "FamilySpec") -> "ColoredGraph":
 
 def _cmd_gen(args) -> int:
     from . import formats
-    from .graphs import family_graph
+    from .families import family_graph
 
     spec = _family_spec(args)
     try:
@@ -189,9 +189,11 @@ def _cmd_chi(args) -> int:
     if args.family is not None:
         if args.exact:
             raise CliError("--exact applies to --graph input; family values are closed-form")
+        from .families import chi_closed_form
+
         spec = _family_spec(args)
         try:
-            value = bounds.chi_closed_form(spec)
+            value = chi_closed_form(spec)
         except ValueError as exc:
             raise CliError(str(exc))
         _emit({"chi": value})

@@ -1,8 +1,9 @@
-"""Colorings, the neighbor-locating decision procedure, and structural audits.
+"""Colorings and the neighbor-locating decision procedure.
 
 A coloring here is a total assignment of colors 1..k.  Properness is *not*
 an invariant of the type: the solver needs to represent bad candidates, so
-the checks live in :func:`is_nl_coloring`.
+the checks live in :func:`is_nl_coloring`.  The audits of verified
+colorings (1-pairedness, the per-class census) are in ``construct``.
 """
 
 from typing import NamedTuple
@@ -96,51 +97,3 @@ def is_nl_coloring(g: Graph, c: Coloring) -> NLVerdict:
     # a group's first clash pairs its two smallest members, so the least
     # clash is the lexicographically first violating pair
     return NLVerdict(False, DUPLICATE_SIGNATURE, min(clashes))
-
-
-def _require_nl(g: Graph, c: Coloring, caller: str) -> None:
-    verdict = is_nl_coloring(g, c)
-    if not verdict.ok:
-        raise ValueError(
-            f"{caller} is defined for neighbor-locating colorings only "
-            f"({verdict.reason} at {verdict.witness})"
-        )
-
-
-def is_1_paired(g: Graph, c: Coloring) -> bool:
-    """True iff every color-degree-1 vertex has a neighbor of color-degree 1.
-
-    Defined for verified NL-colorings only; anything else is rejected.
-    """
-    _require_nl(g, c, "is_1_paired")
-    cd = [color_degree(g, c, v) for v in range(g.n)]
-    return all(
-        any(cd[u] == 1 for u in g.adj[v])
-        for v in range(g.n)
-        if cd[v] == 1
-    )
-
-
-class ClassCensus(NamedTuple):
-    color: int
-    size: int
-    by_color_degree: dict[int, int]
-
-
-def extremal_audit(g: Graph, c: Coloring) -> tuple[ClassCensus, ...]:
-    """Full per-class census of a verified NL-coloring, one entry per color 1..k.
-
-    Callers compare the result against the extremal expectations, e.g. on a
-    max-order cycle every class has size C(k,2) with k-1 vertices of
-    color-degree 1 and C(k-1,2) of color-degree 2.
-    """
-    _require_nl(g, c, "extremal_audit")
-    cd = [color_degree(g, c, v) for v in range(g.n)]
-    out = []
-    for color in range(1, c.k + 1):
-        members = c.color_class(color)
-        dist: dict[int, int] = {}
-        for v in members:
-            dist[cd[v]] = dist.get(cd[v], 0) + 1
-        out.append(ClassCensus(color=color, size=len(members), by_color_degree=dist))
-    return tuple(out)

@@ -6,7 +6,9 @@ color-degree-1 pair, or a swapped-color pair between a color-degree-2 pair),
 the 1-paired cycle pipeline built from them, path colorings by edge deletion,
 the universal-vertex lift, the comb coloring, the extremal unicyclic graph
 and caterpillar, and the generic coloring of trees of order at least 5;
-``family_coloring`` picks the one for each named family.
+``family_coloring`` picks the one for each named family.  The structural
+audits of what they build, 1-pairedness (``is_1_paired``) and the
+per-class census (``extremal_audit``), are here too.
 
 The pipeline runs its chain of insertions in one loop over a byte color
 list, without recursion or caching, and finds each insertion edge with
@@ -20,9 +22,10 @@ from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
-from .bounds import a2, bracket, ell
-from .coloring import Coloring, is_nl_coloring, neighbor_signature
-from .graphs import FamilySpec, Graph, classify, cone, distances, family_graph, is_tree
+from .bounds import a2, ell
+from .coloring import Coloring, color_degree, is_nl_coloring, neighbor_signature
+from .families import FamilySpec, bracket, cone, family_graph
+from .graphs import Graph, classify, distances, is_tree
 
 
 class ConstructionError(RuntimeError):
@@ -634,3 +637,54 @@ def family_coloring(spec: FamilySpec) -> ColoredGraph:
     if fam == "caterpillar":
         return caterpillar_extremal(args[0])
     return generic_tree_coloring(family_graph(spec))  # star, double-star
+
+
+# ---------------------------------------------------------------------------
+# audits of verified colorings
+
+def _require_nl(g: Graph, c: Coloring, caller: str) -> None:
+    verdict = is_nl_coloring(g, c)
+    if not verdict.ok:
+        raise ValueError(
+            f"{caller} is defined for neighbor-locating colorings only "
+            f"({verdict.reason} at {verdict.witness})"
+        )
+
+
+def is_1_paired(g: Graph, c: Coloring) -> bool:
+    """True iff every color-degree-1 vertex has a neighbor of color-degree 1.
+
+    Defined for verified NL-colorings only; anything else is rejected.
+    """
+    _require_nl(g, c, "is_1_paired")
+    cd = [color_degree(g, c, v) for v in range(g.n)]
+    return all(
+        any(cd[u] == 1 for u in g.adj[v])
+        for v in range(g.n)
+        if cd[v] == 1
+    )
+
+
+class ClassCensus(NamedTuple):
+    color: int
+    size: int
+    by_color_degree: dict[int, int]
+
+
+def extremal_audit(g: Graph, c: Coloring) -> tuple[ClassCensus, ...]:
+    """Full per-class census of a verified NL-coloring, one entry per color 1..k.
+
+    Callers compare the result against the extremal expectations, e.g. on a
+    max-order cycle every class has size C(k,2) with k-1 vertices of
+    color-degree 1 and C(k-1,2) of color-degree 2.
+    """
+    _require_nl(g, c, "extremal_audit")
+    cd = [color_degree(g, c, v) for v in range(g.n)]
+    out = []
+    for color in range(1, c.k + 1):
+        members = c.color_class(color)
+        dist: dict[int, int] = {}
+        for v in members:
+            dist[cd[v]] = dist.get(cd[v], 0) + 1
+        out.append(ClassCensus(color=color, size=len(members), by_color_degree=dist))
+    return tuple(out)

@@ -1,4 +1,4 @@
-"""Graph representation, named-family generators, and structural facts.
+"""Graph representation and structural facts.
 
 Every graph handled by this package is connected, simple, undirected and
 finite, with vertices labeled 0..n-1.  ``Graph`` is a named tuple (n, edges,
@@ -9,12 +9,13 @@ breadth-first distances (``distances``, which also backs ``diameter`` and
 the connectivity checks, of a graph and of a graph less some vertices),
 the tree test (``is_tree``: a connected graph is a tree exactly when it
 has n-1 edges, and has one cycle exactly when it has n), the twin classes
-(``twin_classes``), the structural kind (``classify``), and the family
-parameters (``FAMILIES``).
+(``twin_classes``), the structural kind (``classify``) and the degree
+counts (``degree_stats``).  The named families and their graphs are in
+``families``.
 """
 
 from bisect import bisect
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -85,140 +86,6 @@ class Graph(_Graph):
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-# ---------------------------------------------------------------------------
-# graph families
-
-# family -> (parameter names, in ``FamilySpec.args`` order; range check on them)
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., bool]]] = {
-    "path": (("n",), lambda n: n >= 2),
-    "cycle": (("n",), lambda n: n >= 3),
-    "fan": (("n",), lambda n: n >= 4),
-    "wheel": (("n",), lambda n: n >= 4),
-    "comb": (("m",), lambda m: m >= 3),
-    "star": (("n",), lambda n: n >= 3),
-    "double-star": (("r", "s"), lambda r, s: 1 <= r <= s and r + s + 2 >= 5),
-    "unicyclic": (("k",), lambda k: k >= 5),
-    "caterpillar": (("k",), lambda k: k >= 6),
-}
-
-
-class _FamilySpec(NamedTuple):
-    family: str
-    args: tuple[int, ...]
-
-
-class FamilySpec(_FamilySpec):
-    """A named graph-family instance, e.g. cycle of order 24.
-
-    ``args`` holds the family parameters named in ``FAMILIES``: (n,) for
-    path/cycle/fan/wheel/star, (m,) for comb, (r, s) for double-star, (k,)
-    for unicyclic/caterpillar; the table's range check is applied here.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, family: str, args: tuple[int, ...]):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        params, in_range = FAMILIES[family]
-        if len(args) != len(params) or not in_range(*args):
-            raise ValueError(f"parameters {args} out of range for family {family!r}")
-        return super().__new__(cls, family, args)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
-
-    # convenience constructors -- keep call sites readable
-    @staticmethod
-    def path(n: int) -> "FamilySpec":
-        return FamilySpec("path", (n,))
-
-    @staticmethod
-    def cycle(n: int) -> "FamilySpec":
-        return FamilySpec("cycle", (n,))
-
-    @staticmethod
-    def fan(n: int) -> "FamilySpec":
-        return FamilySpec("fan", (n,))
-
-    @staticmethod
-    def wheel(n: int) -> "FamilySpec":
-        return FamilySpec("wheel", (n,))
-
-    @staticmethod
-    def comb(m: int) -> "FamilySpec":
-        return FamilySpec("comb", (m,))
-
-    @staticmethod
-    def star(n: int) -> "FamilySpec":
-        return FamilySpec("star", (n,))
-
-    @staticmethod
-    def double_star(r: int, s: int) -> "FamilySpec":
-        return FamilySpec("double-star", (r, s))
-
-    @staticmethod
-    def unicyclic(k: int) -> "FamilySpec":
-        return FamilySpec("unicyclic", (k,))
-
-    @staticmethod
-    def caterpillar(k: int) -> "FamilySpec":
-        return FamilySpec("caterpillar", (k,))
-
-    def label(self) -> str:
-        return f"{self.family}({','.join(map(str, self.args))})"
-
-
-def family_graph(spec: FamilySpec) -> Graph:
-    """Build the canonical labeled instance of a named family.
-
-    Vertex numbering is deterministic and documented:
-
-    * path/cycle: vertices 0..n-1 in traversal order;
-    * fan/wheel: the ``cone`` of the path/cycle 0..n-2, hub last (n-1);
-    * comb: spine 0..m-1 along the path, leaf of spine i is m+i;
-    * star: leaves 0..n-2, center last (n-1);
-    * double-star: centers 0 (r leaves) and 1 (s leaves), then the r leaves
-      of 0, then the s leaves of 1;
-    * unicyclic/caterpillar: the graphs of ``construct.family_coloring``,
-      the extremal instances, already canonically labeled.
-    """
-    fam, args = spec.family, spec.args
-    if fam == "path":
-        n = args[0]
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if fam == "cycle":
-        n = args[0]
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if fam == "fan":
-        return cone(family_graph(FamilySpec.path(args[0] - 1)))
-    if fam == "wheel":
-        return cone(family_graph(FamilySpec.cycle(args[0] - 1)))
-    if fam == "comb":
-        m = args[0]
-        edges = [(i, i + 1) for i in range(m - 1)]
-        edges += [(i, m + i) for i in range(m)]
-        return Graph(2 * m, edges)
-    if fam == "star":
-        n = args[0]
-        return Graph(n, [(i, n - 1) for i in range(n - 1)])
-    if fam == "double-star":
-        r, s = args
-        n = r + s + 2
-        edges = [(0, 1)]
-        edges += [(0, 2 + i) for i in range(r)]
-        edges += [(1, 2 + r + i) for i in range(s)]
-        return Graph(n, edges)
-    # unicyclic, caterpillar: the extremal instances are built with their coloring
-    from .construct import family_coloring
-
-    return family_coloring(spec).graph
-
-
-def cone(g: Graph) -> Graph:
-    """g plus a universal vertex, numbered g.n (the hub of a fan or wheel)."""
-    return Graph(g.n + 1, g.edges + tuple((v, g.n) for v in range(g.n)))
 
 
 # ---------------------------------------------------------------------------

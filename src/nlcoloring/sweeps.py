@@ -8,15 +8,16 @@ the known class counts asserted).  One sweep loop tests either conjecture
 on them: the tree degree conjecture max_degree <= (chi-1)^2 on the trees,
 and the diameter conjecture chi(G) >= chi(P_{diam+1}) on the connected
 graphs.  Each conjecture supplies only its range check, its instance
-stream and the fields it measures on a solved instance.
+stream and the fields it measures on a solved instance.  Only the
+diameter sweep reads a named family, the path's closed form, so only it
+imports ``families``.
 """
 
 from functools import partial
 from itertools import compress
 from typing import Iterator
 
-from .bounds import chi_closed_form
-from .graphs import FamilySpec, Graph, diameter
+from .graphs import Graph, diameter
 from .solver import chi_nl_exact
 
 TREE_ENUM_CAP = 12
@@ -173,6 +174,8 @@ def conjecture_sweep(which: str, max_n: int) -> dict:
     elif which == DIAMETER_CONJECTURE:
         if not 2 <= max_n <= CONNECTED_ENUM_CAP:
             raise ValueError(f"diameter sweep supports 2 <= max_n <= {CONNECTED_ENUM_CAP}")
+        from .families import FamilySpec, chi_closed_form
+
         graphs = (g for n in range(2, max_n + 1) for g in connected_graphs(n))
         # chi(P_{d+1}) for each diameter d that a graph of order at most max_n can have
         fields = partial(_diameter_fields,

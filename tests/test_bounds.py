@@ -28,8 +28,8 @@ from nlcoloring import (
     tree_max_degree,
     twin_classes,
 )
-from nlcoloring.bounds import _floor, bracket
-from nlcoloring.graphs import cone
+from nlcoloring.bounds import _floor
+from nlcoloring.families import bracket, cone
 
 
 def test_capacity_values():

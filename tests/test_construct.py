@@ -37,8 +37,7 @@ from nlcoloring import (
     unicyclic_extremal,
 )
 from nlcoloring import construct
-from nlcoloring.bounds import bracket
-from nlcoloring.graphs import FAMILIES
+from nlcoloring.families import FAMILIES, bracket
 from nlcoloring.construct import (
     _comb_spine_index,
     _designated_vertex,

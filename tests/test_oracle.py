@@ -28,7 +28,7 @@ from nlcoloring import (
     is_nl_coloring,
 )
 from nlcoloring import solver
-from nlcoloring.graphs import cone
+from nlcoloring.families import cone
 
 
 def _partition_colorings(g: Graph, k: int) -> Iterator[Coloring]:

@@ -20,15 +20,14 @@ ENV = dict(os.environ, PYTHONPATH=SRC)
 
 # every public name of the package, grouped by the module that defines it
 EXPORTS = """
-a1 a2 bounds_report chi_closed_form chi_lower_bound class_order_bound ell max_order
-tree_max_degree
-Coloring NLVerdict color_degree extremal_audit is_1_paired is_nl_coloring
-neighbor_signature
+a1 a2 bounds_report chi_lower_bound class_order_bound ell max_order tree_max_degree
+Coloring NLVerdict color_degree is_nl_coloring neighbor_signature
 ColoredGraph ConstructionError base_small_coloring caterpillar_extremal comb_coloring
-cone_coloring cycle_coloring generic_tree_coloring one_paired_cycle_coloring
-path_coloring unicyclic_extremal
-DegreeStats FamilySpec Graph GraphError classify degree_stats diameter distances
-family_graph is_tree twin_classes
+cone_coloring cycle_coloring extremal_audit generic_tree_coloring is_1_paired
+one_paired_cycle_coloring path_coloring unicyclic_extremal
+FamilySpec chi_closed_form family_graph
+DegreeStats Graph GraphError classify degree_stats diameter distances is_tree
+twin_classes
 SolveResult chi_nl_exact exists_nl_coloring
 conjecture_sweep connected_graphs enumerate_trees
 """.split()
@@ -91,19 +90,23 @@ def _graph_and_certificate(tmp_path) -> tuple[str, str]:
     return str(graph), str(cert)
 
 
-@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "color", "sweep delta",
-                                     "sweep diameter"])
+@pytest.mark.parametrize("command", ["--version", "verify", "chi --exact", "chi --family", "color",
+                                     "sweep delta", "sweep diameter"])
 def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     graph, cert = _graph_and_certificate(tmp_path)
     argv = {"--version": ["--version"],
             "verify": ["verify", "--graph", graph, "--certificate", cert],
             "chi --exact": ["chi", "--graph", graph, "--exact"],
+            "chi --family": ["chi", "--family", "cycle", "--n", "9"],
             "color": ["color", "--family", "cycle", "--n", "9"],
             "sweep delta": ["sweep", "--conjecture", "delta", "--max-n", "4"],
             "sweep diameter": ["sweep", "--conjecture", "diameter", "--max-n", "4"]}[command]
     loaded = _loaded(tmp_path, *argv)
     ours = {m for m in loaded if m.startswith("nlcoloring.")}
     assert not loaded & {"argparse", "dataclasses", "inspect", "networkx"}
+    # the named families load only where a family is read
+    reads_a_family = command in ("chi --family", "color", "sweep diameter")
+    assert ("nlcoloring.families" in ours) == reads_a_family
     if command == "--version":
         assert not ours
     elif command == "verify":
@@ -111,12 +114,14 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
     elif command == "chi --exact":
         assert "nlcoloring.solver" in ours
         assert not ours & {"nlcoloring.construct", "nlcoloring.sweeps"}
+    elif command == "chi --family":
+        assert not ours & {"nlcoloring.construct", "nlcoloring.solver", "nlcoloring.sweeps"}
     elif command == "color":
         assert "nlcoloring.construct" in ours
         assert not ours & {"nlcoloring.solver", "nlcoloring.sweeps"}
     else:
         # the trees and the atlas table are the package's own, not networkx's
-        assert "nlcoloring.sweeps" in ours
+        assert "nlcoloring.sweeps" in ours and "nlcoloring.construct" not in ours
         assert ("nlcoloring._atlas" in ours) == (command == "sweep diameter")
 
 

@@ -3,8 +3,9 @@ schedule and its backjumping, its memo's key and front, its leaf check,
 the lower bound, its cycle bound and parity clause, its neighbour bound
 and its cone step, the cycle pipeline's edge scan, the constructions'
 self-checks and the extremal graphs' splice, the CLI parser, graph
-validation, distances and degrees, the atlas count check, the delta
-sweep's degree, and the coloring type and verifier.
+validation, distances and degrees, the atlas count check, the sweeps'
+import of the named families, the delta sweep's degree, and the coloring
+type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -251,7 +252,8 @@ MUTATIONS = [
     # comb's and the caterpillar's signature tables, and the class of the
     # unicyclic splice
     Mutation("construction without its verification", "construct.py", (
-        ("if not verdict.ok:", "if False:"),
+        ("if not verdict.ok:\n        raise ConstructionError(",
+         "if False:\n        raise ConstructionError("),
     ), ("tests/test_construct.py",)),
     Mutation("comb without its signature table", "construct.py", (
         ("expected = comb_signature_table(k, r, l)", "expected = None"),
@@ -291,6 +293,13 @@ MUTATIONS = [
     Mutation("atlas count check dropped", "sweeps.py", (
         ("if len(graphs) != _CONNECTED_COUNTS[n]:", "if False:"),
     ), ("tests/test_sweeps.py",)),
+    # the named families load only in the diameter sweep, which reads the
+    # path's closed form: the delta sweep must not compile them
+    Mutation("sweeps import the families at module level", "sweeps.py", (
+        ("from .graphs import Graph, diameter\n",
+         "from .families import FamilySpec, chi_closed_form\nfrom .graphs import Graph, diameter\n"),
+        ("        from .families import FamilySpec, chi_closed_form\n\n", ""),
+    ), ("tests/test_package.py",)),
     # the delta sweep's measured degree, and the degree counts
     Mutation("delta sweep reads the min degree", "sweeps.py", (
         ("delta = max(map(len, tree.adj))", "delta = min(map(len, tree.adj))"),

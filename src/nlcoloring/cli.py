@@ -13,10 +13,19 @@ imports argparse.  Each subcommand imports the modules it runs when it
 runs, so a process loads only those: ``--version`` loads none of them.
 No subcommand loads networkx; the sweeps generate their trees and decode
 their atlas graphs themselves.
+
+The ``nlc`` console script and ``python -m nlcoloring.cli`` both leave
+through ``run()``, which calls ``main()`` and freezes the heap on the way
+out, so the collections of interpreter shutdown skip the objects still
+alive.  ``main()`` itself does not freeze: tests and other in-process
+callers keep a collectable heap.  A stdout pipe whose reader has gone is
+exit 2, with no traceback.
 """
 
+import gc
 import getopt
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -353,8 +362,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    """Run one command and return its exit code; ``-h``, ``--version`` and a
+    usage error raise ``SystemExit``, as argparse did."""
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -369,5 +380,38 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAULT
 
 
+def run() -> None:
+    """The program's one exit path: run ``main()`` on ``sys.argv``, then exit
+    with its code, freezing the heap on the way out.
+
+    ``gc.freeze()`` moves every object alive at exit into the permanent
+    generation, which the collections of interpreter shutdown skip; a
+    process that is about to end has nothing worth collecting.  The freeze
+    sits in ``finally``, so the ``SystemExit`` of ``--version``, ``-h`` and
+    a usage error passes through it too.  Shutdown is otherwise unchanged:
+    the atexit handlers run, the interpreter flushes stdout and stderr, and
+    the exit code is ``main()``'s.  No output depends on a finalizer at
+    exit: every file ``nlc`` writes is closed by its ``with`` block before
+    ``main()`` returns.
+
+    stdout is flushed here rather than at exit, so that a reader that has
+    gone is exit 2 whether the output was buffered or not.
+    """
+    try:
+        try:
+            code = main()
+        finally:
+            if sys.stdout is not None:  # None where the process started without fd 1
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what stays buffered goes to devnull instead,
+        # so the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -806,3 +806,52 @@ def test_parser_usage_errors_exit_2(argv, capsys):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["-h"], ["gen", "-h"], ["gen", "--family", "cycle", "--n", "5"],
+    ["gen", "--family", "cycle", "--n", "2000"],
+], ids=["version", "help", "command-help", "gen", "gen-large"])
+def test_closed_stdout_pipe_is_exit_2(argv, buffered):
+    # a reader that has gone is an environment problem, not a verdict (1): exit
+    # 2 without a traceback, whether print fails at once (unbuffered) or the
+    # flush of a small buffered output does
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcoloring.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nlcoloring.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["-h"], ["gen", "-h"], ["gen", "--family", "cycle", "--n", "5"],
+], ids=["version", "help", "command-help", "gen"])
+def test_main_returns_2_when_stdout_is_a_closed_pipe(argv, monkeypatch):
+    # in process too: the parser's own output fails inside main's try
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["gen", "--family", "cycle", "--n", "5"]],
+                         ids=["version", "gen"])
+def test_no_stdout_at_all_is_not_an_error(argv):
+    # started with descriptor 1 closed, Python sets sys.stdout to None and
+    # print writes nothing: the exit path must not trip over the missing stream
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcoloring.__file__).resolve().parents[1]))
+    closed_then_nlc = ("import os, sys; os.close(1); os.execv(sys.executable, "
+                       "[sys.executable, '-m', 'nlcoloring.cli', *sys.argv[1:]])")
+    proc = subprocess.run([sys.executable, "-c", closed_then_nlc, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

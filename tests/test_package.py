@@ -3,9 +3,11 @@ records (immutable, validating, picklable named tuples)."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,23 +64,32 @@ def test_unknown_name_raises_attribute_error():
 
 
 # runs the CLI as ``python -m nlcoloring.cli`` does, then lists sys.modules
-# (``-X importtime`` would miss ``from . import module`` imports)
+# (``-X importtime`` would miss ``from . import module`` imports) and counts
+# the objects the exit path froze
 LIST_MODULES = """
-import runpy, sys
+import gc, runpy, sys
 sys.argv[0] = "nlc"
 try:
     runpy.run_module("nlcoloring.cli", run_name="__main__", alter_sys=True)
 finally:
-    sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)))
+    sys.stderr.write(f"\\nfrozen: {gc.get_freeze_count()}\\nmodules: "
+                     + " ".join(sorted(sys.modules)))
 """
+
+
+def _nlc(tmp_path, *argv) -> tuple[subprocess.CompletedProcess, set[str], int]:
+    """One nlc process, the modules it imported and the objects it froze."""
+    proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], capture_output=True,
+                          text=True, env=ENV, cwd=tmp_path, timeout=120)
+    head, _, modules = proc.stderr.rpartition("\nmodules: ")
+    return proc, set(modules.split()), int(head.rsplit("frozen: ", 1)[1])
 
 
 def _loaded(tmp_path, *argv) -> set[str]:
     """Modules one nlc process imported."""
-    proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], capture_output=True,
-                          text=True, env=ENV, cwd=tmp_path, timeout=120)
+    proc, loaded, _ = _nlc(tmp_path, *argv)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.rsplit("modules: ", 1)[1].split())
+    return loaded
 
 
 def _graph_and_certificate(tmp_path) -> tuple[str, str]:
@@ -123,6 +134,64 @@ def test_each_subcommand_imports_only_what_it_runs(command, tmp_path):
         # the trees and the atlas table are the package's own, not networkx's
         assert "nlcoloring.sweeps" in ours and "nlcoloring.construct" not in ours
         assert ("nlcoloring._atlas" in ours) == (command == "sweep diameter")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["chi", "--graph", "{graph}", "--exact"], 0), (["--version"], 0), (["frobnicate"], 2),
+], ids=["chi --exact", "--version", "usage-error"])
+def test_the_program_freezes_its_heap_on_the_way_out(argv, code, tmp_path):
+    # cli.run freezes in a finally, so the SystemExit of --version and of a
+    # usage error passes through it, and the exit code stays main's
+    graph, _ = _graph_and_certificate(tmp_path)
+    proc, _, frozen = _nlc(tmp_path, *(a.format(graph=graph) for a in argv))
+    assert proc.returncode == code, proc.stderr
+    assert frozen > 0
+
+
+def test_main_in_process_leaves_the_heap_collectable(tmp_path, capsys):
+    from nlcoloring import cli
+
+    graph, _ = _graph_and_certificate(tmp_path)
+    try:
+        assert cli.main(["chi", "--graph", graph, "--exact"]) == 0
+        for argv in (["--version"], ["frobnicate"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.unfreeze()  # so a failure here leaves the rest of the suite collectable
+
+
+# the wrapper that pip writes for a console script, less its renaming of argv[0]
+CONSOLE_SCRIPT = "import sys\nfrom {0} import {1}\nsys.argv[0] = 'nlc'\nsys.exit({1}())\n"
+
+
+def test_console_script_matches_python_m(tmp_path):
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    entry = re.search(r'^nlc = "([\w.]+):(\w+)"$', text, re.M)
+    assert entry and entry.groups() == ("nlcoloring.cli", "run")
+    graph, cert = _graph_and_certificate(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 9, "k": 2, "colors": [1, 2] * 4 + [1]}))
+    commands = [["chi", "--graph", graph, "--exact"],
+                ["verify", "--graph", graph, "--certificate", cert],
+                ["verify", "--graph", graph, "--certificate", str(bad)], ["--version"],
+                ["sweep", "--conjecture", "delta", "--max-n", "6", "--report", "{out}"],
+                ["chi", "--graph", graph, "--exact", "--max-k", "2"], ["frobnicate"],
+                ["gen", "--family", "cycle"]]
+    codes = []
+    for argv in commands:
+        runs = []
+        for name, launcher in (("script", ["-c", CONSOLE_SCRIPT.format(*entry.groups())]),
+                               ("module", ["-m", "nlcoloring.cli"])):
+            out = tmp_path / f"{name}.json"
+            proc = subprocess.run([sys.executable, *launcher, *(a.format(out=out) for a in argv)],
+                                  capture_output=True, env=ENV, cwd=tmp_path, timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1], argv
+        codes.append(runs[0][0])
+    assert codes == [0, 0, 1, 0, 0, 1, 2, 2]
 
 
 @pytest.mark.parametrize("make,message", [

@@ -2,10 +2,10 @@
 schedule and its backjumping, its memo's key and front, its leaf check,
 the lower bound, its cycle bound and parity clause, its neighbour bound
 and its cone step, the cycle pipeline's edge scan, the constructions'
-self-checks and the extremal graphs' splice, the CLI parser, graph
-validation, distances and degrees, the atlas count check, the sweeps'
-import of the named families, the delta sweep's degree, and the coloring
-type and verifier.
+self-checks and the extremal graphs' splice, the CLI parser and exit
+path, graph validation, distances and degrees, the atlas count check, the
+sweeps' import of the named families, the delta sweep's degree, and the
+coloring type and verifier.
 
 Each mutation is a set of exact snippets of a file in ``src/nlcoloring``,
 their replacements, and the test modules that must fail once they are
@@ -235,6 +235,32 @@ MUTATIONS = [
     ), ("tests/test_cli.py",)),
     Mutation("cli without the choices check", "cli.py", (
         ("if value not in kind:", "if False:"),
+    ), ("tests/test_cli.py",)),
+    # the exit path: run freezes the heap on the way out, main does not (in-process
+    # callers keep a collectable heap), and __main__ leaves through run; a closed
+    # stdout pipe is exit 2, also where print raises in the parser and where only
+    # the flush of a buffered output fails, and a process without stdout exits 0
+    Mutation("exit path without the freeze", "cli.py", (
+        ("    finally:\n        gc.freeze()\n", "    finally:\n        pass\n"),
+    ), ("tests/test_package.py",)),
+    Mutation("exit path freezes in main", "cli.py", (
+        ("    finally:\n        gc.freeze()\n", "    finally:\n        pass\n"),
+        ("        return EXIT_FAULT\n",
+         "        return EXIT_FAULT\n    finally:\n        gc.freeze()\n"),
+    ), ("tests/test_package.py",)),
+    Mutation("__main__ runs main", "cli.py", (
+        ('if __name__ == "__main__":\n    run()',
+         'if __name__ == "__main__":\n    sys.exit(main())'),
+    ), ("tests/test_package.py",)),
+    Mutation("parser outside main's try", "cli.py", (
+        ("    try:\n        args = parse_args(sys.argv[1:] if argv is None else argv)\n",
+         "    args = parse_args(sys.argv[1:] if argv is None else argv)\n    try:\n"),
+    ), ("tests/test_cli.py",)),
+    Mutation("exit path flushes a missing stdout", "cli.py", (
+        ("if sys.stdout is not None:", "if True:"),
+    ), ("tests/test_cli.py",)),
+    Mutation("exit path without the early flush", "cli.py", (
+        ("                sys.stdout.flush()\n", "                pass\n"),
     ), ("tests/test_cli.py",)),
     # the pipeline's insertion-edge scan: the closing edge, the second
     # endpoint's color-degree, and the lower hit of the two orientations
